@@ -293,9 +293,3 @@ def sinr_cue(
         noise_w + np.asarray(p_d_w) * np.asarray(g_b)
     )
 
-
-def pair_capacity_bps(
-    p_c_w: float, p_d_w: float, g_c: float, g_b: float, noise_w: float, bandwidth_hz: float
-) -> float:
-    """Uplink capacity of one CUE given its reusing partner's power."""
-    return bandwidth_hz * np.log2(1.0 + sinr_cue(p_c_w, p_d_w, g_c, g_b, noise_w))

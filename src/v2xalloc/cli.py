@@ -98,17 +98,7 @@ def _cmd_run(args) -> int:
     cfg = _resolve_config(args)
     methods = _methods(args.methods)
     _log_config(cfg, args.out)
-    rows = []
-    for d in range(args.drops):
-        result = harness.run_drop(cfg, d, methods)
-        for name in methods:
-            stats = result.methods[name]
-            rows.append({
-                "sweep_param": "none", "value": 0.0, "method": name, "drop": d,
-                "sum_capacity_bps": stats.sum_capacity_bps, "outage": stats.outage,
-                "mean_vue_sinr": stats.mean_vue_sinr,
-                "feasibility_rate": stats.feasibility_rate,
-            })
+    rows = harness.drop_rows(cfg, methods, args.drops, sweep_param="none", value=0.0)
     print(f"{'method':>8} {'drop':>5} {'capacity_bps':>16} {'outage':>8} "
           f"{'mean_vue_sinr':>14} {'feasible':>9}")
     for row in rows:

@@ -28,10 +28,6 @@ def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0) / 1000.0
 
 
-def watt_to_dbm(x_w: float) -> float:
-    return 10.0 * math.log10(x_w * 1000.0)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parameters of one simulated cell (defaults reproduce the reference scenario).
@@ -103,6 +99,27 @@ class ScenarioConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        self._check_model_applies()
+
+    def _check_model_applies(self) -> None:
+        """Reject scenarios the drop pipeline cannot run: a Doppler coefficient
+        outside (0, 1) and a sample count with no calibration index k*."""
+        # imported here: both modules build on this one
+        from .channel import doppler_coefficient
+        from .selflearn import NoValidIndexError, calibration_index
+
+        try:
+            doppler_coefficient(
+                self.vehicle_speed_kmh, self.carrier_frequency_hz, self.feedback_delay_s)
+        except ValueError as exc:
+            raise ConfigError(
+                f"vehicle_speed_kmh={self.vehicle_speed_kmh:g}, carrier_frequency_hz="
+                f"{self.carrier_frequency_hz:g}, feedback_delay_s={self.feedback_delay_s:g}: "
+                f"{exc}") from None
+        try:
+            calibration_index(self.sample_count, self.outage_prob, self.varsigma)
+        except NoValidIndexError as exc:
+            raise ConfigError(f"sample_count={self.sample_count}: {exc}") from None
 
     # ---- derived linear-scale quantities -------------------------------------
 

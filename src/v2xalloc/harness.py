@@ -157,7 +157,7 @@ def _selflearn_pair_solver(cfg, link, mode, sample_d, sample_x, k_star):
         return None, r_d
 
     def solver(j: int, s: int):
-        anc = anchor_for(j, s)
+        anc = ident_anchors[s] if j == s else anchor_for(j, s)  # identity: solved above
         if anc is None:
             return (0.0, 0.0, 0.0)
         sol = selflearn.closed_form_power(
@@ -306,31 +306,44 @@ class SweepSpec:
             raise ValueError("drops must be >= 1")
 
 
-def aggregate_drops(cfg: ScenarioConfig, methods, drops: int) -> dict[str, dict[str, float]]:
-    """Mean capacity / outage / SINR / feasibility per method over ``drops``."""
-    per_method: dict[str, dict[str, list]] = {
-        name: {"cap": [], "outage": [], "sinr": [], "feas": []} for name in methods
-    }
+def summarize_method(rows) -> dict[str, float]:
+    """Mean capacity / outage / SINR / feasibility of one method's drop rows."""
+    caps = [r["sum_capacity_bps"] for r in rows]
+    outs = [r["outage"] for r in rows]
+    sinrs = [r["mean_vue_sinr"] for r in rows]
+    feas = [r["feasibility_rate"] for r in rows]
+    with np.errstate(invalid="ignore"):
+        return {
+            "mean_cue_capacity_bps": float(np.mean(caps)),
+            "mean_vue_sinr": float(np.nanmean(sinrs)) if np.any(
+                np.isfinite(sinrs)) else float("nan"),
+            "outage_prob": float(np.nanmean(outs)) if np.any(
+                np.isfinite(outs)) else float("nan"),
+            "feasibility_rate": float(np.mean(feas)),
+        }
+
+
+def drop_rows(cfg: ScenarioConfig, methods, drops: int, **tags) -> list[dict]:
+    """One raw row per (drop, method), in that order, each carrying ``tags``."""
+    rows = []
     for d in range(drops):
         result = run_drop(cfg, d, tuple(methods))
         for name in methods:
             stats = result.methods[name]
-            per_method[name]["cap"].append(stats.sum_capacity_bps)
-            per_method[name]["outage"].append(stats.outage)
-            per_method[name]["sinr"].append(stats.mean_vue_sinr)
-            per_method[name]["feas"].append(stats.feasibility_rate)
-    out = {}
-    for name, acc in per_method.items():
-        with np.errstate(invalid="ignore"):
-            out[name] = {
-                "mean_cue_capacity_bps": float(np.mean(acc["cap"])),
-                "outage_prob": float(np.nanmean(acc["outage"])) if np.any(
-                    np.isfinite(acc["outage"])) else float("nan"),
-                "mean_vue_sinr": float(np.nanmean(acc["sinr"])) if np.any(
-                    np.isfinite(acc["sinr"])) else float("nan"),
-                "feasibility_rate": float(np.mean(acc["feas"])),
-            }
-    return out
+            rows.append({
+                **tags, "method": name, "drop": d,
+                "sum_capacity_bps": stats.sum_capacity_bps, "outage": stats.outage,
+                "mean_vue_sinr": stats.mean_vue_sinr,
+                "feasibility_rate": stats.feasibility_rate,
+            })
+    return rows
+
+
+def aggregate_drops(cfg: ScenarioConfig, methods, drops: int) -> dict[str, dict[str, float]]:
+    """Mean capacity / outage / SINR / feasibility per method over ``drops``."""
+    rows = drop_rows(cfg, methods, drops)
+    return {name: summarize_method([r for r in rows if r["method"] == name])
+            for name in methods}
 
 
 SWEEP_COLUMNS = (
@@ -350,39 +363,24 @@ def run_sweep(
     out_path: str | Path | None = None,
     raw_path: str | Path | None = None,
 ) -> list[dict]:
-    """Aggregate every grid point; optionally emit the summary / raw CSV files."""
+    """Aggregate every grid point; optionally emit the summary / raw CSV files.
+
+    Every grid point's configuration is built, and so validated, before the
+    first drop runs."""
     field_name = SWEEP_PARAMS[spec.param]
+    point_cfgs = [cfg.replace(**{field_name: value}) for value in spec.grid]
     rows: list[dict] = []
     raw_rows: list[dict] = []
-    for value in spec.grid:
-        point_cfg = cfg.replace(**{field_name: value})
-        for d in range(spec.drops):
-            result = run_drop(point_cfg, d, spec.methods)
-            for name in spec.methods:
-                stats = result.methods[name]
-                raw_rows.append({
-                    "sweep_param": spec.param, "value": value, "method": name,
-                    "drop": d, "sum_capacity_bps": stats.sum_capacity_bps,
-                    "outage": stats.outage, "mean_vue_sinr": stats.mean_vue_sinr,
-                    "feasibility_rate": stats.feasibility_rate,
-                })
+    for value, point_cfg in zip(spec.grid, point_cfgs):
+        point_rows = drop_rows(point_cfg, spec.methods, spec.drops,
+                               sweep_param=spec.param, value=value)
         for name in spec.methods:
-            sel = [r for r in raw_rows if r["method"] == name and r["value"] == value]
-            caps = [r["sum_capacity_bps"] for r in sel]
-            outs = [r["outage"] for r in sel]
-            sinrs = [r["mean_vue_sinr"] for r in sel]
-            feas = [r["feasibility_rate"] for r in sel]
-            with np.errstate(invalid="ignore"):
-                rows.append({
-                    "sweep_param": spec.param, "value": value, "method": name,
-                    "mean_cue_capacity_bps": float(np.mean(caps)),
-                    "mean_vue_sinr": float(np.nanmean(sinrs)) if np.any(
-                        np.isfinite(sinrs)) else float("nan"),
-                    "outage_prob": float(np.nanmean(outs)) if np.any(
-                        np.isfinite(outs)) else float("nan"),
-                    "feasibility_rate": float(np.mean(feas)),
-                    "drops": spec.drops, "seed": cfg.rng_seed,
-                })
+            rows.append({
+                "sweep_param": spec.param, "value": value, "method": name,
+                **summarize_method([r for r in point_rows if r["method"] == name]),
+                "drops": spec.drops, "seed": cfg.rng_seed,
+            })
+        raw_rows += point_rows
     if out_path is not None:
         _write_csv(out_path, SWEEP_COLUMNS, rows)
     if raw_path is not None:

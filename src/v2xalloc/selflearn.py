@@ -210,11 +210,37 @@ def initial_feasible(
 
     Either way the anchor must keep nearly all samples inside its own
     half-space, otherwise the learned region degenerates; ``coverage_count``
-    adds the empirical requirement line (the k-th smallest VUE power
-    satisfying the sampled V2V constraint at a given CUE power) to the
-    anchor's defining constraints.  The anchor is the capacity-greedy corner
-    of those lines: full CUE power when the VUE cap allows it, otherwise the
-    largest CUE power whose VUE requirement still fits under the cap.
+    adds the empirical requirement line to the anchor's defining constraints.
+    The VUE power required at CUE power p is ``max(eff(p), k-th smallest
+    f_n(p))`` with the effective-gain line ``eff(p) = Gamma_d (sigma^2 +
+    p g_x_eff) / g_d_eff`` and the sampled requirements ``f_n(p) = Gamma_d
+    (sigma^2 + p g_x[n]) / max(g_d[n], 1e-300)``.  The anchor is the
+    capacity-greedy corner of those constraints: full CUE power when the VUE
+    cap P allows it, otherwise the largest CUE power a 60-step bisection
+    finds whose requirement fits under P.  When that corner violates the CUE
+    QoS slack ``p g_c / Gamma_c - r g_b - sigma^2 >= 0`` (r the requirement),
+    the anchor is the largest feasible point of the 64-point grid below it,
+    or None.
+
+    No step needs the k-th smallest f_n itself.  Each f_n(p) only multiplies,
+    adds and divides by nonnegative numbers, and IEEE rounding is monotone,
+    so f_n is nondecreasing in p; for the same reason the slack is
+    nonincreasing in r.  Hence, exactly in floating point:
+
+    * ``max(eff, k-th smallest f_n) <= P``  iff  ``eff <= P`` and at least k
+      of the ``f_n <= P``;
+    * at a grid point, the requirement fits under P with nonnegative slack
+      iff eff does both and at least k of the f_n do both.
+
+    The bisection counts over the samples whose test is still open: those
+    that pass at ``lo`` and fail at ``hi``.  A sample failing at a midpoint
+    that becomes ``lo`` fails at every later midpoint and is dropped; one
+    passing at a midpoint that becomes ``hi`` passes at every later one and
+    is counted once.  The grid is scanned from the top, so its first feasible
+    point is the largest, and the scalar eff test rejects most points before
+    any sample is touched.  Only the returned VUE power takes a partition.
+    The result equals, bit for bit, that of evaluating the definition
+    literally (``oracles.initial_feasible_reference``).
     """
     n = sample_g_d.shape[0]
     if mode == WORST:
@@ -232,44 +258,80 @@ def initial_feasible(
     k = None if coverage_count is None else min(max(coverage_count, 1), n)
     g_d_floor = np.maximum(sample_g_d, 1e-300)
 
-    def required_p_d(p_c: float) -> float:
-        """VUE power needed at CUE power p_c (effective-gain line and, when
-        calibrated, the k-th smallest sampled requirement; both rise with p_c)."""
-        req = gamma_min_d * (sigma2 + p_c * g_x_eff) / g_d_eff
+    def eff_req(p_c):
+        return gamma_min_d * (sigma2 + p_c * g_x_eff) / g_d_eff
+
+    def sampled_req(p_c, g_x, g_d):
+        return gamma_min_d * (sigma2 + p_c * g_x) / g_d
+
+    def slack(p_c, req):
+        return p_c * g_c / gamma_min_c - req * g_b - sigma2
+
+    def required_p_d(p_c, sampled=None) -> float:
+        req = eff_req(p_c)
         if k is not None:
-            sampled = gamma_min_d * (sigma2 + p_c * sample_g_x) / g_d_floor
+            if sampled is None:
+                sampled = sampled_req(p_c, sample_g_x, g_d_floor)
             req = max(req, float(np.partition(sampled, k - 1)[k - 1]))
         return req
 
-    if required_p_d(p_max_c) <= p_max_d:
-        p_c = p_max_c
-    elif required_p_d(0.0) > p_max_d:
-        return None  # not coverable even without any crosstalk
+    top = None if k is None else sampled_req(p_max_c, sample_g_x, g_d_floor)
+    fits_top = eff_req(p_max_c) <= p_max_d
+    if k is not None and fits_top:
+        fits_top = np.count_nonzero(top <= p_max_d) >= k
+    if fits_top:
+        p_c, sampled = p_max_c, top
     else:
+        if not eff_req(0.0) <= p_max_d:
+            return None  # not coverable even without any crosstalk
+        if k is not None:
+            pass_zero = sampled_req(0.0, sample_g_x, g_d_floor) <= p_max_d
+            pass_top = top <= p_max_d
+            need = k - np.count_nonzero(pass_top)  # passes still missing
+            if np.count_nonzero(pass_zero) < k:
+                return None
+            open_ = pass_zero & ~pass_top
+            g_x_open, g_d_open = sample_g_x[open_], g_d_floor[open_]
         lo, hi = 0.0, p_max_c  # largest p_c whose requirement fits under the cap
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if required_p_d(mid) <= p_max_d:
+            fits = eff_req(mid) <= p_max_d
+            if fits and k is not None:
+                ok = sampled_req(mid, g_x_open, g_d_open) <= p_max_d
+                hits = np.count_nonzero(ok)
+                fits = hits >= need
+                if fits:
+                    keep = ok  # the failing samples fail at every later midpoint
+                else:
+                    need -= hits  # the passing ones pass at every later midpoint
+                    keep = ~ok
+                g_x_open, g_d_open = g_x_open[keep], g_d_open[keep]
+            if fits:
                 lo = mid
             else:
                 hi = mid
-        p_c = lo
-
-    def qos_slack(p_c_w: float) -> float:
-        return p_c_w * g_c / gamma_min_c - required_p_d(p_c_w) * g_b - sigma2
-
+        p_c, sampled = lo, None
     if p_c <= 0:
         return None
-    if qos_slack(p_c) < 0:
-        # the slack is concave along the requirement line, so the cap corner
-        # can fail while an interior CUE power still works
-        grid = np.linspace(0.0, p_c, 65)[1:]
-        feasible = [pc for pc in grid
-                    if required_p_d(pc) <= p_max_d and qos_slack(pc) >= 0]
-        if not feasible:
+    req = required_p_d(p_c, sampled)
+
+    if slack(p_c, req) < 0:
+        # scan down from the cap corner: the first feasible grid point is the largest
+        for pc in np.linspace(0.0, p_c, 65)[:0:-1]:
+            e = eff_req(pc)
+            if not (e <= p_max_d and slack(pc, e) >= 0):
+                continue
+            sampled = None
+            if k is not None:
+                sampled = sampled_req(pc, sample_g_x, g_d_floor)
+                ok = (sampled <= p_max_d) & (slack(pc, sampled) >= 0)
+                if np.count_nonzero(ok) < k:
+                    continue
+            p_c, req = pc, required_p_d(pc, sampled)
+            break
+        else:
             return None
-        p_c = max(feasible)
-    return p_c, min(required_p_d(p_c), p_max_d)
+    return p_c, min(req, p_max_d)
 
 
 # ---------------------------------------------------------------------------

@@ -73,3 +73,14 @@ def test_config_error_exit_code(tmp_path):
 
 def test_validate_exits_zero():
     assert main(["validate"]) == 0
+
+
+def test_unusable_scenario_exit_code(tmp_path, capsys):
+    assert main(["run", "--set", "vehicle_speed_kmh=500"]) == 2
+    assert main(["run", "--set", "sample_count=10"]) == 2
+    out = tmp_path / "sweep.csv"
+    # the last grid point leaves the model's range: rejected before any drop runs
+    assert main(["sweep", "--param", "speed", "--grid", "80:420:500", "--drops", "1",
+                 "--out", str(out), *FAST]) == 2
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err

@@ -109,3 +109,15 @@ def test_to_json_contains_all_fields():
     cfg = ScenarioConfig()
     blob = cfg.to_dict()
     assert set(blob) >= {"num_cues", "rng_seed", "bernstein_family", "deviation_box_scale"}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("vehicle_speed_kmh", 500.0),   # lambda = J0(2.91) = -0.23
+    ("vehicle_speed_kmh", 0.0),     # lambda = 1: no estimation error to learn
+    ("sample_count", 10),           # (1 - beta)^N > varsigma: no calibration index k*
+])
+def test_unusable_scenarios_rejected_at_load(field, value):
+    with pytest.raises(ConfigError):
+        ScenarioConfig(**{field: value})
+    with pytest.raises(ConfigError):
+        apply_overrides(ScenarioConfig(), [f"{field}={value}"])

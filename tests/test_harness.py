@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from v2xalloc import harness
+from v2xalloc.config import ConfigError
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
 
 
@@ -160,3 +161,13 @@ def test_sweep_output_reproducible(tmp_path, small_cfg):
     run_sweep(spec, small_cfg, out_path=out1)
     run_sweep(spec, small_cfg, out_path=out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_validates_every_grid_point_before_the_first_drop(small_cfg, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_drop", lambda *args: calls.append(args))
+    spec = SweepSpec(param="speed", grid=(80.0, 500.0), drops=1, methods=("opt",))
+    with pytest.raises(ConfigError):
+        run_sweep(spec, small_cfg)
+    assert calls == []
+
