@@ -13,6 +13,9 @@ from v2xalloc import harness
 
 GOLDEN_DROPS = range(4)
 GOLDEN_DROP_SHA256 = "fb12b0108c759bd1de34c8d287e6ff82c9fea38ce48363d876b1440c25abed88"
+# more CUEs than VUE pairs: three virtual columns per capacity matrix
+WIDE_SHAPE = dict(num_cues=6, num_vues=3)
+GOLDEN_WIDE_DROP_SHA256 = "49e5bd0f009959c80adb1edae6c69e89775d4251808f38514293a6dca9ccf610"
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = harness.SweepSpec(param="speed", grid=(40.0, 100.0, 160.0), drops=3)
@@ -35,6 +38,11 @@ def drop_digest(cfg, drops) -> str:
 
 def test_run_drop_golden_digest(small_cfg):
     assert drop_digest(small_cfg, GOLDEN_DROPS) == GOLDEN_DROP_SHA256
+
+
+def test_run_drop_golden_digest_with_virtual_columns(small_cfg):
+    cfg = small_cfg.replace(**WIDE_SHAPE)
+    assert drop_digest(cfg, GOLDEN_DROPS) == GOLDEN_WIDE_DROP_SHA256
 
 
 def test_sweep_summary_matches_stored_csv(tmp_path, small_cfg):
