@@ -6,11 +6,12 @@ rate grows with p_c and falls with p_d, and along the VUE boundary it still
 grows with p_c, so the optimum sits where the VUE line meets the CUE power
 cap, or failing that the VUE power cap; both corners are closed-form.
 
-Baselines built on it:
+The harness calls it for three methods:
   * perfect-CSI optimum  - corner solve at the supplied (true/nominal) gains;
   * non-robust (NRRA)    - corner solve at large-scale gains only;
   * transformed threshold (APRA-style) - large-scale solve with the VUE SINR
-    threshold inflated to Gamma/( -ln(1-beta) ) to absorb outage.
+    threshold inflated to Gamma/( -ln(1-beta) ) (``apra_threshold``) to
+    absorb outage.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import cue_capacity_bps
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,8 @@ def solve_corner(
         return p_c * g_c / gamma_min_c - p_d * g_b >= sigma2 * (1.0 - 1e-12)
 
     def finish(p_c: float, p_d: float) -> CornerSolution:
-        cap = bandwidth_hz * math.log2(1.0 + p_c * g_c / (sigma2 + p_d * g_b))
-        return CornerSolution(True, p_c, p_d, cap)
+        return CornerSolution(True, p_c, p_d,
+                              cue_capacity_bps(p_c, p_d, g_c, g_b, sigma2, bandwidth_hz))
 
     # corner 1: CUE at full power, VUE just meeting its QoS line
     p_d_line = gamma_min_d * (sigma2 + p_max_c * g_x) / g_d
@@ -78,48 +81,12 @@ def solve_corner(
     return infeasible
 
 
-def solve_opt_perfect_csi(
-    g_d: float, g_x: float, g_c: float, g_b: float,
-    gamma_min_c: float, gamma_min_d: float, sigma2: float,
-    p_max_c: float, p_max_d: float, bandwidth_hz: float = 1.0,
-) -> CornerSolution:
-    """Per-pair optimum when the vehicle-side gains are known exactly."""
-    return solve_corner(
-        g_d, g_x, g_c, g_b, gamma_min_c, gamma_min_d, sigma2,
-        p_max_c, p_max_d, bandwidth_hz,
-    )
-
-
-def solve_nrra(
-    omega_d: float, omega_x: float, omega_c: float, omega_b: float,
-    gamma_min_c: float, gamma_min_d: float, sigma2: float,
-    p_max_c: float, p_max_d: float, bandwidth_hz: float = 1.0,
-) -> CornerSolution:
-    """Non-robust allocation: pretends the large-scale gains are the truth."""
-    return solve_corner(
-        omega_d, omega_x, omega_c, omega_b, gamma_min_c, gamma_min_d, sigma2,
-        p_max_c, p_max_d, bandwidth_hz,
-    )
-
-
 def apra_threshold(gamma_min_d: float, beta: float) -> float:
     """Inflated VUE SINR threshold Gamma / (-ln(1-beta)) used by the
     transformed-threshold baseline (about 19.5 for Gamma=1, beta=0.05)."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0,1)")
     return gamma_min_d / (-math.log1p(-beta))
-
-
-def solve_apra(
-    omega_d: float, omega_x: float, omega_c: float, omega_b: float,
-    gamma_min_c: float, gamma_bar_0: float, sigma2: float,
-    p_max_c: float, p_max_d: float, bandwidth_hz: float = 1.0,
-) -> CornerSolution:
-    """Large-scale corner solve against the transformed threshold gamma_bar_0."""
-    return solve_corner(
-        omega_d, omega_x, omega_c, omega_b, gamma_min_c, gamma_bar_0, sigma2,
-        p_max_c, p_max_d, bandwidth_hz,
-    )
 
 
 @dataclass(frozen=True)

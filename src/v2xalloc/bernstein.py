@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import cue_capacity_bps
+
 _FAMILY_TABLE = {
     "bounded": (-1.0, 1.0, 0.0),
     "unimodal_bounded": (-0.5, 0.5, 1.0 / math.sqrt(12.0)),
@@ -51,14 +53,6 @@ class DistributionFamily:
         except KeyError:
             raise ValueError(f"unknown family {name!r}; choose from {list(_FAMILY_TABLE)}")
         return cls(variant=name, mu_minus=mm, mu_plus=mp_, sigma=sg)
-
-
-@dataclass(frozen=True)
-class PowerPair:
-    """One (CUE, VUE) transmit power decision in watts."""
-
-    p_c_w: float
-    p_d_w: float
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,8 @@ def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None
 @dataclass(frozen=True)
 class BisectionResult:
     feasible: bool
-    power: PowerPair | None
+    p_c_w: float           # 0 when infeasible
+    p_d_w: float
     capacity_bps: float
     iterations: int
 
@@ -174,18 +169,13 @@ class BisectionResult:
 def _finalize(p_c_w: float, p_d_w: float, params: BernsteinParams, iterations: int) -> BisectionResult:
     p_c_w = min(p_c_w, params.p_max_c)
     if p_c_w < cue_power_floor(p_d_w, params) - 1e-15:
-        return BisectionResult(False, None, 0.0, iterations)
-    cap = params.bandwidth_hz * math.log2(
-        1.0 + p_c_w * params.g_c / (params.sigma2 + p_d_w * params.g_b)
-    )
-    return BisectionResult(True, PowerPair(p_c_w, p_d_w), cap, iterations)
+        return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
+    cap = cue_capacity_bps(p_c_w, p_d_w, params.g_c, params.g_b, params.sigma2,
+                           params.bandwidth_hz)
+    return BisectionResult(True, p_c_w, p_d_w, cap, iterations)
 
 
-def bisection_power_allocation(
-    params: BernsteinParams,
-    xi_w: float | None = None,
-    trace: list | None = None,
-) -> BisectionResult:
+def bisection_power_allocation(params: BernsteinParams, xi_w: float | None = None) -> BisectionResult:
     """Bisection on the VUE power with a closed-form inner CUE-power step.
 
     Shrinks [0, p_max_d] toward the VUE power whose inner solution hits the
@@ -210,9 +200,6 @@ def bisection_power_allocation(
         p_d = 0.5 * (lo + hi)
         iterations += 1
         p_c = solve_inner_cue_power(p_d, params)
-        if trace is not None:
-            trace.append((iterations, p_d, p_c, bernstein_margin(
-                min(p_c, params.p_max_c) if p_c is not None else 0.0, p_d, params)))
         if p_c is None or p_c < params.p_max_c - xi_w:
             lo = p_d  # inner CUE power too small (or VUE margin unattainable)
         elif p_c > params.p_max_c + xi_w:
@@ -230,17 +217,6 @@ def bisection_power_allocation(
             return _finalize(params.p_max_c, hi, params, iterations)
     p_c = solve_inner_cue_power(params.p_max_d, params)
     if p_c is None:
-        return BisectionResult(False, None, 0.0, iterations)
+        return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
     return _finalize(p_c, params.p_max_d, params, iterations)
 
-
-def margin_trace_to_csv(trace: list, path) -> None:
-    """Dump a bisection margin trace as CSV rows (diagnostics only)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "p_d_w", "inner_p_c_w", "margin"])
-        for it, p_d, p_c, margin in trace:
-            writer.writerow([it, repr(float(p_d)), "" if p_c is None else repr(float(p_c)),
-                 repr(float(margin))])

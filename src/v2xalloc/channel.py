@@ -23,7 +23,9 @@ allocators use as the nominal gain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -198,33 +200,25 @@ class LinkState:
             if np.any(getattr(self, name) <= 0):
                 raise ValueError(f"{name} must be strictly positive")
 
-    # exact gains of the gNB-connected links
-    @property
+    # exact gains of the gNB-connected links, computed once per drop
+    @cached_property
     def g_c(self) -> np.ndarray:
         return np.abs(self.h_c) ** 2 * self.omega_c
 
-    @property
+    @cached_property
     def g_b(self) -> np.ndarray:
         return np.abs(self.h_b) ** 2 * self.omega_b
 
     # conditional-mean vehicle-side gains given the estimates
-    @property
+    @cached_property
     def g_bar_d(self) -> np.ndarray:
         lam2 = self.lam**2
         return self.omega_d * (lam2 * np.abs(self.h_hat_d) ** 2 + (1.0 - lam2))
 
-    @property
+    @cached_property
     def g_bar_cross(self) -> np.ndarray:
         lam2 = self.lam**2
         return self.omega_cross * (lam2 * np.abs(self.h_hat_cross) ** 2 + (1.0 - lam2))
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """True instantaneous vehicle-side gains for one fresh error draw."""
-
-    g_d: np.ndarray      # (S,)
-    g_cross: np.ndarray  # (J,S)
 
 
 def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState:
@@ -248,20 +242,20 @@ def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState
     )
 
 
-def draw_realizations(link: LinkState, rng: np.random.Generator, count: int) -> ChannelRealization:
-    """Draw ``count`` fresh true-gain realizations; arrays get a leading axis."""
-    s = link.omega_d.shape[0]
-    jj, ss = link.omega_cross.shape
+def draw_realizations(
+    link: LinkState, rng: np.random.Generator, count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` fresh true-gain realizations: (count, S) direct and
+    (count, J, S) crosstalk gains, power-composed per the SINR model."""
     g_d = v2v_true_gain(
-        link.omega_d, np.abs(link.h_hat_d) ** 2, link.lam, error_power(rng, (count, s))
+        link.omega_d, np.abs(link.h_hat_d) ** 2, link.lam,
+        error_power(rng, (count,) + link.omega_d.shape),
     )
     g_x = v2v_true_gain(
         link.omega_cross, np.abs(link.h_hat_cross) ** 2, link.lam,
-        error_power(rng, (count, jj, ss)),
+        error_power(rng, (count,) + link.omega_cross.shape),
     )
-    if count == 1:
-        return ChannelRealization(g_d=g_d[0], g_cross=g_x[0])
-    return ChannelRealization(g_d=g_d, g_cross=g_x)
+    return g_d, g_x
 
 
 def sinr_vue(
@@ -293,3 +287,10 @@ def sinr_cue(
         noise_w + np.asarray(p_d_w) * np.asarray(g_b)
     )
 
+
+def cue_capacity_bps(
+    p_c_w: float, p_d_w: float, g_c: float, g_b: float, noise_w: float, bandwidth_hz: float,
+) -> float:
+    """CUE rate B*log2(1 + SINR) of one (CUE, VUE) power pair: the objective of
+    every per-pair solver and of the virtual (no-VUE) matrix columns."""
+    return bandwidth_hz * math.log2(1.0 + p_c_w * g_c / (noise_w + p_d_w * g_b))

@@ -14,6 +14,7 @@ so results can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"--grid expects START:STEP:END, got {text!r}")
     if step <= 0 or end < start:
         raise ConfigError("--grid requires step > 0 and end >= start")
-    count = int(round((end - start) / step)) + 1
+    count = math.floor((end - start) / step + 1e-9) + 1  # never past END
     return tuple(start + i * step for i in range(count))
 
 

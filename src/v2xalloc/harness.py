@@ -7,6 +7,11 @@ is then scored on a shared set of M fresh vehicle-side channel realizations
 Drops use RNG streams derived from (seed, drop_index), so results do not
 depend on execution order.
 
+Per method, ``run_drop`` solves every candidate (CUE j, VUE s) pair once with
+that method's per-pair solver, each rating its powers with
+``channel.cue_capacity_bps``, and hands the (J, S) capacities and powers to
+``matching.build_capacity_matrix`` and the max-weight assignment.
+
 Method identifiers:
   opt   - per-pair corner optimum at the nominal (conditional-mean) gains
   brra  - moment-based robust allocation (margin + bisection)
@@ -19,7 +24,7 @@ Method identifiers:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,7 @@ from .config import ScenarioConfig
 from .matching import CapacityMatrix, ReuseAssignment, build_capacity_matrix, hungarian_max_weight
 
 ALL_METHODS = ("opt", "brra", "slaa", "slwa", "nrra", "apra")
+SELF_LEARNING_MODES = {"slaa": selflearn.AVERAGE, "slwa": selflearn.WORST}
 
 SWEEP_PARAMS = {
     "p_max_cue": "p_max_cue_dbm",
@@ -68,21 +74,8 @@ def drop_rng(seed: int, drop_index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# per-pair solver factories
+# per-pair solves
 # ---------------------------------------------------------------------------
-
-def _corner_pair_solver(g_d, g_x, g_c, g_b, gamma_c, gamma_d, sigma2, caps, bw):
-    p_max_c, p_max_d = caps
-
-    def solver(j: int, s: int):
-        sol = baselines.solve_corner(
-            g_d[s], g_x[j, s], g_c[j], g_b[s], gamma_c, gamma_d, sigma2,
-            p_max_c, p_max_d, bw,
-        )
-        return (sol.capacity_bps, sol.p_c_w, sol.p_d_w) if sol.feasible else (0.0, 0.0, 0.0)
-
-    return solver
-
 
 def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, s: int):
     """Nominal/deviation gain description of candidate pair (j, s).
@@ -106,67 +99,83 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
     )
 
 
-def _bernstein_pair_solver(cfg, link):
-    xi = cfg.bisection_xi_w
+def _anchor(cfg, link, mode, sample_d, sample_x, k_star, j: int, s: int):
+    """Self-learning anchor of candidate pair (j, s).
 
-    def solver(j: int, s: int):
-        res = bernstein.bisection_power_allocation(bernstein_pair_params(cfg, link, j, s), xi)
-        if not res.feasible:
-            return (0.0, 0.0, 0.0)
-        return (res.capacity_bps, res.power.p_c_w, res.power.p_d_w)
+    Anchors must keep nearly all samples inside their half-space (a
+    mean-tight anchor strands about half of them, collapsing the learned
+    region), so both modes get a sample-coverage floor on the VUE power: the
+    joint exceedance budget N-k* is split evenly across the coupled pairs.
+    Worst-mode anchors trim twice that budget of extreme draws per tail:
+    deeper extremes protect beyond the level the calibration certifies and
+    only destroy feasibility.
+    """
+    n = sample_d.shape[0]
+    budget = max(1, (n - k_star) // cfg.num_vues)
+    return selflearn.initial_feasible(
+        mode, sample_d[:, s], sample_x[:, j, s], link.g_c[j], link.g_b[s],
+        cfg.sinr_min_cue, cfg.sinr_min_vue, cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w,
+        coverage_count=n - budget, trim_count=2 * budget if mode == selflearn.WORST else 0,
+    )
 
-    return solver
 
-
-def _selflearn_pair_solver(cfg, link, mode, sample_d, sample_x, k_star):
-    """Calibrate the shared radius once, then solve pairs in closed form.
+def selflearn_calibration(cfg, link, mode, sample_d, sample_x, k_star):
+    """Identity-pair anchors and the shared radius r_d (None without anchors).
 
     The radius couples all designated pairs through the min-mapping, so it is
     learned from the identity pairing (VUE s with CUE s) and reused for every
-    candidate pair, each with its own anchor.  Anchors must keep nearly all
-    samples inside their half-space (a mean-tight anchor strands about half
-    of them, collapsing the learned region), so both modes get a
-    sample-coverage floor on the VUE power: the joint exceedance budget N-k*
-    is split evenly across the coupled pairs.  Worst-mode anchors trim twice
-    that budget of extreme draws per tail: deeper extremes protect beyond the
-    level the calibration certifies and only destroy feasibility.
+    candidate pair, each with its own anchor.
     """
-    n, s_count = sample_d.shape[0], cfg.num_vues
-    sigma2, gamma_c, gamma_d = cfg.noise_power_w, cfg.sinr_min_cue, cfg.sinr_min_vue
-    caps = (cfg.p_max_cue_w, cfg.p_max_vue_w)
-    budget = max(1, (n - k_star) // s_count)
-    cover = n - budget
-    trim = 2 * budget if mode == selflearn.WORST else 0
+    anchors = [_anchor(cfg, link, mode, sample_d, sample_x, k_star, s, s)
+               for s in range(cfg.num_vues)]
+    if all(a is None for a in anchors):
+        return anchors, None
+    ident_x = np.stack([sample_x[:, s, s] for s in range(cfg.num_vues)], axis=1)
+    mapped = selflearn.map_samples(sample_d, ident_x, anchors, cfg.sinr_min_vue)
+    return anchors, selflearn.calibrate_radius(mapped, k_star)
 
-    def anchor_for(j: int, s: int):
-        return selflearn.initial_feasible(
-            mode, sample_d[:, s], sample_x[:, j, s], link.g_c[j], link.g_b[s],
-            gamma_c, gamma_d, sigma2, caps[0], caps[1],
-            coverage_count=cover, trim_count=trim,
-        )
 
-    ident_anchors = [anchor_for(s, s) for s in range(s_count)]
-    if all(a is None for a in ident_anchors):
-        return None, None
-    samples = selflearn.SampleSet(
-        g_d=sample_d, g_cross=np.stack([sample_x[:, s, s] for s in range(s_count)], axis=1)
-    )
-    mapped = selflearn.map_samples(samples, ident_anchors, gamma_d)
-    r_d = selflearn.calibrate_radius(mapped, k_star)
-    if r_d <= 0:
-        return None, r_d
+def _solve_pairs(cfg, link, method, sample_d, sample_x, k_star) -> np.ndarray:
+    """(3, J, S) stack of capacity, CUE power and VUE power per candidate pair.
 
-    def solver(j: int, s: int):
-        anc = ident_anchors[s] if j == s else anchor_for(j, s)  # identity: solved above
-        if anc is None:
-            return (0.0, 0.0, 0.0)
-        sol = selflearn.closed_form_power(
-            selflearn.AffineUncertaintySet(anc[0], anc[1], r_d),
-            link.g_c[j], link.g_b[s], gamma_c, sigma2, caps[0], caps[1], cfg.bandwidth_hz,
-        )
-        return (sol.capacity_bps, sol.p_c_w, sol.p_d_w) if sol.feasible else (0.0, 0.0, 0.0)
-
-    return solver, r_d
+    ``opt``, ``nrra`` and ``apra`` solve the known-gain corner, ``brra`` the
+    moment-based bisection and ``slaa``/``slwa`` the learned closed form.
+    Infeasible pairs, and every pair of a drop that admits no learned
+    region, carry zeros.
+    """
+    out = np.zeros((3, cfg.num_cues, cfg.num_vues))
+    sigma2, gamma_c, bw = cfg.noise_power_w, cfg.sinr_min_cue, cfg.bandwidth_hz
+    p_max_c, p_max_d = cfg.p_max_cue_w, cfg.p_max_vue_w
+    if method in SELF_LEARNING_MODES:
+        mode = SELF_LEARNING_MODES[method]
+        anchors, r_d = selflearn_calibration(cfg, link, mode, sample_d, sample_x, k_star)
+        if r_d is None or r_d <= 0:
+            return out
+    elif method != "brra":
+        g_d, g_x, g_c, g_b = (
+            (link.g_bar_d, link.g_bar_cross, link.g_c, link.g_b) if method == "opt"
+            else (link.omega_d, link.omega_cross, link.omega_c, link.omega_b))
+        gamma_d = (baselines.apra_threshold(cfg.sinr_min_vue, cfg.outage_prob)
+                   if method == "apra" else cfg.sinr_min_vue)
+    for j in range(cfg.num_cues):
+        for s in range(cfg.num_vues):
+            if method == "brra":
+                sol = bernstein.bisection_power_allocation(
+                    bernstein_pair_params(cfg, link, j, s), cfg.bisection_xi_w)
+            elif method in SELF_LEARNING_MODES:
+                anc = anchors[s] if j == s else _anchor(
+                    cfg, link, mode, sample_d, sample_x, k_star, j, s)
+                if anc is None:
+                    continue
+                sol = selflearn.closed_form_power(
+                    selflearn.AffineUncertaintySet(anc[0], anc[1], r_d),
+                    link.g_c[j], link.g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
+            else:
+                sol = baselines.solve_corner(g_d[s], g_x[j, s], g_c[j], g_b[s], gamma_c,
+                                             gamma_d, sigma2, p_max_c, p_max_d, bw)
+            if sol.feasible:
+                out[:, j, s] = sol.capacity_bps, sol.p_c_w, sol.p_d_w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +225,7 @@ def run_drop(
     rng = drop_rng(cfg.rng_seed, drop_index)
     link = channel.build_link_state(cfg, rng)
     j, s = cfg.num_cues, cfg.num_vues
-    n, m = cfg.sample_count, cfg.test_count
-    h_d_sq = np.abs(link.h_hat_d) ** 2
-    h_x_sq = np.abs(link.h_hat_cross) ** 2
+    n = cfg.sample_count
 
     # learning samples: amplitude-composed around the block estimate, so the
     # sampled gains carry the full estimate-error interaction
@@ -227,45 +234,16 @@ def run_drop(
     sample_x = np.abs(channel.sample_true_channel(
         np.broadcast_to(link.h_hat_cross, (n, j, s)), link.lam, rng)) ** 2 * link.omega_cross
     # held-out evaluation: power-composed gains per the SINR model
-    test_d = channel.v2v_true_gain(
-        link.omega_d, h_d_sq, link.lam, channel.error_power(rng, (m, s)))
-    test_x = channel.v2v_true_gain(
-        link.omega_cross, h_x_sq, link.lam, channel.error_power(rng, (m, j, s)))
+    test_d, test_x = channel.draw_realizations(link, rng, cfg.test_count)
 
-    sigma2 = cfg.noise_power_w
-    caps = (cfg.p_max_cue_w, cfg.p_max_vue_w)
-    bw = cfg.bandwidth_hz
-    gamma_c, gamma_d = cfg.sinr_min_cue, cfg.sinr_min_vue
-
-    solvers = {}
-    if "opt" in methods:
-        solvers["opt"] = _corner_pair_solver(
-            link.g_bar_d, link.g_bar_cross, link.g_c, link.g_b,
-            gamma_c, gamma_d, sigma2, caps, bw)
-    if "nrra" in methods:
-        solvers["nrra"] = _corner_pair_solver(
-            link.omega_d, link.omega_cross, link.omega_c, link.omega_b,
-            gamma_c, gamma_d, sigma2, caps, bw)
-    if "apra" in methods:
-        solvers["apra"] = _corner_pair_solver(
-            link.omega_d, link.omega_cross, link.omega_c, link.omega_b,
-            gamma_c, baselines.apra_threshold(gamma_d, cfg.outage_prob), sigma2, caps, bw)
-    if "brra" in methods:
-        solvers["brra"] = _bernstein_pair_solver(cfg, link)
-    if "slaa" in methods or "slwa" in methods:
+    k_star = None
+    if SELF_LEARNING_MODES.keys() & set(methods):
         k_star = selflearn.calibration_index(n, cfg.outage_prob, cfg.varsigma)
-        for name, mode in (("slaa", selflearn.AVERAGE), ("slwa", selflearn.WORST)):
-            if name not in methods:
-                continue
-            solver, _ = _selflearn_pair_solver(cfg, link, mode, sample_d, sample_x, k_star)
-            solvers[name] = solver  # None when the drop admits no learned region
-
     results = {}
     for name in methods:
-        solver = solvers.get(name)
-        if solver is None:
-            solver = lambda jj, ss: (0.0, 0.0, 0.0)
-        matrix = build_capacity_matrix(solver, j, s, link.g_c, caps[0], sigma2, bw)
+        pairs = _solve_pairs(cfg, link, name, sample_d, sample_x, k_star)
+        matrix = build_capacity_matrix(*pairs, link.g_c, cfg.p_max_cue_w, cfg.noise_power_w,
+                                       cfg.bandwidth_hz)
         assignment, _ = hungarian_max_weight(matrix)
         results[name] = _evaluate(cfg, matrix, assignment, test_d, test_x)
     return DropResult(drop_index=drop_index, lam=link.lam, methods=results)

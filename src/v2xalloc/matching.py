@@ -1,18 +1,21 @@
 """Spectrum reuse as maximum-weight bipartite matching over pair capacities.
 
-Rows are CUEs, columns are VUEs.  When there are more CUEs than VUE pairs the
-matrix is padded with *virtual* columns: a CUE matched to a virtual VUE keeps
-its spectrum to itself and transmits at full power, contributing
-B*log2(1 + p_max*g_c/sigma^2) with zero VUE power.
+Rows are CUEs, columns are VUEs.  The harness solves every candidate pair
+first and hands the (J, S) capacities and powers to ``build_capacity_matrix``.
+When there are more CUEs than VUE pairs the matrix is padded with *virtual*
+columns: a CUE matched to a virtual VUE keeps its spectrum to itself and
+transmits at full power, contributing ``channel.cue_capacity_bps`` with zero
+VUE power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from .channel import cue_capacity_bps
 
 
 @dataclass(frozen=True)
@@ -38,41 +41,30 @@ class ReuseAssignment:
     def real_pairs(self) -> list[tuple[int, int]]:
         return [(j, int(s)) for j, s in enumerate(self.column_of_row) if s < self.num_real]
 
-    def as_matrix(self) -> np.ndarray:
-        j = self.column_of_row.shape[0]
-        rho = np.zeros((j, j), dtype=int)
-        rho[np.arange(j), self.column_of_row] = 1
-        return rho
-
-
-PairSolver = Callable[[int, int], tuple[float, float, float]]
-"""(j, s) -> (capacity_bps, p_c_w, p_d_w); infeasible pairs return (0, 0, 0)."""
-
 
 def build_capacity_matrix(
-    pair_solver: PairSolver,
-    num_cues: int,
-    num_vues: int,
+    capacity: np.ndarray,
+    p_c_w: np.ndarray,
+    p_d_w: np.ndarray,
     g_c: np.ndarray,
     p_max_c_w: float,
     noise_w: float,
     bandwidth_hz: float,
 ) -> CapacityMatrix:
-    """Fill real columns with the per-pair solver and pad virtual columns."""
-    if num_vues > num_cues:
+    """Square (J, J) matrix: the (J, S) pair solutions, then virtual columns."""
+    j, num_vues = capacity.shape
+    if num_vues > j:
         raise ValueError("need num_vues <= num_cues")
-    j = num_cues
     cap = np.zeros((j, j))
     p_c = np.zeros((j, j))
     p_d = np.zeros((j, j))
-    for jj in range(j):
-        for ss in range(num_vues):
-            cap[jj, ss], p_c[jj, ss], p_d[jj, ss] = pair_solver(jj, ss)
+    cap[:, :num_vues], p_c[:, :num_vues], p_d[:, :num_vues] = capacity, p_c_w, p_d_w
+    if num_vues < j:
         # virtual columns: exclusive spectrum use at full power
-        solo = bandwidth_hz * np.log2(1.0 + p_max_c_w * g_c[jj] / noise_w)
-        for ss in range(num_vues, j):
-            cap[jj, ss] = solo
-            p_c[jj, ss] = p_max_c_w
+        for jj in range(j):
+            cap[jj, num_vues:] = cue_capacity_bps(p_max_c_w, 0.0, g_c[jj], 0.0, noise_w,
+                                                  bandwidth_hz)
+        p_c[:, num_vues:] = p_max_c_w
     return CapacityMatrix(capacity=cap, p_c_w=p_c, p_d_w=p_d, num_real=num_vues)
 
 
@@ -89,19 +81,3 @@ def hungarian_max_weight(matrix: CapacityMatrix | np.ndarray) -> tuple[ReuseAssi
     num_real = matrix.num_real if isinstance(matrix, CapacityMatrix) else weights.shape[1]
     total = float(weights[rows, cols].sum())
     return ReuseAssignment(column_of_row=column_of_row, num_real=num_real), total
-
-
-def capacity_matrix_to_csv(matrix: CapacityMatrix, path) -> None:
-    """Debug dump: one row per (j, s) cell."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "s", "capacity_bps", "p_c_w", "p_d_w", "virtual"])
-        jj = matrix.capacity.shape[0]
-        for j in range(jj):
-            for s in range(jj):
-                writer.writerow([
-                    j, s, repr(float(matrix.capacity[j, s])), repr(float(matrix.p_c_w[j, s])),
-                    repr(float(matrix.p_d_w[j, s])), int(matrix.is_virtual(s)),
-                ])

@@ -14,71 +14,17 @@ to a four-branch closed-form power solution.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import stats
 
+from .channel import cue_capacity_bps
+
 
 class NoValidIndexError(ValueError):
     """The sample set is too small for the requested (beta, varsigma)."""
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """N gain samples for S designated pairs: columns (g_d, g_cross) per pair."""
-
-    g_d: np.ndarray       # (N, S) direct VUE-link gains
-    g_cross: np.ndarray   # (N, S) crosstalk gains from the designated CUE
-
-    def __post_init__(self) -> None:
-        if self.g_d.shape != self.g_cross.shape or self.g_d.ndim != 2:
-            raise ValueError("g_d and g_cross must both be (N, S)")
-        if self.g_d.shape[0] < 1:
-            raise ValueError("need at least one sample")
-        if np.any(self.g_d < 0) or np.any(self.g_cross < 0):
-            raise ValueError("gains must be nonnegative")
-
-    @property
-    def count(self) -> int:
-        return self.g_d.shape[0]
-
-    @property
-    def pairs(self) -> int:
-        return self.g_d.shape[1]
-
-    def to_csv(self, path: str | Path, drop_id: int = 0) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["drop_id", "sample_id", "s", "g_d", "g_cross"])
-            for n in range(self.count):
-                for s in range(self.pairs):
-                    writer.writerow([drop_id, n, s,
-                                     repr(float(self.g_d[n, s])),
-                                     repr(float(self.g_cross[n, s]))])
-
-    @classmethod
-    def from_csv(cls, path: str | Path, drop_id: int = 0) -> "SampleSet":
-        rows: dict[tuple[int, int], tuple[float, float]] = {}
-        with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                if int(rec["drop_id"]) != drop_id:
-                    continue
-                rows[(int(rec["sample_id"]), int(rec["s"]))] = (
-                    float(rec["g_d"]), float(rec["g_cross"]))
-        if not rows:
-            raise ValueError(f"no rows for drop_id={drop_id} in {path}")
-        n = max(k[0] for k in rows) + 1
-        s = max(k[1] for k in rows) + 1
-        g_d = np.empty((n, s))
-        g_x = np.empty((n, s))
-        for (ni, si), (gd, gx) in rows.items():
-            g_d[ni, si] = gd
-            g_x[ni, si] = gx
-        return cls(g_d=g_d, g_cross=g_x)
 
 
 @dataclass(frozen=True)
@@ -143,22 +89,24 @@ def calibration_index(n: int, beta: float, varsigma: float) -> int:
 
 
 def map_samples(
-    samples: SampleSet,
+    g_d: np.ndarray,
+    g_cross: np.ndarray,
     anchors: list[tuple[float, float] | None],
     gamma_min_d: float,
 ) -> np.ndarray:
     """Map each joint sample to min_s (anchor_d*g_d/Gamma_d - anchor_c*g_x).
 
-    ``anchors`` hold one (p_c, p_d) pair per designated VUE; pairs without an
-    anchor (no feasible initial solution) are left out of the min.  At least
-    one anchored pair is required.
+    ``g_d`` and ``g_cross`` are the (N, S) sampled direct and crosstalk gains
+    of the S designated pairs.  ``anchors`` hold one (p_c, p_d) pair per
+    designated VUE; pairs without an anchor (no feasible initial solution)
+    are left out of the min.  At least one anchored pair is required.
     """
     cols = []
     for s, anc in enumerate(anchors):
         if anc is None:
             continue
         p_c, p_d = anc
-        cols.append(p_d * samples.g_d[:, s] / gamma_min_d - p_c * samples.g_cross[:, s])
+        cols.append(p_d * g_d[:, s] / gamma_min_d - p_c * g_cross[:, s])
     if not cols:
         raise ValueError("no anchored pairs to calibrate against")
     return np.min(np.stack(cols, axis=1), axis=1)
@@ -219,29 +167,35 @@ def initial_feasible(
     cap P allows it, otherwise the largest CUE power a 60-step bisection
     finds whose requirement fits under P.  When that corner violates the CUE
     QoS slack ``p g_c / Gamma_c - r g_b - sigma^2 >= 0`` (r the requirement),
-    the anchor is the largest feasible point of the 64-point grid below it,
-    or None.
+    there is no anchor.
+
+    The definition (``oracles.initial_feasible_reference``) then searches
+    the 64-point grid ``t p_c``, t = 1/64 .. 1, below the corner, but with
+    sigma^2 > 0 the grid never finds a point.  Each sample's slack is affine
+    in p and at most -sigma^2 at p = 0, so a sample (or the eff line) that
+    fails at the corner has real slack at most -sigma^2/64 at every grid
+    point with t <= 63/64; at t = 1 the grid repeats the corner's test.
+    Rounding can flip that sign only when ``p g_c / Gamma_c`` exceeds about
+    1e13 sigma^2, a CUE SNR of some 130 dB.  Hence ``sigma2 <= 0`` is
+    rejected.
 
     No step needs the k-th smallest f_n itself.  Each f_n(p) only multiplies,
     adds and divides by nonnegative numbers, and IEEE rounding is monotone,
     so f_n is nondecreasing in p; for the same reason the slack is
     nonincreasing in r.  Hence, exactly in floating point:
 
-    * ``max(eff, k-th smallest f_n) <= P``  iff  ``eff <= P`` and at least k
-      of the ``f_n <= P``;
-    * at a grid point, the requirement fits under P with nonnegative slack
-      iff eff does both and at least k of the f_n do both.
+    ``max(eff, k-th smallest f_n) <= P``  iff  ``eff <= P`` and at least k
+    of the ``f_n <= P``.
 
     The bisection counts over the samples whose test is still open: those
     that pass at ``lo`` and fail at ``hi``.  A sample failing at a midpoint
     that becomes ``lo`` fails at every later midpoint and is dropped; one
     passing at a midpoint that becomes ``hi`` passes at every later one and
-    is counted once.  The grid is scanned from the top, so its first feasible
-    point is the largest, and the scalar eff test rejects most points before
-    any sample is touched.  Only the returned VUE power takes a partition.
-    The result equals, bit for bit, that of evaluating the definition
-    literally (``oracles.initial_feasible_reference``).
+    is counted once.  Only the returned VUE power takes a partition.  The
+    result equals, bit for bit, that of evaluating the definition literally.
     """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be > 0")
     n = sample_g_d.shape[0]
     if mode == WORST:
         t = min(max(trim_count, 0), n - 1)
@@ -263,17 +217,6 @@ def initial_feasible(
 
     def sampled_req(p_c, g_x, g_d):
         return gamma_min_d * (sigma2 + p_c * g_x) / g_d
-
-    def slack(p_c, req):
-        return p_c * g_c / gamma_min_c - req * g_b - sigma2
-
-    def required_p_d(p_c, sampled=None) -> float:
-        req = eff_req(p_c)
-        if k is not None:
-            if sampled is None:
-                sampled = sampled_req(p_c, sample_g_x, g_d_floor)
-            req = max(req, float(np.partition(sampled, k - 1)[k - 1]))
-        return req
 
     top = None if k is None else sampled_req(p_max_c, sample_g_x, g_d_floor)
     fits_top = eff_req(p_max_c) <= p_max_d
@@ -313,24 +256,13 @@ def initial_feasible(
         p_c, sampled = lo, None
     if p_c <= 0:
         return None
-    req = required_p_d(p_c, sampled)
-
-    if slack(p_c, req) < 0:
-        # scan down from the cap corner: the first feasible grid point is the largest
-        for pc in np.linspace(0.0, p_c, 65)[:0:-1]:
-            e = eff_req(pc)
-            if not (e <= p_max_d and slack(pc, e) >= 0):
-                continue
-            sampled = None
-            if k is not None:
-                sampled = sampled_req(pc, sample_g_x, g_d_floor)
-                ok = (sampled <= p_max_d) & (slack(pc, sampled) >= 0)
-                if np.count_nonzero(ok) < k:
-                    continue
-            p_c, req = pc, required_p_d(pc, sampled)
-            break
-        else:
-            return None
+    req = eff_req(p_c)  # the VUE power the corner requires
+    if k is not None:
+        if sampled is None:
+            sampled = sampled_req(p_c, sample_g_x, g_d_floor)
+        req = max(req, float(np.partition(sampled, k - 1)[k - 1]))
+    if p_c * g_c / gamma_min_c - req * g_b - sigma2 < 0:
+        return None  # and so would the QoS grid below the corner: see above
     return p_c, min(req, p_max_d)
 
 
@@ -405,7 +337,7 @@ def closed_form_power(
 
     best = None
     for branch, z, p_c, p_d in candidates:
-        cap = bandwidth_hz * math.log2(1.0 + p_c * g_c / (sigma2 + p_d * g_b))
+        cap = cue_capacity_bps(p_c, p_d, g_c, g_b, sigma2, bandwidth_hz)
         if best is None or cap > best[0] + 1e-15:
             best = (cap, branch, z, p_c, p_d)
     cap, branch, z, p_c, p_d = best

@@ -74,20 +74,25 @@ def test_every_branch_reached_and_matched():
 
     With positive noise the QoS grid can never find a feasible point: each
     sample's slack is affine in the CUE power and negative at zero, so a
-    point below the failing corner cannot gain samples.  A negative noise
-    term makes the slack positive at zero power; the equivalence does not
-    depend on its sign, so those instances exercise the grid's success path.
+    point below the failing corner cannot gain samples.  The fast search
+    therefore skips the grid and rejects a nonpositive noise term, the only
+    case in which the grid can succeed.
     """
     rng = np.random.default_rng(20260810)
     branches = Counter()
     for i in range(3000):
         args, kwargs = random_case(rng, sigma_sign=-1.0 if i % 5 == 0 else 1.0)
         expected, branch = oracles.initial_feasible_reference(*args, **kwargs)
+        if kwargs["sigma2"] < 0:
+            with pytest.raises(ValueError):
+                initial_feasible(*args, **kwargs)
+            continue
         assert initial_feasible(*args, **kwargs) == expected, (args, kwargs)
         branches[branch] += 1
-    for branch in ("no_gain", "uncoverable", "cap", "bisection", "cap+grid", "bisection+grid",
+    for branch in ("no_gain", "uncoverable", "cap", "bisection",
                    "cap+grid-none", "bisection+grid-none"):
         assert branches[branch] >= 10, branches
+    assert branches["cap+grid"] == branches["bisection+grid"] == 0
 
 
 @pytest.mark.parametrize("speed", [40.0, 80.0, 160.0])

@@ -1,6 +1,6 @@
 import json
 
-from v2xalloc.cli import main
+from v2xalloc.cli import _parse_grid, main
 
 FAST = [
     "--set", "sample_count=300", "--set", "test_count=400",
@@ -84,3 +84,13 @@ def test_unusable_scenario_exit_code(tmp_path, capsys):
                  "--out", str(out), *FAST]) == 2
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_grid_never_passes_its_end():
+    assert _parse_grid("0:6:10") == (0.0, 6.0)
+    assert _parse_grid("0.5:0.1:0.8") == (0.5, 0.5 + 0.1, 0.5 + 2 * 0.1, 0.5 + 3 * 0.1)
+    # a whole number of steps keeps the points of a rounded step count
+    for text in ("40:40:160", "0:5:40", "60:20:80", "1:1:1", "-3:0.25:2", "0.1:0.1:0.7"):
+        start, step, end = (float(p) for p in text.split(":"))
+        count = int(round((end - start) / step)) + 1
+        assert _parse_grid(text) == tuple(start + i * step for i in range(count)), text

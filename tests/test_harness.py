@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from v2xalloc import harness
+from v2xalloc import channel, harness
 from v2xalloc.config import ConfigError
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
 
@@ -72,6 +72,34 @@ def test_virtual_columns_used_when_more_cues(small_cfg):
     assert len(real) <= 2
     # virtual pairs never contribute outage statistics
     assert stats.pair_outage.shape[0] <= 2
+
+
+@pytest.mark.parametrize("shape", [{}, {"num_cues": 6, "num_vues": 3}])
+def test_matrix_entries_are_the_capacity_of_their_own_powers(small_cfg, shape):
+    """Each real entry is ``cue_capacity_bps`` of its own powers at the gains
+    its solver saw (the large-scale ones for nrra/apra); each virtual entry
+    is the full-power, interference-free CUE capacity."""
+    cfg = small_cfg.replace(**shape)
+    sigma2, bw = cfg.noise_power_w, cfg.bandwidth_hz
+    for d in range(2):
+        result = run_drop(cfg, d)
+        link = channel.build_link_state(cfg, harness.drop_rng(cfg.rng_seed, d))
+        for name, stats in result.methods.items():
+            g_c, g_b = ((link.omega_c, link.omega_b) if name in ("nrra", "apra")
+                        else (link.g_c, link.g_b))
+            m = stats.matrix
+            for j in range(cfg.num_cues):
+                for s in range(cfg.num_cues):
+                    if m.is_virtual(s):
+                        expected = channel.cue_capacity_bps(
+                            cfg.p_max_cue_w, 0.0, link.g_c[j], 0.0, sigma2, bw)
+                    elif m.capacity[j, s] == 0.0:  # infeasible pair
+                        assert m.p_c_w[j, s] == m.p_d_w[j, s] == 0.0
+                        continue
+                    else:
+                        expected = channel.cue_capacity_bps(
+                            m.p_c_w[j, s], m.p_d_w[j, s], g_c[j], g_b[s], sigma2, bw)
+                    assert m.capacity[j, s] == expected, (name, d, j, s)
 
 
 def test_dominance_of_mean_gain_optimum(small_cfg):

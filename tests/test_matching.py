@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from v2xalloc.matching import (
-    build_capacity_matrix,
-    capacity_matrix_to_csv,
-    hungarian_max_weight,
-)
+from v2xalloc.matching import build_capacity_matrix, hungarian_max_weight
 from v2xalloc.oracles import assignment_bruteforce
 
 
@@ -39,8 +35,7 @@ def test_matches_bruteforce_on_random_matrices(rng):
 def test_assignment_is_a_permutation(rng):
     weights = rng.uniform(0.0, 5.0, size=(7, 7))
     assignment, _ = hungarian_max_weight(weights)
-    rho = assignment.as_matrix()
-    assert np.all(rho.sum(axis=0) == 1) and np.all(rho.sum(axis=1) == 1)
+    assert sorted(assignment.column_of_row.tolist()) == list(range(7))
 
 
 @settings(deadline=None, max_examples=40)
@@ -63,17 +58,20 @@ def test_rejects_invalid_matrices():
         hungarian_max_weight(np.array([[1.0, -0.5], [0.0, 1.0]]))
 
 
+def pair_arrays(j, s, cap=0.0, p_c=0.0, p_d=0.0):
+    return np.full((j, s), cap), np.full((j, s), p_c), np.full((j, s), p_d)
+
+
 def test_build_matrix_fills_virtual_columns(rng):
     g_c = np.array([1e-10, 2e-10, 3e-10])
     noise = 4e-14
     bw = 1.0
+    cap = np.array([[1.0], [11.0], [21.0]])
 
-    def solver(j, s):
-        return (float(10 * j + s + 1), 0.5, 0.25)
-
-    matrix = build_capacity_matrix(solver, 3, 1, g_c, 1.0, noise, bw)
+    matrix = build_capacity_matrix(cap, np.full((3, 1), 0.5), np.full((3, 1), 0.25),
+                                   g_c, 1.0, noise, bw)
     assert matrix.capacity.shape == (3, 3)
-    # real column from the solver
+    # real column from the pair solves
     assert matrix.capacity[2, 0] == 21.0 and matrix.p_d_w[2, 0] == 0.25
     # virtual columns: interference-free full-power capacity, no VUE power
     for j in range(3):
@@ -86,7 +84,7 @@ def test_build_matrix_fills_virtual_columns(rng):
 
 def test_build_matrix_all_virtual_when_no_vues():
     g_c = np.array([1e-10, 1e-10])
-    matrix = build_capacity_matrix(lambda j, s: (1.0, 1.0, 1.0), 2, 0, g_c, 1.0, 4e-14, 1.0)
+    matrix = build_capacity_matrix(*pair_arrays(2, 0), g_c, 1.0, 4e-14, 1.0)
     assert matrix.num_real == 0
     assert np.all(matrix.p_d_w == 0.0)
     assignment, total = hungarian_max_weight(matrix)
@@ -95,30 +93,16 @@ def test_build_matrix_all_virtual_when_no_vues():
 
 def test_build_matrix_infeasible_pairs_carry_zero():
     g_c = np.array([1e-10, 1e-10])
-    matrix = build_capacity_matrix(lambda j, s: (0.0, 0.0, 0.0), 2, 2, g_c, 1.0, 4e-14, 1.0)
+    matrix = build_capacity_matrix(*pair_arrays(2, 2), g_c, 1.0, 4e-14, 1.0)
     assert np.all(matrix.capacity == 0.0)
 
 
 def test_matrix_entries_match_standalone_solver(rng):
-    # entries must be exactly what the per-pair solver returns when called alone
-    calls = {}
-
-    def solver(j, s):
-        calls[(j, s)] = (float(rng.uniform(0, 5)), float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
-        return calls[(j, s)]
-
-    matrix = build_capacity_matrix(solver, 2, 2, np.array([1e-10, 1e-10]), 1.0, 4e-14, 1.0)
-    for (j, s), (cap, pc, pd) in calls.items():
-        assert matrix.capacity[j, s] == cap
-        assert matrix.p_c_w[j, s] == pc and matrix.p_d_w[j, s] == pd
-
-
-def test_capacity_matrix_csv_dump(tmp_path):
-    matrix = build_capacity_matrix(lambda j, s: (1.5, 0.5, 0.25), 2, 1,
-                                   np.array([1e-10, 1e-10]), 1.0, 4e-14, 1.0)
-    path = tmp_path / "matrix.csv"
-    capacity_matrix_to_csv(matrix, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,s,capacity_bps,p_c_w,p_d_w,virtual"
-    assert len(lines) == 1 + 4  # 2x2 cells
-    assert lines[1].startswith("0,0,1.5")
+    # real entries must be exactly the per-pair solutions handed in
+    cap, p_c, p_d = (rng.uniform(0, 5, (3, 2)), rng.uniform(0, 1, (3, 2)),
+                     rng.uniform(0, 1, (3, 2)))
+    matrix = build_capacity_matrix(cap, p_c, p_d, np.full(3, 1e-10), 1.0, 4e-14, 1.0)
+    assert np.array_equal(matrix.capacity[:, :2], cap)
+    assert np.array_equal(matrix.p_c_w[:, :2], p_c) and np.array_equal(matrix.p_d_w[:, :2], p_d)
+    with pytest.raises(ValueError):
+        build_capacity_matrix(*pair_arrays(2, 3), np.full(2, 1e-10), 1.0, 4e-14, 1.0)

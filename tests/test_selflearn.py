@@ -10,7 +10,6 @@ from v2xalloc.selflearn import (
     WORST,
     AffineUncertaintySet,
     NoValidIndexError,
-    SampleSet,
     calibrate_radius,
     calibration_index,
     closed_form_power,
@@ -67,8 +66,7 @@ def test_calibration_index_rejects_bad_args():
 # ---------------------------------------------------------------------------
 
 def test_radius_single_sample_single_pair():
-    samples = SampleSet(g_d=np.array([[2.0]]), g_cross=np.array([[0.5]]))
-    mapped = map_samples(samples, [(0.3, 0.8)], gamma_min_d=1.0)
+    mapped = map_samples(np.array([[2.0]]), np.array([[0.5]]), [(0.3, 0.8)], gamma_min_d=1.0)
     # anchor maps the lone sample to p_d*g_d/Gamma - p_c*g_x
     assert math.isclose(mapped[0], 0.8 * 2.0 - 0.3 * 0.5, rel_tol=1e-12)
     assert calibrate_radius(mapped, 1) == mapped[0]
@@ -98,12 +96,12 @@ def test_radius_rejects_bad_index():
 
 
 def test_map_samples_skips_unanchored_pairs(rng):
-    samples = SampleSet(g_d=rng.uniform(1, 2, (50, 3)), g_cross=rng.uniform(0, 1, (50, 3)))
-    full = map_samples(samples, [(1.0, 1.0)] * 3, 1.0)
-    partial = map_samples(samples, [(1.0, 1.0), None, (1.0, 1.0)], 1.0)
+    g_d, g_x = rng.uniform(1, 2, (50, 3)), rng.uniform(0, 1, (50, 3))
+    full = map_samples(g_d, g_x, [(1.0, 1.0)] * 3, 1.0)
+    partial = map_samples(g_d, g_x, [(1.0, 1.0), None, (1.0, 1.0)], 1.0)
     assert np.all(partial >= full - 1e-15)
     with pytest.raises(ValueError):
-        map_samples(samples, [None, None, None], 1.0)
+        map_samples(g_d, g_x, [None, None, None], 1.0)
 
 
 def test_coverage_guarantee_on_synthetic_distribution(rng):
@@ -277,18 +275,3 @@ def test_corner_constants_guard_nonpositive_denominator():
                          sigma2=0.05, p_max_c=1.0, p_max_d=1.0)
     # anchor ray never meets the CUE QoS line: floor pinned to +inf
     assert c.upsilon_c == math.inf
-
-
-# ---------------------------------------------------------------------------
-# sample-set persistence
-# ---------------------------------------------------------------------------
-
-def test_sample_set_csv_roundtrip(tmp_path, rng):
-    samples = SampleSet(g_d=rng.uniform(0, 2, (25, 3)), g_cross=rng.uniform(0, 1, (25, 3)))
-    path = tmp_path / "samples.csv"
-    samples.to_csv(path, drop_id=7)
-    back = SampleSet.from_csv(path, drop_id=7)
-    assert np.array_equal(back.g_d, samples.g_d)
-    assert np.array_equal(back.g_cross, samples.g_cross)
-    with pytest.raises(ValueError):
-        SampleSet.from_csv(path, drop_id=3)
