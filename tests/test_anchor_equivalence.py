@@ -1,9 +1,10 @@
 """The counting anchor search against the literal one, compared with exact ==.
 
 ``selflearn.initial_feasible`` counts samples under the cap instead of
-partitioning them at every bisection step and grid point;
-``oracles.initial_feasible_reference`` evaluates the definition literally.
-The two must agree bit for bit, not within a tolerance.
+partitioning them at every bisection step, and skips the QoS grid that
+cannot succeed with positive noise; ``oracles.initial_feasible_reference``
+evaluates the definition literally.  The two must agree bit for bit, not
+within a tolerance.
 """
 
 from collections import Counter
