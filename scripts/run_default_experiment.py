@@ -4,78 +4,59 @@
 Runs the default configuration over a number of drops and prints the headline
 table (aggregate VUE outage, mean CUE sum capacity, reduction versus the
 nominal-gain optimum, mean VUE SINR, feasibility rate).  Optionally dumps the
-per-drop rows and the empirical CDF of per-pair outage to CSV.
+per-drop rows (the ``v2xalloc run --out`` format) and the empirical CDF of
+per-pair outage to CSV.
 """
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from v2xalloc import harness
-from v2xalloc.config import ScenarioConfig, apply_overrides, load_config
-
-METHODS = ("opt", "brra", "slaa", "slwa", "nrra", "apra")
+from v2xalloc import cli, harness
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", type=Path, default=None)
-    parser.add_argument("--set", dest="overrides", action="append", default=[])
-    parser.add_argument("--drops", type=int, default=None)
-    parser.add_argument("--out-dir", type=Path, default=None)
-    args = parser.parse_args()
-
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    cfg = apply_overrides(cfg, args.overrides)
-    drops = args.drops if args.drops is not None else cfg.drops
-
-    rows = []
-    per_pair_outage = {m: [] for m in METHODS}
-    for d in range(drops):
-        result = harness.run_drop(cfg, d, METHODS)
-        for name in METHODS:
-            stats = result.methods[name]
-            rows.append({
-                "method": name, "drop": d,
-                "sum_capacity_bps": stats.sum_capacity_bps,
-                "outage": stats.outage,
-                "mean_vue_sinr": stats.mean_vue_sinr,
-                "feasibility_rate": stats.feasibility_rate,
-            })
-            per_pair_outage[name].extend(stats.pair_outage.tolist())
-
-    c_opt = np.mean([r["sum_capacity_bps"] for r in rows if r["method"] == "opt"])
-    print(f"{drops} drops, seed {cfg.rng_seed}")
-    print(f"{'method':>8} {'capacity_bps':>14} {'vs_opt':>8} {'outage':>8} "
-          f"{'vue_sinr':>10} {'feasible':>9}")
-    for name in METHODS:
-        sel = [r for r in rows if r["method"] == name]
-        cap = np.mean([r["sum_capacity_bps"] for r in sel])
-        outs = [r["outage"] for r in sel if np.isfinite(r["outage"])]
-        sinrs = [r["mean_vue_sinr"] for r in sel if np.isfinite(r["mean_vue_sinr"])]
-        feas = np.mean([r["feasibility_rate"] for r in sel])
-        print(f"{name:>8} {cap:>14.5g} {100 * (1 - cap / c_opt):>7.1f}% "
-              f"{np.mean(outs) if outs else float('nan'):>8.4f} "
-              f"{np.mean(sinrs) if sinrs else float('nan'):>10.4g} {feas:>9.3f}")
-
+def report(args) -> int:
+    cfg = cli.resolve_config(args, drops=args.drops)
+    out = None
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(args.out_dir / "per_drop.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        for name in METHODS:
-            if not per_pair_outage[name]:
+        out = args.out_dir / "per_drop.csv"
+    rows = cli.run_rows(cfg, harness.ALL_METHODS, out)
+    rows_of = {m: [r for r in rows if r["method"] == m] for m in harness.ALL_METHODS}
+    summary = {m: harness.summarize_method(sel) for m, sel in rows_of.items()}
+
+    c_opt = summary["opt"]["mean_cue_capacity_bps"]
+    print(f"{cfg.drops} drops, seed {cfg.rng_seed}")
+    print(f"{'method':>8} {'capacity_bps':>14} {'vs_opt':>8} {'outage':>8} "
+          f"{'vue_sinr':>10} {'feasible':>9}")
+    for name, stats in summary.items():
+        cap = stats["mean_cue_capacity_bps"]
+        print(f"{name:>8} {cap:>14.5g} {100 * (1 - cap / c_opt):>7.1f}% "
+              f"{stats['outage_prob']:>8.4f} {stats['mean_vue_sinr']:>10.4g} "
+              f"{stats['feasibility_rate']:>9.3f}")
+
+    if out is not None:
+        for name, sel in rows_of.items():
+            pair_outage = np.concatenate([r["pair_outage"] for r in sel])
+            if not pair_outage.size:
                 continue
-            table = harness.empirical_cdf(per_pair_outage[name])
             with open(args.out_dir / f"outage_cdf_{name}.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["pair_outage", "cumulative_fraction"])
-                writer.writerows(table.tolist())
+                writer.writerows(harness.empirical_cdf(pair_outage).tolist())
         print(f"wrote per-drop rows and outage CDFs to {args.out_dir}")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, parents=[cli.config_arguments()])
+    parser.add_argument("--drops", type=int, default=None)
+    parser.add_argument("--out-dir", type=Path, default=None)
+    return cli.exit_code(report, parser.parse_args(argv))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

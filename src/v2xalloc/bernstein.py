@@ -24,12 +24,6 @@ import numpy as np
 
 from .channel import cue_capacity_bps
 
-_FAMILY_TABLE = {
-    "bounded": (-1.0, 1.0, 0.0),
-    "unimodal_bounded": (-0.5, 0.5, 1.0 / math.sqrt(12.0)),
-    "unimodal_symmetric": (0.0, 0.0, 1.0 / math.sqrt(3.0)),
-}
-
 
 @dataclass(frozen=True)
 class DistributionFamily:
@@ -49,10 +43,17 @@ class DistributionFamily:
     @classmethod
     def from_name(cls, name: str) -> "DistributionFamily":
         try:
-            mm, mp_, sg = _FAMILY_TABLE[name]
+            return _FAMILY_TABLE[name]
         except KeyError:
             raise ValueError(f"unknown family {name!r}; choose from {list(_FAMILY_TABLE)}")
-        return cls(variant=name, mu_minus=mm, mu_plus=mp_, sigma=sg)
+
+
+# validated once; ``instances.random_bernstein_params`` indexes this order
+_FAMILY_TABLE = {family.variant: family for family in (
+    DistributionFamily("bounded", -1.0, 1.0, 0.0),
+    DistributionFamily("unimodal_bounded", -0.5, 0.5, 1.0 / math.sqrt(12.0)),
+    DistributionFamily("unimodal_symmetric", 0.0, 0.0, 1.0 / math.sqrt(3.0)),
+)}
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,15 @@ from .channel import bessel_j0, doppler_coefficient
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 
 
+def config_arguments() -> argparse.ArgumentParser:
+    """Parent parser of ``--config`` and ``--set``, which ``resolve_config`` reads."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--config", type=Path, default=None, help="YAML scenario file")
+    parser.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE", help="override any config field (repeatable)")
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v2xalloc",
@@ -30,24 +39,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, default=None, help="YAML scenario file")
-        p.add_argument("--seed", type=int, default=None, help="override rng_seed")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override any config field (repeatable)")
-        p.add_argument("--methods", default=",".join(harness.ALL_METHODS),
-                       help="comma-separated subset of " + ",".join(harness.ALL_METHODS))
+    common = argparse.ArgumentParser(add_help=False, parents=[config_arguments()])
+    common.add_argument("--seed", type=int, default=None, help="override rng_seed")
+    common.add_argument("--methods", default=",".join(harness.ALL_METHODS),
+                        help="comma-separated subset of " + ",".join(harness.ALL_METHODS))
 
-    p_run = sub.add_parser("run", help="run drops for one configuration")
-    common(p_run)
+    p_run = sub.add_parser("run", help="run drops for one configuration", parents=[common])
     p_run.add_argument("--drops", type=int, default=1, help="number of drops")
     p_run.add_argument("--out", type=Path, default=None, help="write per-drop CSV here")
-    p_run.add_argument("--raw", action="store_true", help="keep per-drop rows in --out")
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter to CSV")
-    common(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="sweep one parameter to CSV", parents=[common])
     p_sweep.add_argument("--param", required=True, choices=sorted(harness.SWEEP_PARAMS))
-    p_sweep.add_argument("--grid", required=True, help="START:STEP:END (inclusive)")
+    p_sweep.add_argument("--grid", required=True,
+                         help="START:STEP:END (inclusive) or a comma list V1,V2,...")
     p_sweep.add_argument("--drops", type=int, default=None,
                          help="drops per grid point (default: config value)")
     p_sweep.add_argument("--out", type=Path, required=True, help="summary CSV path")
@@ -69,19 +73,21 @@ def _methods(arg: str) -> tuple[str, ...]:
     return methods
 
 
-def _resolve_config(args) -> ScenarioConfig:
+def resolve_config(args: argparse.Namespace, **fields) -> ScenarioConfig:
+    """Defaults, then ``--config``, then ``--set``, then each keyword field that
+    is not None (a flag such as ``--seed`` or ``--drops``)."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     cfg = apply_overrides(cfg, args.overrides)
-    if args.seed is not None:
-        cfg = cfg.replace(rng_seed=args.seed)
-    return cfg
+    return cfg.replace(**{name: v for name, v in fields.items() if v is not None})
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(","))
         start, step, end = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ConfigError(f"--grid expects START:STEP:END, got {text!r}")
+        raise ConfigError(f"--grid expects START:STEP:END or V1,V2,..., got {text!r}")
     if step <= 0 or end < start:
         raise ConfigError("--grid requires step > 0 and end >= start")
     count = math.floor((end - start) / step + 1e-9) + 1  # never past END
@@ -95,30 +101,31 @@ def _log_config(cfg: ScenarioConfig, out: Path | None) -> None:
         out.with_suffix(out.suffix + ".config.json").write_text(cfg.to_json() + "\n")
 
 
+def run_rows(cfg: ScenarioConfig, methods: tuple[str, ...], out: Path | None) -> list[dict]:
+    """Log ``cfg``, run its drops and write their ``RAW_COLUMNS`` rows to ``out``."""
+    _log_config(cfg, out)
+    rows = harness.drop_rows(cfg, methods, cfg.drops, sweep_param="none", value=0.0)
+    if out is not None:
+        harness._write_csv(out, harness.RAW_COLUMNS, rows)
+    return rows
+
+
 def _cmd_run(args) -> int:
-    cfg = _resolve_config(args)
-    methods = _methods(args.methods)
-    _log_config(cfg, args.out)
-    rows = harness.drop_rows(cfg, methods, args.drops, sweep_param="none", value=0.0)
+    cfg = resolve_config(args, rng_seed=args.seed, drops=args.drops)
+    rows = run_rows(cfg, _methods(args.methods), args.out)
     print(f"{'method':>8} {'drop':>5} {'capacity_bps':>16} {'outage':>8} "
           f"{'mean_vue_sinr':>14} {'feasible':>9}")
     for row in rows:
         print(f"{row['method']:>8} {row['drop']:>5} {row['sum_capacity_bps']:>16.6g} "
               f"{row['outage']:>8.4f} {row['mean_vue_sinr']:>14.6g} "
               f"{row['feasibility_rate']:>9.3f}")
-    if args.out is not None:
-        harness._write_csv(args.out, harness.RAW_COLUMNS, rows)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    spec = harness.SweepSpec(
-        param=args.param,
-        grid=_parse_grid(args.grid),
-        drops=args.drops if args.drops is not None else cfg.drops,
-        methods=_methods(args.methods),
-    )
+    cfg = resolve_config(args, rng_seed=args.seed, drops=args.drops)
+    spec = harness.SweepSpec(param=args.param, grid=_parse_grid(args.grid), drops=cfg.drops,
+                             methods=_methods(args.methods))
     _log_config(cfg, args.out)
     raw_path = None
     if args.raw:
@@ -149,25 +156,20 @@ def _cmd_oracle(_args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code(command, args) -> int:
+    """``command(args)``, or exit code 2 after one ``configuration error:`` line."""
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-    except ConfigError as exc:
+        return command(args)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "validate": _cmd_validate,
+                "oracle": _cmd_oracle}
+    return exit_code(commands[args.command], args)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, bernstein, channel, selflearn
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .matching import CapacityMatrix, ReuseAssignment, build_capacity_matrix, hungarian_max_weight
 
 ALL_METHODS = ("opt", "brra", "slaa", "slwa", "nrra", "apra")
@@ -274,14 +274,14 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.param not in SWEEP_PARAMS:
-            raise ValueError(f"param must be one of {sorted(SWEEP_PARAMS)}")
+            raise ConfigError(f"param must be one of {sorted(SWEEP_PARAMS)}")
         if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
+            raise ConfigError("grid must be nonempty")
         diffs = np.diff(self.grid)
         if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
-            raise ValueError("grid must be monotone")
+            raise ConfigError("grid must be monotone")
         if self.drops < 1:
-            raise ValueError("drops must be >= 1")
+            raise ConfigError("drops must be >= 1")
 
 
 def summarize_method(rows) -> dict[str, float]:
@@ -302,7 +302,7 @@ def summarize_method(rows) -> dict[str, float]:
 
 
 def drop_rows(cfg: ScenarioConfig, methods, drops: int, **tags) -> list[dict]:
-    """One raw row per (drop, method), in that order, each carrying ``tags``."""
+    """One raw row per (drop, method), in that order, with ``tags`` and ``pair_outage``."""
     rows = []
     for d in range(drops):
         result = run_drop(cfg, d, tuple(methods))
@@ -312,7 +312,7 @@ def drop_rows(cfg: ScenarioConfig, methods, drops: int, **tags) -> list[dict]:
                 **tags, "method": name, "drop": d,
                 "sum_capacity_bps": stats.sum_capacity_bps, "outage": stats.outage,
                 "mean_vue_sinr": stats.mean_vue_sinr,
-                "feasibility_rate": stats.feasibility_rate,
+                "feasibility_rate": stats.feasibility_rate, "pair_outage": stats.pair_outage,
             })
     return rows
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bernstein import BernsteinParams, DistributionFamily
+from .bernstein import _FAMILY_TABLE, BernsteinParams, DistributionFamily
 
-FAMILY_NAMES = ("bounded", "unimodal_bounded", "unimodal_symmetric")
+FAMILY_NAMES = tuple(_FAMILY_TABLE)
 
 
 def _logu(rng: np.random.Generator, lo: float, hi: float) -> float:

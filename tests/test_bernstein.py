@@ -15,7 +15,7 @@ from v2xalloc.bernstein import (
     protection_weight,
     solve_inner_cue_power,
 )
-from v2xalloc.instances import random_bernstein_params
+from v2xalloc.instances import FAMILY_NAMES, random_bernstein_params
 
 
 def make_params(**kw):
@@ -33,6 +33,15 @@ def make_params(**kw):
 # ---------------------------------------------------------------------------
 # margin
 # ---------------------------------------------------------------------------
+
+def test_family_table_holds_one_instance_per_name():
+    for name in FAMILY_NAMES:
+        family = DistributionFamily.from_name(name)
+        assert family.variant == name and DistributionFamily.from_name(name) is family
+    assert FAMILY_NAMES == ("bounded", "unimodal_bounded", "unimodal_symmetric")
+    with pytest.raises(ValueError, match="unknown family"):
+        DistributionFamily.from_name("gaussian")
+
 
 def test_margin_reference_instance_term_by_term():
     p = make_params()

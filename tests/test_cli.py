@@ -27,6 +27,7 @@ def test_run_prints_summary_and_writes_csv(tmp_path, capsys):
     # resolved configuration is logged next to the results
     logged = json.loads(out.with_suffix(out.suffix + ".config.json").read_text())
     assert logged["sample_count"] == 300
+    assert logged["drops"] == 1  # the drops actually run, not the config default
 
 
 def test_run_seed_flag_overrides_config(tmp_path):
@@ -58,17 +59,34 @@ def test_sweep_raw_flag(tmp_path):
     raw = out.with_name("s_raw.csv")
     assert raw.exists()
     assert len(raw.read_text().splitlines()) == 1 + 2 * 2
+    assert json.loads(out.with_name("s.csv.config.json").read_text())["drops"] == 2
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("no_such_key: 1\n")
-    assert main(["run", "--config", str(bad)]) == 2
-    assert main(["run", "--set", "outage_prob=2.0"]) == 2
-    assert main(["sweep", "--param", "speed", "--grid", "nope",
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 2
-    assert main(["run", "--methods", "opt,bogus", *FAST]) == 2
+    unparsable = tmp_path / "unparsable.yaml"
+    unparsable.write_text("num_cues: [4\n")
+    sweep_out = ["--out", str(tmp_path / "x.csv")]
+    for argv in (
+        ["run", "--config", str(bad)],
+        ["run", "--set", "outage_prob=2.0"],
+        ["sweep", "--param", "speed", "--grid", "nope", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "80,40,60", *sweep_out],
+        ["run", "--config", str(tmp_path / "missing.yaml")],
+        ["run", "--config", str(unparsable)],
+        ["run", "--config", str(tmp_path)],
+        ["run", "--methods", "opt,bogus", *FAST],
+        ["run", "--set", "num_cues=abc"],
+        ["run", "--set", "num_cues=4.5"],
+        ["run", "--set", "sinr_min_cue=abc"],
+        ["run", "--set", "gnb_road_distance_m=a,b"],
+        ["run", "--drops", "0"],
+        ["run", "--drops", "-3"],
+        ["sweep", "--param", "speed", "--grid", "80", "--drops", "0", *sweep_out],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("configuration error: "), argv
 
 
 def test_validate_exits_zero():
@@ -84,6 +102,11 @@ def test_unusable_scenario_exit_code(tmp_path, capsys):
                  "--out", str(out), *FAST]) == 2
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_grid_accepts_a_comma_list():
+    assert _parse_grid("1,2,5,10,20,40") == (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
+    assert _parse_grid("0.5") == (0.5,)
 
 
 def test_grid_never_passes_its_end():
