@@ -16,16 +16,21 @@ GOLDEN_DROP_SHA256 = "fb12b0108c759bd1de34c8d287e6ff82c9fea38ce48363d876b1440c25
 # more CUEs than VUE pairs: three virtual columns per capacity matrix
 WIDE_SHAPE = dict(num_cues=6, num_vues=3)
 GOLDEN_WIDE_DROP_SHA256 = "49e5bd0f009959c80adb1edae6c69e89775d4251808f38514293a6dca9ccf610"
+# no self-learning method: the drop never reads its learning samples
+NO_LEARNING_METHODS = ("opt", "brra", "nrra", "apra")
+GOLDEN_NO_LEARNING_DROP_SHA256 = "84c0170cab64d1b1dfbe539835ac3f648e2b631e52fe21fe5abceead6af06d1c"
+GOLDEN_NO_LEARNING_WIDE_DROP_SHA256 = (
+    "2c6edd12c522e26555b09f64df4c30bda7f8fc277d5d1872a1cef13518901f69")
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = harness.SweepSpec(param="speed", grid=(40.0, 100.0, 160.0), drops=3)
 
 
-def drop_digest(cfg, drops) -> str:
+def drop_digest(cfg, drops, methods=harness.ALL_METHODS) -> str:
     h = hashlib.sha256()
     for d in drops:
-        result = harness.run_drop(cfg, d, harness.ALL_METHODS)
-        for name in harness.ALL_METHODS:
+        result = harness.run_drop(cfg, d, methods)
+        for name in methods:
             stats = result.methods[name]
             values = [stats.sum_capacity_bps, stats.outage, stats.mean_vue_sinr,
                       stats.feasibility_rate]
@@ -43,6 +48,17 @@ def test_run_drop_golden_digest(small_cfg):
 def test_run_drop_golden_digest_with_virtual_columns(small_cfg):
     cfg = small_cfg.replace(**WIDE_SHAPE)
     assert drop_digest(cfg, GOLDEN_DROPS) == GOLDEN_WIDE_DROP_SHA256
+
+
+def test_run_drop_golden_digest_without_learning_samples(small_cfg):
+    assert (drop_digest(small_cfg, GOLDEN_DROPS, NO_LEARNING_METHODS)
+            == GOLDEN_NO_LEARNING_DROP_SHA256)
+
+
+def test_run_drop_golden_digest_without_learning_samples_with_virtual_columns(small_cfg):
+    cfg = small_cfg.replace(**WIDE_SHAPE)
+    assert (drop_digest(cfg, GOLDEN_DROPS, NO_LEARNING_METHODS)
+            == GOLDEN_NO_LEARNING_WIDE_DROP_SHA256)
 
 
 def test_sweep_summary_matches_stored_csv(tmp_path, small_cfg):
