@@ -130,6 +130,28 @@ def cue_power_floor(p_d_w: float, params: BernsteinParams) -> float:
     return params.gamma_min_c * (params.sigma2 + p_d_w * params.g_b) / params.g_c
 
 
+def _inner_terms(params: BernsteinParams) -> tuple[float, float, float, float]:
+    """Constants of the inner step for one pair: the VUE gain term
+    g_bar_d + mu-*g_hat_d, the protection weight times sigma_F, the slope
+    g_bar_x + mu+*g_hat_x of the VUE-branch root and the CUE-branch denominator."""
+    fam = params.family
+    prot = protection_weight(params.beta) * fam.sigma
+    slope = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
+    return (params.g_bar_d + fam.mu_minus * params.g_hat_d, prot, slope,
+            slope + prot * params.g_hat_cross)
+
+
+def _inner_cue_power(p_d_w: float, params: BernsteinParams, terms) -> float | None:
+    gain_d, prot, slope, cue_den = terms
+    gd = params.gamma_min_d
+    base = p_d_w * gain_d / gd - params.sigma2
+    # roots of the branches binding on the CUE and on the VUE deviation product
+    upper = min(base / cue_den, (base - prot * p_d_w * params.g_hat_d / gd) / slope)
+    if upper < max(cue_power_floor(p_d_w, params), 0.0):
+        return None
+    return float(upper)
+
+
 def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None:
     """Largest CUE power satisfying the CUE QoS line and the robust margin.
 
@@ -139,23 +161,7 @@ def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None
     feasible region is p_c <= min(both roots).  Returns None when that upper
     bound falls below the QoS floor (or below zero).
     """
-    fam = params.family
-    gd = params.gamma_min_d
-    w = protection_weight(params.beta)
-    base = p_d_w * (params.g_bar_d + fam.mu_minus * params.g_hat_d) / gd - params.sigma2
-    vue_prot = w * fam.sigma * p_d_w * params.g_hat_d / gd
-    slope = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
-
-    # branch binding on the CUE deviation product
-    root_cue_branch = base / (slope + w * fam.sigma * params.g_hat_cross)
-    # branch binding on the VUE deviation product
-    root_vue_branch = (base - vue_prot) / slope
-
-    upper = min(root_cue_branch, root_vue_branch)
-    floor = cue_power_floor(p_d_w, params)
-    if upper < max(floor, 0.0):
-        return None
-    return float(upper)
+    return _inner_cue_power(p_d_w, params, _inner_terms(params))
 
 
 @dataclass(frozen=True)
@@ -191,19 +197,21 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float | None = Non
     if not 0.0 < xi_w < params.p_max_d:
         raise ValueError("termination threshold must lie in (0, p_max_d)")
     max_iter = math.ceil(math.log2(params.p_max_d / xi_w)) + 1
+    terms = _inner_terms(params)
+    p_max_c, p_max_d = params.p_max_c, params.p_max_d
 
-    lo, hi = 0.0, params.p_max_d
+    lo, hi = 0.0, p_max_d
     iterations = 0
     p_d = None
-    while p_d is None or p_d < params.p_max_d - xi_w:
+    while p_d is None or p_d < p_max_d - xi_w:
         if iterations >= max_iter:
             break
         p_d = 0.5 * (lo + hi)
         iterations += 1
-        p_c = solve_inner_cue_power(p_d, params)
-        if p_c is None or p_c < params.p_max_c - xi_w:
+        p_c = _inner_cue_power(p_d, params, terms)
+        if p_c is None or p_c < p_max_c - xi_w:
             lo = p_d  # inner CUE power too small (or VUE margin unattainable)
-        elif p_c > params.p_max_c + xi_w:
+        elif p_c > p_max_c + xi_w:
             hi = p_d  # CUE cap binds; try less VUE power
         else:
             return _finalize(p_c, p_d, params, iterations)
@@ -212,12 +220,11 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float | None = Non
     # full power budget, or the cap window was skipped over (steep inner
     # response); in both cases the binding candidate is the smallest VUE power
     # known to support the capped CUE power, else the full VUE budget.
-    if hi < params.p_max_d:
-        p_c = solve_inner_cue_power(hi, params)
-        if p_c is not None and p_c >= params.p_max_c:
-            return _finalize(params.p_max_c, hi, params, iterations)
-    p_c = solve_inner_cue_power(params.p_max_d, params)
+    if hi < p_max_d:
+        p_c = _inner_cue_power(hi, params, terms)
+        if p_c is not None and p_c >= p_max_c:
+            return _finalize(p_max_c, hi, params, iterations)
+    p_c = _inner_cue_power(p_max_d, params, terms)
     if p_c is None:
         return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
-    return _finalize(p_c, params.p_max_d, params, iterations)
-
+    return _finalize(p_c, p_max_d, params, iterations)

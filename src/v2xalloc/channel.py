@@ -19,6 +19,14 @@ error on power terms,
 so |e|^2 is a unit-mean exponential draw.  The conditional mean of g given the
 estimate is omega * (lambda^2 * |h_hat|^2 + (1 - lambda^2)), which the robust
 allocators use as the nominal gain.
+
+A drop's random stream is consumed in a fixed order whatever methods run: the
+link state, then the N learning samples (amplitude-composed, read only by the
+self-learning allocators), then the M held-out error powers.  Draws that no
+enabled method reads are not formed: ``discard_fading`` advances the stream
+past the samples when no self-learning allocator runs, and the held-out gains
+are formed only for the pairs each method scores (``pair_true_gains``).  The
+values that are formed are the same bit for bit either way.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .config import ScenarioConfig
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 J0_DOMAIN_MAX = 50.0
+DISCARD_CHUNK = 1 << 16   # normals per draw into the reused buffer of discard_fading
 
 
 def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
@@ -144,6 +153,22 @@ def rayleigh_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> np
     return re + 1j * im
 
 
+def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> None:
+    """Advance ``rng`` exactly as ``rayleigh_fading(rng, size)`` would, without
+    forming the draws.
+
+    ``normal(0, s)`` consumes the stream as ``standard_normal`` does, so the
+    two draws of each coefficient are taken as standard normals into one
+    reused buffer of at most DISCARD_CHUNK floats.
+    """
+    left = 2 * int(np.prod(size))
+    buf = np.empty(min(left, DISCARD_CHUNK))
+    while left > 0:
+        step = min(left, DISCARD_CHUNK)
+        rng.standard_normal(out=buf[:step])
+        left -= step
+
+
 def sample_true_channel(
     h_hat: complex | np.ndarray,
     lam: float,
@@ -209,16 +234,25 @@ class LinkState:
     def g_b(self) -> np.ndarray:
         return np.abs(self.h_b) ** 2 * self.omega_b
 
+    # estimate powers |h_hat|^2 of the vehicle-side links
+    @cached_property
+    def h_hat_d_sq(self) -> np.ndarray:
+        return np.abs(self.h_hat_d) ** 2
+
+    @cached_property
+    def h_hat_cross_sq(self) -> np.ndarray:
+        return np.abs(self.h_hat_cross) ** 2
+
     # conditional-mean vehicle-side gains given the estimates
     @cached_property
     def g_bar_d(self) -> np.ndarray:
         lam2 = self.lam**2
-        return self.omega_d * (lam2 * np.abs(self.h_hat_d) ** 2 + (1.0 - lam2))
+        return self.omega_d * (lam2 * self.h_hat_d_sq + (1.0 - lam2))
 
     @cached_property
     def g_bar_cross(self) -> np.ndarray:
         lam2 = self.lam**2
-        return self.omega_cross * (lam2 * np.abs(self.h_hat_cross) ** 2 + (1.0 - lam2))
+        return self.omega_cross * (lam2 * self.h_hat_cross_sq + (1.0 - lam2))
 
 
 def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState:
@@ -245,17 +279,23 @@ def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState
 def draw_realizations(
     link: LinkState, rng: np.random.Generator, count: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` fresh true-gain realizations: (count, S) direct and
-    (count, J, S) crosstalk gains, power-composed per the SINR model."""
-    g_d = v2v_true_gain(
-        link.omega_d, np.abs(link.h_hat_d) ** 2, link.lam,
-        error_power(rng, (count,) + link.omega_d.shape),
+    """Draw the error powers of ``count`` fresh true-gain realizations: (count, S)
+    direct and (count, J, S) crosstalk.  ``pair_true_gains`` forms the gains."""
+    return (error_power(rng, (count,) + link.omega_d.shape),
+            error_power(rng, (count,) + link.omega_cross.shape))
+
+
+def pair_true_gains(
+    link: LinkState, err_d: np.ndarray, err_x: np.ndarray, j: int, s: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power-composed direct and crosstalk gains of pair (j, s) over the
+    realizations of ``draw_realizations``: column (s) and (j, s) of the gains
+    over all pairs, computed from the same operands in the same order."""
+    return (
+        v2v_true_gain(link.omega_d[s], link.h_hat_d_sq[s], link.lam, err_d[:, s]),
+        v2v_true_gain(link.omega_cross[j, s], link.h_hat_cross_sq[j, s], link.lam,
+                      err_x[:, j, s]),
     )
-    g_x = v2v_true_gain(
-        link.omega_cross, np.abs(link.h_hat_cross) ** 2, link.lam,
-        error_power(rng, (count,) + link.omega_cross.shape),
-    )
-    return g_d, g_x
 
 
 def sinr_vue(

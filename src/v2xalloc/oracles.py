@@ -40,18 +40,6 @@ def j0_series_reference(x: float, dps: int = 60) -> float:
         return float(total)
 
 
-def binomial_cdf_exact(m: int, n: int, p: Fraction) -> Fraction:
-    """Exact Pr{Binomial(n, p) <= m} with rational arithmetic."""
-    if m < 0:
-        return Fraction(0)
-    p = Fraction(p)
-    q = 1 - p
-    return sum(
-        (Fraction(math.comb(n, t)) * p**t * q ** (n - t) for t in range(0, min(m, n) + 1)),
-        Fraction(0),
-    )
-
-
 def calibration_index_exact(n: int, beta: Fraction, varsigma: Fraction) -> int:
     """Smallest k with Pr{Bin(n, 1-beta) <= k-1} >= 1-varsigma, exactly."""
     target = 1 - Fraction(varsigma)

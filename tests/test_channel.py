@@ -209,10 +209,43 @@ def test_link_state_mean_gains(rng):
 def test_draw_realizations_shapes_and_mean(rng):
     cfg = ScenarioConfig()
     link = channel.build_link_state(cfg, rng)
-    g_d, g_x = channel.draw_realizations(link, rng, 20000)
-    assert g_d.shape == (20000, cfg.num_vues)
-    assert g_x.shape == (20000, cfg.num_cues, cfg.num_vues)
+    err_d, err_x = channel.draw_realizations(link, rng, 20000)
+    assert err_d.shape == (20000, cfg.num_vues)
+    assert err_x.shape == (20000, cfg.num_cues, cfg.num_vues)
+    assert np.all(err_d >= 0) and np.all(err_x >= 0)
+    # unit-mean error powers; the gains formed from them match the conditional
+    # mean within Monte Carlo noise
+    assert np.all(np.abs(err_x.mean(axis=0) - 1.0) < 0.05)
+    g_d = np.stack([channel.pair_true_gains(link, err_d, err_x, 0, s)[0]
+                    for s in range(cfg.num_vues)], axis=1)
     assert np.all(g_d >= 0)
-    # empirical mean matches the conditional mean within Monte Carlo noise
     rel_err = np.abs(g_d.mean(axis=0) / link.g_bar_d - 1.0)
     assert np.all(rel_err < 0.05)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (6, 3)])
+def test_pair_true_gains_equal_the_broadcast_columns(rng, shape):
+    cfg = ScenarioConfig(num_cues=shape[0], num_vues=shape[1])
+    link = channel.build_link_state(cfg, rng)
+    err_d, err_x = channel.draw_realizations(link, rng, 700)
+    all_d = channel.v2v_true_gain(link.omega_d, np.abs(link.h_hat_d) ** 2, link.lam, err_d)
+    all_x = channel.v2v_true_gain(link.omega_cross, np.abs(link.h_hat_cross) ** 2, link.lam,
+                                  err_x)
+    for j in range(cfg.num_cues):
+        for s in range(cfg.num_vues):
+            g_d, g_x = channel.pair_true_gains(link, err_d, err_x, j, s)
+            assert np.array_equal(g_d, all_d[:, s])
+            assert np.array_equal(g_x, all_x[:, j, s])
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, channel.DISCARD_CHUNK - 1, channel.DISCARD_CHUNK, channel.DISCARD_CHUNK + 1,
+    (3000, 16, 16),  # N * J * S of a J = S = 16 drop
+])
+def test_discard_fading_leaves_the_stream_where_sampling_does(size):
+    drawn = np.random.default_rng(99)
+    skipped = np.random.default_rng(99)
+    channel.sample_true_channel(np.zeros(size, dtype=complex), 0.9, drawn, size=size)
+    assert channel.discard_fading(skipped, size) is None
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+    assert np.array_equal(skipped.normal(size=5), drawn.normal(size=5))

@@ -49,6 +49,22 @@ def test_run_drop_method_isolation(small_cfg):
     assert stats.sum_capacity_bps > 0
 
 
+@pytest.mark.parametrize("methods", [("opt", "brra", "nrra", "apra"), ("slaa", "apra")])
+def test_method_results_do_not_depend_on_the_other_methods(small_cfg, methods):
+    # without slaa/slwa the learning samples are skipped, not formed: the
+    # held-out draws must still come from the same place in the stream
+    cfg = small_cfg.replace(num_cues=5, num_vues=3)
+    for d in range(2):
+        alone = run_drop(cfg, d, methods)
+        full = run_drop(cfg, d)
+        full = harness.DropResult(full.drop_index, full.lam,
+                                  {name: full.methods[name] for name in methods})
+        assert drops_equal(alone, full)
+        for name in methods:
+            assert np.array_equal(alone.methods[name].mean_vue_sinr,
+                                  full.methods[name].mean_vue_sinr, equal_nan=True)
+
+
 def test_run_drop_rejects_unknown_method(small_cfg):
     with pytest.raises(ValueError):
         run_drop(small_cfg, 0, methods=("opt", "magic"))
