@@ -21,6 +21,12 @@ NO_LEARNING_METHODS = ("opt", "brra", "nrra", "apra")
 GOLDEN_NO_LEARNING_DROP_SHA256 = "84c0170cab64d1b1dfbe539835ac3f648e2b631e52fe21fe5abceead6af06d1c"
 GOLDEN_NO_LEARNING_WIDE_DROP_SHA256 = (
     "2c6edd12c522e26555b09f64df4c30bda7f8fc277d5d1872a1cef13518901f69")
+# self-learning only, 8 x 8 at 160 km/h: the setting whose anchor searches
+# most often bind on the sample-coverage floor
+LEARNING_METHODS = ("slaa", "slwa")
+DENSE_FAST = dict(num_cues=8, num_vues=8, vehicle_speed_kmh=160.0)
+GOLDEN_LEARNING_DENSE_DROP_SHA256 = (
+    "da9d33dd2a4f19a73b49e0c18e4bb0f1f630db28d30808e27d410f9960bf4699")
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = harness.SweepSpec(param="speed", grid=(40.0, 100.0, 160.0), drops=3)
@@ -59,6 +65,12 @@ def test_run_drop_golden_digest_without_learning_samples_with_virtual_columns(sm
     cfg = small_cfg.replace(**WIDE_SHAPE)
     assert (drop_digest(cfg, GOLDEN_DROPS, NO_LEARNING_METHODS)
             == GOLDEN_NO_LEARNING_WIDE_DROP_SHA256)
+
+
+def test_run_drop_golden_digest_self_learning_dense_fast(small_cfg):
+    cfg = small_cfg.replace(**DENSE_FAST)
+    assert (drop_digest(cfg, GOLDEN_DROPS, LEARNING_METHODS)
+            == GOLDEN_LEARNING_DENSE_DROP_SHA256)
 
 
 def test_sweep_summary_matches_stored_csv(tmp_path, small_cfg):
