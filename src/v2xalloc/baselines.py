@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import cue_capacity_bps
 
 
@@ -88,25 +86,3 @@ def apra_threshold(gamma_min_d: float, beta: float) -> float:
         raise ValueError("beta must lie in (0,1)")
     return gamma_min_d / (-math.log1p(-beta))
 
-
-@dataclass(frozen=True)
-class GapReport:
-    """Per-drop and mean capacity reductions of the robust methods vs optimum."""
-
-    d1_per_drop: np.ndarray   # optimum minus moment-robust capacity
-    d2_per_drop: np.ndarray   # optimum minus self-learning capacity
-    d1_mean: float
-    d2_mean: float
-
-
-def measure_gaps(
-    c_opt: np.ndarray, c_bernstein: np.ndarray, c_selflearn: np.ndarray,
-    tol: float = 1e-9,
-) -> GapReport:
-    """Empirical suboptimality gaps; robust methods never beat the optimum."""
-    c_opt = np.asarray(c_opt, float)
-    d1 = c_opt - np.asarray(c_bernstein, float)
-    d2 = c_opt - np.asarray(c_selflearn, float)
-    if np.any(d1 < -tol) or np.any(d2 < -tol):
-        raise AssertionError("a robust method exceeded the perfect-CSI optimum")
-    return GapReport(d1, d2, float(np.mean(d1)), float(np.mean(d2)))

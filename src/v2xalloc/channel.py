@@ -315,19 +315,6 @@ def sinr_vue(
     )
 
 
-def sinr_cue(
-    p_c_w: float | np.ndarray,
-    p_d_w: float | np.ndarray,
-    g_c: float | np.ndarray,
-    g_b: float | np.ndarray,
-    noise_w: float,
-) -> float | np.ndarray:
-    """SINR of a CUE at the gNB under interference from its reusing VUE."""
-    return np.asarray(p_c_w) * np.asarray(g_c) / (
-        noise_w + np.asarray(p_d_w) * np.asarray(g_b)
-    )
-
-
 def cue_capacity_bps(
     p_c_w: float, p_d_w: float, g_c: float, g_b: float, noise_w: float, bandwidth_hz: float,
 ) -> float:

@@ -10,7 +10,9 @@ depend on execution order.
 Per method, ``run_drop`` solves every candidate (CUE j, VUE s) pair once with
 that method's per-pair solver, each rating its powers with
 ``channel.cue_capacity_bps``, and hands the (J, S) capacities and powers to
-``matching.build_capacity_matrix`` and the max-weight assignment.
+``matching.build_capacity_matrix`` and the max-weight assignment.  The
+self-learning anchors of all pairs come from one array search per drop,
+shared by ``slaa`` and ``slwa``.
 
 Method identifiers:
   opt   - per-pair corner optimum at the nominal (conditional-mean) gains
@@ -101,56 +103,49 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
     )
 
 
-def _anchor(cfg, link, mode, sample_d, sample_x, k_star, j: int, s: int):
-    """Self-learning anchor of candidate pair (j, s).
+def selflearn_calibration(cfg, link, modes, sample_d, sample_x, k_star):
+    """Per anchor mode: the (J, S) anchor powers (NaN where a pair has none)
+    and the shared radius r_d (None without identity-pair anchors).
 
     Anchors must keep nearly all samples inside their half-space (a
     mean-tight anchor strands about half of them, collapsing the learned
-    region), so both modes get a sample-coverage floor on the VUE power: the
-    joint exceedance budget N-k* is split evenly across the coupled pairs.
-    Worst-mode anchors trim twice that budget of extreme draws per tail:
-    deeper extremes protect beyond the level the calibration certifies and
-    only destroy feasibility.
+    region): the joint exceedance budget N-k* is split evenly across the
+    coupled pairs as a coverage floor, and worst-mode anchors trim twice that
+    budget of extreme draws per tail, which protect beyond the level the
+    calibration certifies and only destroy feasibility.  The radius couples
+    the designated pairs through the min-mapping, so it is learned from the
+    identity pairing (VUE s with CUE s: the anchor arrays' diagonal) and
+    reused for every candidate pair.
     """
     n = sample_d.shape[0]
     budget = max(1, (n - k_star) // cfg.num_vues)
-    return selflearn.initial_feasible(
-        mode, sample_d[:, s], sample_x[:, j, s], link.g_c[j], link.g_b[s],
-        cfg.sinr_min_cue, cfg.sinr_min_vue, cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w,
-        coverage_count=n - budget, trim_count=2 * budget if mode == selflearn.WORST else 0,
-    )
+    anchors = selflearn.initial_feasible(
+        modes, sample_d, sample_x, link.g_c, link.g_b, cfg.sinr_min_cue, cfg.sinr_min_vue,
+        cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w,
+        coverage_count=n - budget, trim_count=2 * budget)
+    ident = np.arange(cfg.num_vues)
+    learned = {}
+    for mode, (p_c, p_d) in anchors.items():
+        diag_c, diag_d = p_c[ident, ident], p_d[ident, ident]
+        r_d = None if np.isnan(diag_c).all() else selflearn.calibrate_radius(selflearn.map_samples(
+            sample_d, sample_x[:, ident, ident], diag_c, diag_d, cfg.sinr_min_vue), k_star)
+        learned[mode] = p_c, p_d, r_d
+    return learned
 
 
-def selflearn_calibration(cfg, link, mode, sample_d, sample_x, k_star):
-    """Identity-pair anchors and the shared radius r_d (None without anchors).
-
-    The radius couples all designated pairs through the min-mapping, so it is
-    learned from the identity pairing (VUE s with CUE s) and reused for every
-    candidate pair, each with its own anchor.
-    """
-    anchors = [_anchor(cfg, link, mode, sample_d, sample_x, k_star, s, s)
-               for s in range(cfg.num_vues)]
-    if all(a is None for a in anchors):
-        return anchors, None
-    ident_x = np.stack([sample_x[:, s, s] for s in range(cfg.num_vues)], axis=1)
-    mapped = selflearn.map_samples(sample_d, ident_x, anchors, cfg.sinr_min_vue)
-    return anchors, selflearn.calibrate_radius(mapped, k_star)
-
-
-def _solve_pairs(cfg, link, method, sample_d, sample_x, k_star) -> np.ndarray:
+def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
     """(3, J, S) stack of capacity, CUE power and VUE power per candidate pair.
 
     ``opt``, ``nrra`` and ``apra`` solve the known-gain corner, ``brra`` the
-    moment-based bisection and ``slaa``/``slwa`` the learned closed form.
-    Infeasible pairs, and every pair of a drop that admits no learned
-    region, carry zeros.
+    moment-based bisection and ``slaa``/``slwa`` the learned closed form from
+    their entry of ``learned`` (``selflearn_calibration``).  Infeasible pairs,
+    and every pair of a drop that admits no learned region, carry zeros.
     """
     out = np.zeros((3, cfg.num_cues, cfg.num_vues))
     sigma2, gamma_c, bw = cfg.noise_power_w, cfg.sinr_min_cue, cfg.bandwidth_hz
     p_max_c, p_max_d = cfg.p_max_cue_w, cfg.p_max_vue_w
     if method in SELF_LEARNING_MODES:
-        mode = SELF_LEARNING_MODES[method]
-        anchors, r_d = selflearn_calibration(cfg, link, mode, sample_d, sample_x, k_star)
+        anchor_c, anchor_d, r_d = learned[SELF_LEARNING_MODES[method]]
         if r_d is None or r_d <= 0:
             return out
     elif method != "brra":
@@ -165,12 +160,10 @@ def _solve_pairs(cfg, link, method, sample_d, sample_x, k_star) -> np.ndarray:
                 sol = bernstein.bisection_power_allocation(
                     bernstein_pair_params(cfg, link, j, s), cfg.bisection_xi_w)
             elif method in SELF_LEARNING_MODES:
-                anc = anchors[s] if j == s else _anchor(
-                    cfg, link, mode, sample_d, sample_x, k_star, j, s)
-                if anc is None:
+                if np.isnan(anchor_c[j, s]):
                     continue
                 sol = selflearn.closed_form_power(
-                    selflearn.AffineUncertaintySet(anc[0], anc[1], r_d),
+                    selflearn.AffineUncertaintySet(anchor_c[j, s], anchor_d[j, s], r_d),
                     link.g_c[j], link.g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
             else:
                 sol = baselines.solve_corner(g_d[s], g_x[j, s], g_c[j], g_b[s], gamma_c,
@@ -191,9 +184,10 @@ def _evaluate(
     assignment: ReuseAssignment,
     test_err_d: np.ndarray,
     test_err_x: np.ndarray,
+    gains: dict,
 ) -> MethodDropStats:
     """Score the matched pairs on the held-out draws, given as error powers:
-    only the transmitting pairs' gains are formed."""
+    only the transmitting pairs' gains are formed, once per drop in ``gains``."""
     sigma2 = cfg.noise_power_w
     outages = []
     sinr_means = []
@@ -205,7 +199,9 @@ def _evaluate(
             continue
         transmitting += 1
         p_c, p_d = matrix.p_c_w[j, s], matrix.p_d_w[j, s]
-        g_d, g_x = channel.pair_true_gains(link, test_err_d, test_err_x, j, s)
+        if (j, s) not in gains:
+            gains[j, s] = channel.pair_true_gains(link, test_err_d, test_err_x, j, s)
+        g_d, g_x = gains[j, s]
         sinr = channel.sinr_vue(p_c, p_d, g_d, g_x, sigma2)
         outages.append(float(np.mean(sinr < cfg.sinr_min_vue)))
         sinr_means.append(float(np.mean(sinr)))
@@ -233,7 +229,8 @@ def run_drop(
     j, s = cfg.num_cues, cfg.num_vues
     n = cfg.sample_count
 
-    if SELF_LEARNING_MODES.keys() & set(methods):
+    modes = tuple(mode for name, mode in SELF_LEARNING_MODES.items() if name in methods)
+    if modes:
         # learning samples: amplitude-composed around the block estimate, so
         # the sampled gains carry the full estimate-error interaction
         sample_d = np.abs(channel.sample_true_channel(
@@ -241,22 +238,24 @@ def run_drop(
         sample_x = np.abs(channel.sample_true_channel(
             np.broadcast_to(link.h_hat_cross, (n, j, s)), link.lam, rng)) ** 2 * link.omega_cross
         k_star = selflearn.calibration_index(n, cfg.outage_prob, cfg.varsigma)
+        learned = selflearn_calibration(cfg, link, modes, sample_d, sample_x, k_star)
     else:
         # no method reads the samples: skip their draws, keeping the stream
         channel.discard_fading(rng, (n, s))
         channel.discard_fading(rng, (n, j, s))
-        sample_d = sample_x = k_star = None
+        learned = None
     # held-out evaluation: error powers, from which _evaluate forms the
     # power-composed gains of the pairs it scores
     test_err = channel.draw_realizations(link, rng, cfg.test_count)
 
     results = {}
+    gains = {}
     for name in methods:
-        pairs = _solve_pairs(cfg, link, name, sample_d, sample_x, k_star)
+        pairs = _solve_pairs(cfg, link, name, learned)
         matrix = build_capacity_matrix(*pairs, link.g_c, cfg.p_max_cue_w, cfg.noise_power_w,
                                        cfg.bandwidth_hz)
         assignment, _ = hungarian_max_weight(matrix)
-        results[name] = _evaluate(cfg, link, matrix, assignment, *test_err)
+        results[name] = _evaluate(cfg, link, matrix, assignment, *test_err, gains)
     return DropResult(drop_index=drop_index, lam=link.lam, methods=results)
 
 
@@ -326,13 +325,6 @@ def drop_rows(cfg: ScenarioConfig, methods, drops: int, **tags) -> list[dict]:
                 "feasibility_rate": stats.feasibility_rate, "pair_outage": stats.pair_outage,
             })
     return rows
-
-
-def aggregate_drops(cfg: ScenarioConfig, methods, drops: int) -> dict[str, dict[str, float]]:
-    """Mean capacity / outage / SINR / feasibility per method over ``drops``."""
-    rows = drop_rows(cfg, methods, drops)
-    return {name: summarize_method([r for r in rows if r["method"] == name])
-            for name in methods}
 
 
 SWEEP_COLUMNS = (

@@ -17,7 +17,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# special functions / combinatorics
+# special functions, combinatorics and closed-form definitions
 # ---------------------------------------------------------------------------
 
 def j0_series_reference(x: float, dps: int = 60) -> float:
@@ -51,6 +51,53 @@ def calibration_index_exact(n: int, beta: Fraction, varsigma: Fraction) -> int:
         if running >= target:
             return k
     raise ValueError("no index k <= n satisfies the confidence bound")
+
+
+def sinr_cue(
+    p_c_w: float | np.ndarray,
+    p_d_w: float | np.ndarray,
+    g_c: float | np.ndarray,
+    g_b: float | np.ndarray,
+    noise_w: float,
+) -> float | np.ndarray:
+    """SINR of a CUE at the gNB under interference from its reusing VUE."""
+    return np.asarray(p_c_w) * np.asarray(g_c) / (
+        noise_w + np.asarray(p_d_w) * np.asarray(g_b)
+    )
+
+
+def dual_feasibility_check(
+    p_c_w: float,
+    p_d_w: float,
+    z: float,
+    anchor,
+    sigma2: float,
+    rtol: float = 1e-9,
+) -> bool:
+    """Verify the dual certificate of a self-learning solution against its
+    ``selflearn.AffineUncertaintySet``: z*r_d >= sigma^2, z*anchor_d <= p_d,
+    z*anchor_c >= p_c and z >= 0 (within relative tolerance)."""
+    slack = 1.0 + rtol
+    return (
+        z >= -rtol
+        and z * anchor.r_d * slack >= sigma2
+        and z * anchor.anchor_d_w <= p_d_w * slack
+        and z * anchor.anchor_c_w * slack >= p_c_w
+    )
+
+
+def measure_gaps(
+    c_opt: np.ndarray, c_bernstein: np.ndarray, c_selflearn: np.ndarray,
+    tol: float = 1e-9,
+) -> tuple[float, float]:
+    """Mean capacity reductions vs the optimum of the moment-robust (d1) and
+    the self-learning (d2) method; robust methods never beat the optimum."""
+    c_opt = np.asarray(c_opt, float)
+    d1 = c_opt - np.asarray(c_bernstein, float)
+    d2 = c_opt - np.asarray(c_selflearn, float)
+    if np.any(d1 < -tol) or np.any(d2 < -tol):
+        raise AssertionError("a robust method exceeded the perfect-CSI optimum")
+    return float(np.mean(d1)), float(np.mean(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +257,10 @@ def initial_feasible_reference(
 ) -> tuple[tuple[float, float] | None, str]:
     """Self-learning anchor by direct search, plus the branch that chose it.
 
-    Same contract as ``selflearn.initial_feasible``, evaluated literally: the
-    full sampled requirement is recomputed and partitioned at every one of the
-    60 bisection midpoints and 64 QoS grid points.  The branch is one of
+    The contract of ``selflearn.initial_feasible`` for one mode and pair,
+    evaluated literally: the full sampled requirement is recomputed and
+    partitioned at every one of the 60 bisection midpoints and 64 QoS grid
+    points.  The branch is one of
     ``"no_gain"``, ``"uncoverable"``, ``"zero_power"``, ``"cap"``,
     ``"bisection"``, or either of the last two followed by ``"+grid"`` when
     the QoS grid was searched (with ``"-none"`` appended when it found nothing).

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import stats
@@ -62,12 +63,14 @@ class SelfLearnSolution:
 # calibration
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def calibration_index(n: int, beta: float, varsigma: float) -> int:
     """Smallest k with sum_{t=0}^{k-1} C(n,t)(1-beta)^t beta^(n-t) >= 1-varsigma.
 
     Computed through the regularized binomial CDF (log-space stable inside
-    scipy).  Raises NoValidIndexError when even k = n fails, i.e. when
-    (1-beta)^n > varsigma and the sample set must be enlarged.
+    scipy), once per argument triple: every drop of a run asks again.
+    Raises NoValidIndexError when even k = n fails, i.e. when (1-beta)^n >
+    varsigma and the sample set must be enlarged; exceptions are not cached.
     """
     if not (0.0 < beta < 1.0 and 0.0 < varsigma < 1.0):
         raise ValueError("beta and varsigma must lie in (0,1)")
@@ -91,25 +94,22 @@ def calibration_index(n: int, beta: float, varsigma: float) -> int:
 def map_samples(
     g_d: np.ndarray,
     g_cross: np.ndarray,
-    anchors: list[tuple[float, float] | None],
+    anchor_c: np.ndarray,
+    anchor_d: np.ndarray,
     gamma_min_d: float,
 ) -> np.ndarray:
     """Map each joint sample to min_s (anchor_d*g_d/Gamma_d - anchor_c*g_x).
 
     ``g_d`` and ``g_cross`` are the (N, S) sampled direct and crosstalk gains
-    of the S designated pairs.  ``anchors`` hold one (p_c, p_d) pair per
-    designated VUE; pairs without an anchor (no feasible initial solution)
-    are left out of the min.  At least one anchored pair is required.
+    of the S designated pairs, ``anchor_c`` and ``anchor_d`` their (S,)
+    anchor powers; pairs without an anchor (NaN) are left out of the min,
+    and at least one anchored pair is required.
     """
-    cols = []
-    for s, anc in enumerate(anchors):
-        if anc is None:
-            continue
-        p_c, p_d = anc
-        cols.append(p_d * g_d[:, s] / gamma_min_d - p_c * g_cross[:, s])
-    if not cols:
+    cols = ~np.isnan(anchor_c)
+    if not cols.any():
         raise ValueError("no anchored pairs to calibrate against")
-    return np.min(np.stack(cols, axis=1), axis=1)
+    return np.min(anchor_d[cols] * g_d[:, cols] / gamma_min_d
+                  - anchor_c[cols] * g_cross[:, cols], axis=1)
 
 
 def calibrate_radius(mapped: np.ndarray, k_star: int) -> float:
@@ -134,12 +134,13 @@ WORST = "worst"
 AVERAGE = "average"
 
 
+@np.errstate(all="ignore")   # inf and NaN requirements fit under no cap
 def initial_feasible(
-    mode: str,
+    modes: tuple[str, ...],
     sample_g_d: np.ndarray,
     sample_g_x: np.ndarray,
-    g_c: float,
-    g_b: float,
+    g_c: np.ndarray,
+    g_b: np.ndarray,
     gamma_min_c: float,
     gamma_min_d: float,
     sigma2: float,
@@ -147,123 +148,134 @@ def initial_feasible(
     p_max_d: float,
     coverage_count: int | None = None,
     trim_count: int = 0,
-) -> tuple[float, float] | None:
-    """Anchor power pair from the sampled uncertain gains of one candidate pair.
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Anchor power pairs of every candidate pair (CUE j, VUE s), per mode.
 
-    ``worst`` anchors at the per-link worst sample combination (min direct
-    gain, max crosstalk), trimmed of the ``trim_count`` most extreme draws
-    per tail: absolute extremes of a few thousand draws protect far beyond
-    the coverage level the calibration can certify, at the price of emptying
-    the feasible set.  ``average`` anchors at the sample means.
+    Takes the (N, S) sampled direct and (N, J, S) crosstalk gains and the
+    (J,) CUE and (S,) VUE-to-gNB gains; returns, per mode in ``modes``, the
+    (J, S) CUE and VUE anchor powers, NaN where there is no anchor.
+    ``worst`` anchors at the per-link worst samples (min direct gain, max
+    crosstalk) less the ``trim_count`` most extreme per tail, which would
+    protect beyond the level the calibration certifies; ``average`` anchors
+    at the sample means.  Either anchor must keep k = ``coverage_count``
+    samples in its half-space, or the learned region degenerates.
 
-    Either way the anchor must keep nearly all samples inside its own
-    half-space, otherwise the learned region degenerates; ``coverage_count``
-    adds the empirical requirement line to the anchor's defining constraints.
-    The VUE power required at CUE power p is ``max(eff(p), k-th smallest
-    f_n(p))`` with the effective-gain line ``eff(p) = Gamma_d (sigma^2 +
-    p g_x_eff) / g_d_eff`` and the sampled requirements ``f_n(p) = Gamma_d
-    (sigma^2 + p g_x[n]) / max(g_d[n], 1e-300)``.  The anchor is the
-    capacity-greedy corner of those constraints: full CUE power when the VUE
-    cap P allows it, otherwise the largest CUE power a 60-step bisection
-    finds whose requirement fits under P.  When that corner violates the CUE
-    QoS slack ``p g_c / Gamma_c - r g_b - sigma^2 >= 0`` (r the requirement),
-    there is no anchor.
+    At CUE power p the anchor needs VUE power ``max(eff(p), k-th smallest
+    f_n(p))``, with ``eff(p) = Gamma_d (sigma^2 + p g_x_eff) / g_d_eff`` and
+    ``f_n(p) = Gamma_d (sigma^2 + p g_x[n]) / max(g_d[n], 1e-300)``.  It takes
+    full CUE power if the VUE cap P allows, else the largest CUE power a
+    60-step bisection finds within P, and none if that corner breaks the
+    CUE QoS slack ``p g_c / Gamma_c - r g_b - sigma^2 >= 0`` (r the VUE
+    power).  The definition (``oracles.initial_feasible_reference``) then
+    tries a 64-point grid below the corner, in vain while sigma^2 > 0: each
+    slack is affine in p and at most -sigma^2 at p = 0, which rounding could
+    undo only past a CUE SNR of some 130 dB.  So ``sigma2 <= 0`` is rejected.
 
-    The definition (``oracles.initial_feasible_reference``) then searches
-    the 64-point grid ``t p_c``, t = 1/64 .. 1, below the corner, but with
-    sigma^2 > 0 the grid never finds a point.  Each sample's slack is affine
-    in p and at most -sigma^2 at p = 0, so a sample (or the eff line) that
-    fails at the corner has real slack at most -sigma^2/64 at every grid
-    point with t <= 63/64; at t = 1 the grid repeats the corner's test.
-    Rounding can flip that sign only when ``p g_c / Gamma_c`` exceeds about
-    1e13 sigma^2, a CUE SNR of some 130 dB.  Hence ``sigma2 <= 0`` is
-    rejected.
-
-    No step needs the k-th smallest f_n itself.  Each f_n(p) only multiplies,
-    adds and divides by nonnegative numbers, and IEEE rounding is monotone,
-    so f_n is nondecreasing in p; for the same reason the slack is
-    nonincreasing in r.  Hence, exactly in floating point:
-
-    ``max(eff, k-th smallest f_n) <= P``  iff  ``eff <= P`` and at least k
-    of the ``f_n <= P``.
-
-    The bisection counts over the samples whose test is still open: those
-    that pass at ``lo`` and fail at ``hi``.  A sample failing at a midpoint
-    that becomes ``lo`` fails at every later midpoint and is dropped; one
-    passing at a midpoint that becomes ``hi`` passes at every later one and
-    is counted once.  Only the returned VUE power takes a partition.  The
-    result equals, bit for bit, that of evaluating the definition literally.
+    f_n and eff only multiply, add and divide nonnegative numbers and IEEE
+    rounding is monotone, so both are nondecreasing in p, exactly; with n(p)
+    = #{n: f_n(p) <= P}, the need fits iff eff(p) <= P and n(p) >= k.
+    Bracket lemma: if L <= U and n(L) >= k > n(U), then n(p) >= k iff n(U) +
+    #{open n: f_n(p) <= P} >= k for every p, the open samples being those
+    that fit at L but not at U (those fitting at U fit below U, those
+    failing at L fail from L on).  L and U lie 1e-9 either side of the k-th
+    largest root ``(P g_d / Gamma_d - sigma^2) / g_x``, clipped to [0,
+    p_max_c], and the condition is checked with the exact f_n.  Where it
+    fails (roots miss by up to ~1e3 ulps as ``P g_d / Gamma_d`` nears
+    sigma^2) the bracket widens to [0, p_max_c], where it holds if the pair
+    binds (n(p_max_c) < k) and can be covered (n(0) >= k).  All of this is
+    per pair, shared by the modes; the bisections of every mode and pair run
+    in lockstep as arrays, and the result equals, bit for bit, the
+    definition evaluated pair by pair.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    n = sample_g_d.shape[0]
-    if mode == WORST:
-        t = min(max(trim_count, 0), n - 1)
-        g_d_eff = float(np.partition(sample_g_d, t)[t])
-        g_x_eff = float(np.partition(sample_g_x, n - 1 - t)[n - 1 - t])
-    elif mode == AVERAGE:
-        g_d_eff = float(np.mean(sample_g_d))
-        g_x_eff = float(np.mean(sample_g_x))
-    else:
-        raise ValueError(f"unknown anchor mode {mode!r}")
-    if g_d_eff <= 0:
-        return None
+    n, num_j, num_s = sample_g_x.shape
+    rows = num_j * num_s                       # one row per pair, j-major
+    vue = np.tile(np.arange(num_s), num_j)
+    # contiguous per-pair samples: a strided layout slows every operation
+    # below, and a column-wise mean over it rounds differently
+    g_d = np.ascontiguousarray(sample_g_d.T)
+    g_x = np.ascontiguousarray(sample_g_x.reshape(n, rows).T)
+    g_d_floor = np.maximum(g_d, 1e-300)
 
+    def sampled_req(p, gx, gd):
+        return gamma_min_d * (sigma2 + p * gx) / gd
+
+    g_d_eff, g_x_eff = np.empty((2, len(modes), rows))
+    for m, mode in enumerate(modes):
+        if mode == WORST:
+            t = min(max(trim_count, 0), n - 1)
+            g_d_eff[m] = np.partition(g_d, t, axis=1)[vue, t]
+            g_x_eff[m] = np.partition(g_x, n - 1 - t, axis=1)[:, n - 1 - t]
+        elif mode == AVERAGE:
+            g_d_eff[m], g_x_eff[m] = g_d.mean(axis=1)[vue], g_x.mean(axis=1)
+        else:
+            raise ValueError(f"unknown anchor mode {mode!r}")
+
+    # sample side, per pair: ``free`` pairs never bind, ``covered`` ones can
+    # fit k samples at all; ``need`` of a pair's open samples, packed left
+    # into a NaN-padded array, must fit
     k = None if coverage_count is None else min(max(coverage_count, 1), n)
-    g_d_floor = np.maximum(sample_g_d, 1e-300)
-
-    def eff_req(p_c):
-        return gamma_min_d * (sigma2 + p_c * g_x_eff) / g_d_eff
-
-    def sampled_req(p_c, g_x, g_d):
-        return gamma_min_d * (sigma2 + p_c * g_x) / g_d
-
-    top = None if k is None else sampled_req(p_max_c, sample_g_x, g_d_floor)
-    fits_top = eff_req(p_max_c) <= p_max_d
-    if k is not None and fits_top:
-        fits_top = np.count_nonzero(top <= p_max_d) >= k
-    if fits_top:
-        p_c, sampled = p_max_c, top
-    else:
-        if not eff_req(0.0) <= p_max_d:
-            return None  # not coverable even without any crosstalk
-        if k is not None:
-            pass_zero = sampled_req(0.0, sample_g_x, g_d_floor) <= p_max_d
-            pass_top = top <= p_max_d
-            need = k - np.count_nonzero(pass_top)  # passes still missing
-            if np.count_nonzero(pass_zero) < k:
-                return None
-            open_ = pass_zero & ~pass_top
-            g_x_open, g_d_open = sample_g_x[open_], g_d_floor[open_]
-        lo, hi = 0.0, p_max_c  # largest p_c whose requirement fits under the cap
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fits = eff_req(mid) <= p_max_d
-            if fits and k is not None:
-                ok = sampled_req(mid, g_x_open, g_d_open) <= p_max_d
-                hits = np.count_nonzero(ok)
-                fits = hits >= need
-                if fits:
-                    keep = ok  # the failing samples fail at every later midpoint
-                else:
-                    need -= hits  # the passing ones pass at every later midpoint
-                    keep = ~ok
-                g_x_open, g_d_open = g_x_open[keep], g_d_open[keep]
-            if fits:
-                lo = mid
-            else:
-                hi = mid
-        p_c, sampled = lo, None
-    if p_c <= 0:
-        return None
-    req = eff_req(p_c)  # the VUE power the corner requires
+    free, covered = np.ones((2, rows), bool)
+    need = np.zeros(rows, int)
+    gx_open = gd_open = np.ones((rows, 0))
     if k is not None:
-        if sampled is None:
-            sampled = sampled_req(p_c, sample_g_x, g_d_floor)
-        req = max(req, float(np.partition(sampled, k - 1)[k - 1]))
-    if p_c * g_c / gamma_min_c - req * g_b - sigma2 < 0:
-        return None  # and so would the QoS grid below the corner: see above
-    return p_c, min(req, p_max_d)
+        top = sampled_req(p_max_c, g_x.reshape(num_j, num_s, n), g_d_floor).reshape(rows, n)
+        pass_top = top <= p_max_d
+        free = np.count_nonzero(pass_top, axis=1) >= k
+        bind = np.flatnonzero(~free)
+        gx_b, gd_b = g_x[bind], g_d_floor[vue[bind]]
+        roots = (p_max_d * gd_b / gamma_min_d - sigma2) / gx_b   # checked below
+        t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
+        pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
+        pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
+        wide = (np.count_nonzero(pass_lo, axis=1) < k) | (np.count_nonzero(pass_hi, axis=1) >= k)
+        pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
+        pass_hi[wide] = pass_top[bind[wide]]
+        covered[bind] = np.count_nonzero(pass_lo, axis=1) >= k
+        need[bind] = k - np.count_nonzero(pass_hi, axis=1)
+        open_ = pass_lo & ~pass_hi
+        width = np.count_nonzero(open_, axis=1)
+        r, c = np.nonzero(open_)
+        col = np.arange(r.size) - np.repeat(np.cumsum(width) - width, width)
+        gx_open = np.full((rows, width.max(initial=0)), np.nan)
+        gd_open = np.ones_like(gx_open)
+        gx_open[bind[r], col], gd_open[bind[r], col] = gx_b[r, c], gd_b[r, c]
+
+    has_gain = g_d_eff > 0
+    at_cap = has_gain & free & (sampled_req(p_max_c, g_x_eff, g_d_eff) <= p_max_d)
+    fits_0 = sampled_req(0.0, g_x_eff, g_d_eff) <= p_max_d
+    search = np.flatnonzero(has_gain & ~at_cap & covered & fits_0)
+
+    # lockstep bisection over every (mode, pair) that searches
+    pair = search % rows
+    gx_e, gd_e = g_x_eff.ravel()[search], g_d_eff.ravel()[search]
+    gx_o, gd_o, need_o = gx_open[pair], gd_open[pair], need[pair]
+    lo, hi = np.zeros(search.size), np.full(search.size, p_max_c)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fits = ((sampled_req(mid, gx_e, gd_e) <= p_max_d)
+                & ((sampled_req(mid[:, None], gx_o, gd_o) <= p_max_d).sum(axis=1) >= need_o))
+        lo = np.where(fits, mid, lo)
+        hi = np.where(fits, hi, mid)
+
+    p_c = np.where(at_cap, p_max_c, 0.0)
+    p_c.ravel()[search] = lo
+    req = sampled_req(p_c, g_x_eff, g_d_eff)
+    if k is not None:   # max with the k-th smallest sampled requirement
+        cap_rows = np.flatnonzero(at_cap.any(axis=0))
+        kth_cap = np.full(rows, np.nan)
+        kth_cap[cap_rows] = np.partition(top[cap_rows], k - 1, axis=1)[:, k - 1]
+        req = np.where(at_cap, np.maximum(req, kth_cap), req)
+        at = np.flatnonzero(lo > 0)   # searches that found an anchor
+        kth = np.partition(sampled_req(lo[at, None], g_x[pair[at]], g_d_floor[vue[pair[at]]]),
+                           k - 1, axis=1)[:, k - 1]
+        req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
+    slack = p_c * np.repeat(g_c, num_s) / gamma_min_c - req * g_b[vue] - sigma2
+    anchored = (p_c > 0) & ~(slack < 0)
+    p_c = np.where(anchored, p_c, np.nan).reshape(len(modes), num_j, num_s)
+    p_d = np.where(anchored, np.minimum(req, p_max_d), np.nan).reshape(len(modes), num_j, num_s)
+    return {mode: (p_c[m], p_d[m]) for m, mode in enumerate(modes)}
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +355,3 @@ def closed_form_power(
     cap, branch, z, p_c, p_d = best
     return SelfLearnSolution(True, p_c, p_d, cap, branch, z, c)
 
-
-def dual_feasibility_check(
-    p_c_w: float,
-    p_d_w: float,
-    z: float,
-    anchor: AffineUncertaintySet,
-    sigma2: float,
-    rtol: float = 1e-9,
-) -> bool:
-    """Verify the dual certificate: z*r_d >= sigma^2, z*anchor_d <= p_d,
-    z*anchor_c >= p_c and z >= 0 (within relative tolerance)."""
-    slack = 1.0 + rtol
-    return (
-        z >= -rtol
-        and z * anchor.r_d * slack >= sigma2
-        and z * anchor.anchor_d_w <= p_d_w * slack
-        and z * anchor.anchor_c_w * slack >= p_c_w
-    )

@@ -1,10 +1,11 @@
-"""The counting anchor search against the literal one, compared with exact ==.
+"""The array anchor search against the literal one, compared with exact ==.
 
-``selflearn.initial_feasible`` counts samples under the cap instead of
-partitioning them at every bisection step, and skips the QoS grid that
-cannot succeed with positive noise; ``oracles.initial_feasible_reference``
-evaluates the definition literally.  The two must agree bit for bit, not
-within a tolerance.
+``selflearn.initial_feasible`` solves every (mode, CUE j, VUE s) anchor of a
+drop at once: it brackets each pair's coverage threshold, bisects all pairs
+in lockstep and skips the QoS grid that cannot succeed with positive noise.
+``oracles.initial_feasible_reference`` evaluates the definition literally,
+one pair and one mode at a time.  The two must agree bit for bit, not within
+a tolerance.
 """
 
 from collections import Counter
@@ -13,15 +14,52 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from v2xalloc import harness, oracles, selflearn
 from v2xalloc.selflearn import AVERAGE, WORST, initial_feasible
 
 TIED = (0.0, 0.25, 1.0, 2.5)   # few distinct values: ties, and g_d = 0 hits the 1e-300 floor
+MODES = (WORST, AVERAGE)
+
+
+def assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
+    """Compare every (mode, j, s) anchor with the reference; return its branches."""
+    got = initial_feasible(modes, g_d, g_x, g_c, g_b, *args, **kwargs)
+    branches = Counter()
+    for mode in modes:
+        p_c, p_d = got[mode]
+        for j, s in np.ndindex(p_c.shape):
+            expected, branch = oracles.initial_feasible_reference(
+                mode, g_d[:, s], g_x[:, j, s], g_c[j], g_b[s], *args, **kwargs)
+            anchor = None if np.isnan(p_c[j, s]) else (p_c[j, s], p_d[j, s])
+            assert anchor == expected, (mode, j, s, kwargs)
+            branches[branch] += 1
+    return branches
+
+
+def bracket_widens(g_d, g_x, gamma_min_d, sigma2, p_max_c, p_max_d, coverage_count, **_):
+    """Whether one pair binds, can cover its k samples, and still fails the
+    analytic bracket's check, so that its search takes the [0, p_max_c]
+    bracket (the definition in ``initial_feasible``'s docstring)."""
+    if coverage_count is None:
+        return False
+    k = min(max(coverage_count, 1), g_d.size)
+    g_d = np.maximum(g_d, 1e-300)
+
+    def fitting(p):
+        return np.count_nonzero(gamma_min_d * (sigma2 + p * g_x) / g_d <= p_max_d)
+
+    if not fitting(p_max_c) < k <= fitting(0.0):
+        return False
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_k = np.sort((p_max_d * g_d / gamma_min_d - sigma2) / g_x)[g_d.size - k]
+    lower, upper = (np.clip(t_k * (1 + e), 0.0, p_max_c) for e in (-1e-9, 1e-9))
+    return not fitting(lower) >= k > fitting(upper)
 
 
 @st.composite
-def anchor_cases(draw):
+def single_pair_cases(draw):
     n = draw(st.integers(1, 40))
     if draw(st.booleans()):
         gain = st.sampled_from(TIED)
@@ -30,48 +68,98 @@ def anchor_cases(draw):
     g_d = np.array(draw(st.lists(gain, min_size=n, max_size=n)))
     g_x = np.array(draw(st.lists(gain, min_size=n, max_size=n)))
     coverage = draw(st.one_of(st.none(), st.just(1), st.just(n), st.integers(-2, n + 2)))
-    scalars = dict(
-        g_c=draw(st.floats(0.05, 3.0)),
-        g_b=draw(st.floats(0.0, 1.5)),
+    kwargs = dict(
         gamma_min_c=draw(st.floats(0.5, 3.0)),
         gamma_min_d=draw(st.floats(0.5, 3.0)),
         sigma2=draw(st.floats(0.01, 0.3)),
         p_max_c=draw(st.floats(0.2, 2.0)),
         p_max_d=draw(st.floats(0.2, 2.0)),
+        coverage_count=coverage, trim_count=draw(st.integers(0, n + 1)),
     )
-    mode = draw(st.sampled_from([WORST, AVERAGE]))
-    trim = draw(st.integers(0, n + 1))
-    return (mode, g_d, g_x), dict(scalars, coverage_count=coverage, trim_count=trim)
+    g_c = np.array([draw(st.floats(0.05, 3.0))])
+    g_b = np.array([draw(st.floats(0.0, 1.5))])
+    return draw(st.sampled_from(MODES)), g_d[:, None], g_x[:, None, None], g_c, g_b, kwargs
 
 
 @settings(deadline=None, max_examples=300)
-@given(anchor_cases())
+@given(single_pair_cases())
 def test_anchor_matches_reference_exactly(case):
-    args, kwargs = case
-    expected, _ = oracles.initial_feasible_reference(*args, **kwargs)
-    assert initial_feasible(*args, **kwargs) == expected
+    mode, g_d, g_x, g_c, g_b, kwargs = case
+    assert_matches_reference((mode,), g_d, g_x, g_c, g_b, **kwargs)
+
+
+@st.composite
+def drop_cases(draw):
+    """Up to 4 x 4 pairs sharing their VUE's direct-gain samples.
+
+    ``near_noise`` puts P g_d / Gamma_d within parts per million or per
+    trillion of sigma^2, where the analytic roots lose their accuracy; ``tied`` draws
+    the gains from four values, so thresholds tie at the k-th; large direct
+    gains put the threshold at or past p_max_c, tiny ones at or below 0.
+    """
+    n, num_j, num_s = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    kwargs = dict(
+        gamma_min_c=draw(st.floats(0.5, 3.0)), gamma_min_d=draw(st.floats(0.5, 3.0)),
+        sigma2=draw(st.floats(0.01, 0.3)), p_max_c=draw(st.floats(0.2, 2.0)),
+        p_max_d=draw(st.floats(0.2, 2.0)),
+        coverage_count=draw(st.one_of(st.none(), st.just(1), st.just(n),
+                                      st.integers(-2, n + 2))),
+        trim_count=draw(st.integers(0, n + 1)),
+    )
+    kind = draw(st.sampled_from(("near_noise", "tied", "spread")))
+    if kind == "near_noise":
+        edge = kwargs["sigma2"] * kwargs["gamma_min_d"] / kwargs["p_max_d"]
+        offset = st.one_of(st.floats(-2e-12, 8e-12), st.floats(-2e-6, 8e-6))
+        g_d = edge * (1.0 + draw(arrays(float, (n, num_s), elements=offset)))
+        g_x = draw(arrays(float, (n, num_j, num_s),
+                          elements=st.one_of(st.floats(1e-18, 1e-12), st.floats(1e-9, 1e-3))))
+    elif kind == "tied":
+        g_d = draw(arrays(float, (n, num_s), elements=st.sampled_from(TIED)))
+        g_x = draw(arrays(float, (n, num_j, num_s), elements=st.sampled_from(TIED)))
+    else:
+        scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+        g_d = scale * draw(arrays(float, (n, num_s), elements=st.floats(0.0, 4.0)))
+        g_x = draw(arrays(float, (n, num_j, num_s), elements=st.floats(0.0, 4.0)))
+    g_c = draw(arrays(float, num_j, elements=st.floats(0.05, 3.0)))
+    g_b = draw(arrays(float, num_s, elements=st.floats(0.0, 1.5)))
+    return g_d, g_x, g_c, g_b, kwargs
+
+
+@settings(deadline=None, max_examples=200)
+@given(drop_cases())
+def test_every_pair_of_every_mode_matches_reference(case):
+    g_d, g_x, g_c, g_b, kwargs = case
+    assert_matches_reference(MODES, g_d, g_x, g_c, g_b, **kwargs)
 
 
 def random_case(rng, sigma_sign=1.0):
     n = int(rng.integers(1, 40))
-    if rng.random() < 0.3:
-        g_d, g_x = rng.choice(TIED, n), rng.choice(TIED, n)
-    else:
-        g_d = rng.exponential(1.0, n) * rng.uniform(0.2, 3.0)
-        g_x = rng.exponential(1.0, n) * rng.uniform(0.01, 3.0)
-    coverage = (None, 1, n, int(rng.integers(1, n + 1)))[int(rng.integers(4))]
+    num_j, num_s = (int(v) for v in rng.integers(1, 4, 2))
     kwargs = dict(
-        g_c=rng.uniform(0.1, 3.0), g_b=rng.uniform(0.0, 1.5),
         gamma_min_c=rng.uniform(0.5, 3.0), gamma_min_d=rng.uniform(0.5, 3.0),
         sigma2=sigma_sign * rng.uniform(0.01, 0.3),
         p_max_c=rng.uniform(0.2, 2.0), p_max_d=rng.uniform(0.2, 2.0),
-        coverage_count=coverage, trim_count=int(rng.integers(0, 3)),
+        coverage_count=(None, 1, n, int(rng.integers(1, n + 1)))[int(rng.integers(4))],
+        trim_count=int(rng.integers(0, 3)),
     )
-    return ((WORST, AVERAGE)[int(rng.integers(2))], g_d, g_x), kwargs
+    kind = rng.random()
+    if kind < 0.3:
+        g_d, g_x = rng.choice(TIED, (n, num_s)), rng.choice(TIED, (n, num_j, num_s))
+    elif kind < 0.5:
+        edge = abs(kwargs["sigma2"]) * kwargs["gamma_min_d"] / kwargs["p_max_d"]
+        offset = 10.0 ** rng.uniform(-15, -5, (n, num_s)) * rng.choice((-0.25, 1.0), (n, num_s))
+        g_d = edge * (1.0 + offset)
+        g_x = 10.0 ** rng.uniform(-18, -3, (n, num_j, num_s))
+    else:
+        g_d = rng.exponential(1.0, (n, num_s)) * rng.uniform(0.2, 3.0)
+        g_x = rng.exponential(1.0, (n, num_j, num_s)) * rng.uniform(0.01, 3.0)
+    g_c, g_b = rng.uniform(0.1, 3.0, num_j), rng.uniform(0.0, 1.5, num_s)
+    return g_d, g_x, g_c, g_b, kwargs
 
 
 def test_every_branch_reached_and_matched():
-    """Randomized instances reach every branch of the search.
+    """Randomized instances reach every branch of the search, and the
+    widened bracket.
 
     With positive noise the QoS grid can never find a feasible point: each
     sample's slack is affine in the CUE power and negative at zero, so a
@@ -81,19 +169,27 @@ def test_every_branch_reached_and_matched():
     """
     rng = np.random.default_rng(20260810)
     branches = Counter()
-    for i in range(3000):
-        args, kwargs = random_case(rng, sigma_sign=-1.0 if i % 5 == 0 else 1.0)
-        expected, branch = oracles.initial_feasible_reference(*args, **kwargs)
+    widened = 0
+    for i in range(1500):
+        g_d, g_x, g_c, g_b, kwargs = random_case(rng, sigma_sign=-1.0 if i % 5 == 0 else 1.0)
         if kwargs["sigma2"] < 0:
             with pytest.raises(ValueError):
-                initial_feasible(*args, **kwargs)
+                initial_feasible(MODES, g_d, g_x, g_c, g_b, **kwargs)
             continue
-        assert initial_feasible(*args, **kwargs) == expected, (args, kwargs)
-        branches[branch] += 1
+        branches += assert_matches_reference(MODES, g_d, g_x, g_c, g_b, **kwargs)
+        widened += sum(bracket_widens(g_d[:, s], g_x[:, j, s], **kwargs)
+                       for j, s in np.ndindex(g_x.shape[1:]))
     for branch in ("no_gain", "uncoverable", "cap", "bisection",
                    "cap+grid-none", "bisection+grid-none"):
         assert branches[branch] >= 10, branches
     assert branches["cap+grid"] == branches["bisection+grid"] == 0
+    assert widened >= 10
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError):
+        initial_feasible(("best",), np.ones((3, 1)), np.ones((3, 1, 1)), np.ones(1),
+                         np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("speed", [40.0, 80.0, 160.0])
@@ -101,12 +197,9 @@ def test_anchor_matches_reference_on_real_drops(small_cfg, speed, monkeypatch):
     fast = selflearn.initial_feasible
     branches = Counter()
 
-    def checked(*args, **kwargs):
-        expected, branch = oracles.initial_feasible_reference(*args, **kwargs)
-        got = fast(*args, **kwargs)
-        assert got == expected
-        branches[branch] += 1
-        return got
+    def checked(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
+        branches.update(assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs))
+        return fast(modes, g_d, g_x, g_c, g_b, *args, **kwargs)
 
     monkeypatch.setattr(selflearn, "initial_feasible", checked)
     cfg = small_cfg.replace(vehicle_speed_kmh=speed)

@@ -8,6 +8,13 @@ from v2xalloc.config import ConfigError
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
 
 
+def aggregate_drops(cfg, methods, drops):
+    """Summary statistics per method over ``drops`` standalone drops."""
+    rows = harness.drop_rows(cfg, methods, drops)
+    return {name: harness.summarize_method([r for r in rows if r["method"] == name])
+            for name in methods}
+
+
 def drops_equal(a, b) -> bool:
     if a.lam != b.lam or set(a.methods) != set(b.methods):
         return False
@@ -130,7 +137,7 @@ def test_dominance_of_mean_gain_optimum(small_cfg):
 def test_apra_less_feasible_than_nrra_at_tiny_vue_budget(small_cfg):
     # with a 0 dBm VUE cap the inflated threshold forfeits feasibility first
     cfg = small_cfg.replace(p_max_vue_dbm=0.0)
-    agg = harness.aggregate_drops(cfg, ("nrra", "apra"), 12)
+    agg = aggregate_drops(cfg, ("nrra", "apra"), 12)
     assert agg["apra"]["feasibility_rate"] < agg["nrra"]["feasibility_rate"]
 
 
@@ -174,7 +181,7 @@ def test_single_point_sweep_equals_standalone_drops(small_cfg):
     methods = ("opt", "nrra")
     spec = SweepSpec(param="speed", grid=(80.0,), drops=3, methods=methods)
     rows = run_sweep(spec, small_cfg)
-    direct = harness.aggregate_drops(small_cfg.replace(vehicle_speed_kmh=80.0), methods, 3)
+    direct = aggregate_drops(small_cfg.replace(vehicle_speed_kmh=80.0), methods, 3)
     for row in rows:
         ref = direct[row["method"]]
         assert math.isclose(row["mean_cue_capacity_bps"], ref["mean_cue_capacity_bps"], rel_tol=1e-12)

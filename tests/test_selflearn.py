@@ -14,7 +14,6 @@ from v2xalloc.selflearn import (
     calibration_index,
     closed_form_power,
     corner_constants,
-    dual_feasibility_check,
     initial_feasible,
     map_samples,
 )
@@ -66,7 +65,8 @@ def test_calibration_index_rejects_bad_args():
 # ---------------------------------------------------------------------------
 
 def test_radius_single_sample_single_pair():
-    mapped = map_samples(np.array([[2.0]]), np.array([[0.5]]), [(0.3, 0.8)], gamma_min_d=1.0)
+    mapped = map_samples(np.array([[2.0]]), np.array([[0.5]]), np.array([0.3]), np.array([0.8]),
+                         gamma_min_d=1.0)
     # anchor maps the lone sample to p_d*g_d/Gamma - p_c*g_x
     assert math.isclose(mapped[0], 0.8 * 2.0 - 0.3 * 0.5, rel_tol=1e-12)
     assert calibrate_radius(mapped, 1) == mapped[0]
@@ -97,11 +97,12 @@ def test_radius_rejects_bad_index():
 
 def test_map_samples_skips_unanchored_pairs(rng):
     g_d, g_x = rng.uniform(1, 2, (50, 3)), rng.uniform(0, 1, (50, 3))
-    full = map_samples(g_d, g_x, [(1.0, 1.0)] * 3, 1.0)
-    partial = map_samples(g_d, g_x, [(1.0, 1.0), None, (1.0, 1.0)], 1.0)
+    ones, gap = np.ones(3), np.array([1.0, np.nan, 1.0])
+    full = map_samples(g_d, g_x, ones, ones, 1.0)
+    partial = map_samples(g_d, g_x, gap, gap, 1.0)
     assert np.all(partial >= full - 1e-15)
     with pytest.raises(ValueError):
-        map_samples(g_d, g_x, [None, None, None], 1.0)
+        map_samples(g_d, g_x, np.full(3, np.nan), np.full(3, np.nan), 1.0)
 
 
 def test_coverage_guarantee_on_synthetic_distribution(rng):
@@ -124,11 +125,20 @@ ANCHOR_ARGS = dict(g_c=1.0, g_b=0.02, gamma_min_c=2.0, gamma_min_d=1.0,
                    sigma2=0.05, p_max_c=1.0, p_max_d=1.0)
 
 
+def anchor_of(mode, g_d, g_x, coverage_count, trim_count=0):
+    """Anchor of the single pair of (n,) samples: a (p_c, p_d) tuple or None."""
+    args = dict(ANCHOR_ARGS, g_c=np.array([ANCHOR_ARGS["g_c"]]),
+                g_b=np.array([ANCHOR_ARGS["g_b"]]))
+    p_c, p_d = initial_feasible((mode,), g_d[:, None], g_x[:, None, None], **args,
+                                coverage_count=coverage_count, trim_count=trim_count)[mode]
+    return None if np.isnan(p_c[0, 0]) else (p_c[0, 0], p_d[0, 0])
+
+
 def test_anchor_degenerate_sample_set_makes_modes_agree(rng):
     g_d = np.full(200, 1.4)
     g_x = np.full(200, 0.08)
-    worst = initial_feasible(WORST, g_d, g_x, **ANCHOR_ARGS, coverage_count=195, trim_count=5)
-    avg = initial_feasible(AVERAGE, g_d, g_x, **ANCHOR_ARGS, coverage_count=195)
+    worst = anchor_of(WORST, g_d, g_x, coverage_count=195, trim_count=5)
+    avg = anchor_of(AVERAGE, g_d, g_x, coverage_count=195)
     assert worst is not None and avg is not None
     assert np.allclose(worst, avg)
 
@@ -140,7 +150,7 @@ def test_anchor_single_sample_equals_deterministic_solution():
     g_x = np.array([0.07])
     ref = solve_corner(1.1, 0.07, **ANCHOR_ARGS, bandwidth_hz=1.0)
     for mode in (WORST, AVERAGE):
-        anc = initial_feasible(mode, g_d, g_x, **ANCHOR_ARGS, coverage_count=1)
+        anc = anchor_of(mode, g_d, g_x, coverage_count=1)
         assert anc is not None
         assert math.isclose(anc[0], ref.p_c_w, rel_tol=1e-9)
         assert math.isclose(anc[1], ref.p_d_w, rel_tol=1e-9)
@@ -152,8 +162,8 @@ def test_anchor_worst_needs_more_vue_power_than_average(rng):
     for _ in range(40):
         g_d = rng.uniform(0.5, 2.0) * (0.3 + rng.exponential(1.0, 300))
         g_x = rng.uniform(0.003, 0.03) * rng.exponential(1.0, 300)
-        worst = initial_feasible(WORST, g_d, g_x, **ANCHOR_ARGS, coverage_count=290, trim_count=10)
-        avg = initial_feasible(AVERAGE, g_d, g_x, **ANCHOR_ARGS, coverage_count=290)
+        worst = anchor_of(WORST, g_d, g_x, coverage_count=290, trim_count=10)
+        avg = anchor_of(AVERAGE, g_d, g_x, coverage_count=290)
         if worst is None or avg is None:
             continue
         total += 1
@@ -165,7 +175,7 @@ def test_anchor_covers_requested_sample_count(rng):
     g_d = rng.exponential(1.0, 500) + 0.05
     g_x = 0.05 * rng.exponential(1.0, 500)
     cover = 490
-    anc = initial_feasible(AVERAGE, g_d, g_x, **ANCHOR_ARGS, coverage_count=cover)
+    anc = anchor_of(AVERAGE, g_d, g_x, coverage_count=cover)
     assert anc is not None
     p_c, p_d = anc
     ok = p_d * g_d / ANCHOR_ARGS["gamma_min_d"] - p_c * g_x >= ANCHOR_ARGS["sigma2"] * (1 - 1e-9)
@@ -176,7 +186,7 @@ def test_anchor_infeasible_when_uncoverable():
     # crosstalk too strong for any power pair under the caps
     g_d = np.full(50, 1e-6)
     g_x = np.full(50, 10.0)
-    assert initial_feasible(WORST, g_d, g_x, **ANCHOR_ARGS, coverage_count=50) is None
+    assert anchor_of(WORST, g_d, g_x, coverage_count=50) is None
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +268,7 @@ def test_closed_form_solutions_pass_dual_check(rng):
         sol = closed_form_power(anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"],
                                 inst["sigma2"], inst["p_max_c"], inst["p_max_d"])
         if sol.feasible:
-            assert dual_feasibility_check(
+            assert oracles.dual_feasibility_check(
                 sol.p_c_w, sol.p_d_w, sol.z_star, anchor, inst["sigma2"])
 
 
@@ -266,8 +276,8 @@ def test_dual_check_boundary_and_degenerate_cases():
     anchor = AffineUncertaintySet(1.0, 0.05, 0.01)
     sigma2 = 0.05
     z = sigma2 / anchor.r_d
-    assert dual_feasibility_check(1.0, z * anchor.anchor_d_w, z, anchor, sigma2)
-    assert not dual_feasibility_check(1.0, 0.25, 0.0, anchor, sigma2)  # z=0, sigma2>0
+    assert oracles.dual_feasibility_check(1.0, z * anchor.anchor_d_w, z, anchor, sigma2)
+    assert not oracles.dual_feasibility_check(1.0, 0.25, 0.0, anchor, sigma2)  # z=0, sigma2>0
 
 
 def test_corner_constants_guard_nonpositive_denominator():
