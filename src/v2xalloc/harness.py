@@ -177,42 +177,37 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
 # drops
 # ---------------------------------------------------------------------------
 
-def _evaluate(
-    cfg: ScenarioConfig,
-    link: channel.LinkState,
-    matrix: CapacityMatrix,
-    assignment: ReuseAssignment,
-    test_err_d: np.ndarray,
-    test_err_x: np.ndarray,
-    gains: dict,
-) -> MethodDropStats:
-    """Score the matched pairs on the held-out draws, given as error powers:
-    only the transmitting pairs' gains are formed, once per drop in ``gains``."""
-    sigma2 = cfg.noise_power_w
-    outages = []
-    sinr_means = []
-    transmitting = 0
-    total = 0.0
-    for j, s in zip(range(assignment.column_of_row.shape[0]), assignment.column_of_row):
-        total += matrix.capacity[j, s]
-        if matrix.is_virtual(s) or matrix.capacity[j, s] <= 0.0:
-            continue
-        transmitting += 1
-        p_c, p_d = matrix.p_c_w[j, s], matrix.p_d_w[j, s]
-        if (j, s) not in gains:
-            gains[j, s] = channel.pair_true_gains(link, test_err_d, test_err_x, j, s)
-        g_d, g_x = gains[j, s]
-        sinr = channel.sinr_vue(p_c, p_d, g_d, g_x, sigma2)
-        outages.append(float(np.mean(sinr < cfg.sinr_min_vue)))
-        sinr_means.append(float(np.mean(sinr)))
-    return MethodDropStats(
-        assignment=assignment,
-        matrix=matrix,
-        sum_capacity_bps=float(total),
-        pair_outage=np.asarray(outages),
-        mean_vue_sinr=float(np.mean(sinr_means)) if sinr_means else float("nan"),
-        feasibility_rate=transmitting / cfg.num_vues,
-    )
+def _evaluate(cfg, link, solved, test_err_d, test_err_x) -> dict[str, MethodDropStats]:
+    """Score the transmitting matched pairs of every method in ``solved``
+    (name -> matrix, assignment) on the held-out draws, given as error
+    powers.  Each pair's gains are formed once, for all methods that score
+    it, and dropped before the next pair's."""
+    scorers = {}
+    for name, (matrix, assignment) in solved.items():
+        for j, s in enumerate(assignment.column_of_row):
+            if not matrix.is_virtual(s) and matrix.capacity[j, s] > 0.0:
+                scorers.setdefault((j, s), []).append(name)
+    scored = {name: {} for name in solved}   # row -> (outage, mean SINR)
+    for (j, s), names in scorers.items():
+        g_d, g_x = channel.pair_true_gains(link, test_err_d, test_err_x, j, s)
+        for name in names:
+            matrix = solved[name][0]
+            sinr = channel.sinr_vue(matrix.p_c_w[j, s], matrix.p_d_w[j, s], g_d, g_x,
+                                    cfg.noise_power_w)
+            scored[name][j] = float(np.mean(sinr < cfg.sinr_min_vue)), float(np.mean(sinr))
+    results = {}
+    for name, (matrix, assignment) in solved.items():
+        rows = [scored[name][j] for j in sorted(scored[name])]
+        results[name] = MethodDropStats(
+            assignment=assignment,
+            matrix=matrix,
+            sum_capacity_bps=float(sum(matrix.capacity[j, s]
+                                       for j, s in enumerate(assignment.column_of_row))),
+            pair_outage=np.asarray([outage for outage, _ in rows]),
+            mean_vue_sinr=float(np.mean([m for _, m in rows])) if rows else float("nan"),
+            feasibility_rate=len(rows) / cfg.num_vues,
+        )
+    return results
 
 
 def run_drop(
@@ -248,15 +243,14 @@ def run_drop(
     # power-composed gains of the pairs it scores
     test_err = channel.draw_realizations(link, rng, cfg.test_count)
 
-    results = {}
-    gains = {}
+    solved = {}
     for name in methods:
         pairs = _solve_pairs(cfg, link, name, learned)
         matrix = build_capacity_matrix(*pairs, link.g_c, cfg.p_max_cue_w, cfg.noise_power_w,
                                        cfg.bandwidth_hz)
-        assignment, _ = hungarian_max_weight(matrix)
-        results[name] = _evaluate(cfg, link, matrix, assignment, *test_err, gains)
-    return DropResult(drop_index=drop_index, lam=link.lam, methods=results)
+        solved[name] = matrix, hungarian_max_weight(matrix)[0]
+    return DropResult(drop_index=drop_index, lam=link.lam,
+                      methods=_evaluate(cfg, link, solved, *test_err))
 
 
 # ---------------------------------------------------------------------------
