@@ -148,8 +148,8 @@ def large_scale_gain(
 
 def rayleigh_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """Circular complex normal CN(0,1) draws (unit-mean power Rayleigh envelope)."""
-    re = rng.normal(0.0, np.sqrt(0.5), size=size)
-    im = rng.normal(0.0, np.sqrt(0.5), size=size)
+    re = rng.standard_normal(size) * np.sqrt(0.5)
+    im = rng.standard_normal(size) * np.sqrt(0.5)
     return re + 1j * im
 
 
@@ -157,9 +157,9 @@ def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> Non
     """Advance ``rng`` exactly as ``rayleigh_fading(rng, size)`` would, without
     forming the draws.
 
-    ``normal(0, s)`` consumes the stream as ``standard_normal`` does, so the
-    two draws of each coefficient are taken as standard normals into one
-    reused buffer of at most DISCARD_CHUNK floats.
+    ``rayleigh_fading`` scales two blocks of standard normals, so the same
+    count of standard normals is drawn here into one reused buffer of at most
+    DISCARD_CHUNK floats.
     """
     left = 2 * int(np.prod(size))
     buf = np.empty(min(left, DISCARD_CHUNK))
@@ -186,7 +186,7 @@ def sample_true_channel(
 
 def error_power(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """|e|^2 draws for e ~ CN(0,1): unit-mean exponential."""
-    return rng.exponential(1.0, size=size)
+    return rng.standard_exponential(size)
 
 
 def v2v_true_gain(

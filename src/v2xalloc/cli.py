@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import baselines, harness, selflearn, validate
+from . import baselines, harness, selflearn
 from .channel import bessel_j0, doppler_coefficient
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 
@@ -136,6 +136,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import validate  # its oracles pull in mpmath, which no other command needs
+
     ok = validate.run_validation(seed=args.seed)
     return 0 if ok else 1
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 
 class ConfigError(ValueError):
     """Raised for malformed configuration files, keys or values."""
@@ -208,6 +206,8 @@ def config_from_mapping(mapping: dict[str, Any]) -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Load a YAML key-value configuration file, rejecting unknown keys."""
+    import yaml  # only a config file needs it
+
     try:
         data = yaml.safe_load(Path(path).read_text())
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:

@@ -149,9 +149,10 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
         if r_d is None or r_d <= 0:
             return out
     elif method != "brra":
-        g_d, g_x, g_c, g_b = (
+        # Python floats: solve_corner runs faster on them than on numpy scalars
+        g_d, g_x, g_c, g_b = (a.tolist() for a in (
             (link.g_bar_d, link.g_bar_cross, link.g_c, link.g_b) if method == "opt"
-            else (link.omega_d, link.omega_cross, link.omega_c, link.omega_b))
+            else (link.omega_d, link.omega_cross, link.omega_c, link.omega_b)))
         gamma_d = (baselines.apra_threshold(cfg.sinr_min_vue, cfg.outage_prob)
                    if method == "apra" else cfg.sinr_min_vue)
     for j in range(cfg.num_cues):
@@ -166,7 +167,7 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
                     selflearn.AffineUncertaintySet(anchor_c[j, s], anchor_d[j, s], r_d),
                     link.g_c[j], link.g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
             else:
-                sol = baselines.solve_corner(g_d[s], g_x[j, s], g_c[j], g_b[s], gamma_c,
+                sol = baselines.solve_corner(g_d[s], g_x[j][s], g_c[j], g_b[s], gamma_c,
                                              gamma_d, sigma2, p_max_c, p_max_d, bw)
             if sol.feasible:
                 out[:, j, s] = sol.capacity_bps, sol.p_c_w, sol.p_d_w

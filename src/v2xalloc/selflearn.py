@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .channel import cue_capacity_bps
 
@@ -67,10 +67,16 @@ class SelfLearnSolution:
 def calibration_index(n: int, beta: float, varsigma: float) -> int:
     """Smallest k with sum_{t=0}^{k-1} C(n,t)(1-beta)^t beta^(n-t) >= 1-varsigma.
 
-    Computed through the regularized binomial CDF (log-space stable inside
-    scipy), once per argument triple: every drop of a run asks again.
-    Raises NoValidIndexError when even k = n fails, i.e. when (1-beta)^n >
-    varsigma and the sample set must be enlarged; exceptions are not cached.
+    The sum is the Bin(n, 1-beta) CDF at k-1, ``special.bdtr(k-1, n, 1-beta)``,
+    nondecreasing in k, so an integer bisection over 1..n finds k in about
+    log2(n) evaluations.  Computed once per argument triple: every drop of a
+    run asks again.  Raises NoValidIndexError when even k = n fails, as when
+    (1-beta)^n > varsigma, so the sample set must be enlarged; exceptions are
+    not cached.
+
+    Where the CDF equals 1-varsigma exactly (beta = varsigma = 1/2 and odd n,
+    where Pr{X <= (n-1)/2} = 1/2), the float CDF decides the tie either way,
+    so k may differ by one from the exact rational answer.
     """
     if not (0.0 < beta < 1.0 and 0.0 < varsigma < 1.0):
         raise ValueError("beta and varsigma must lie in (0,1)")
@@ -80,15 +86,16 @@ def calibration_index(n: int, beta: float, varsigma: float) -> int:
         raise NoValidIndexError(
             f"no k <= {n} reaches confidence {1 - varsigma}; increase the sample count"
         )
-    k = int(stats.binom.ppf(1.0 - varsigma, n, 1.0 - beta)) + 1
-    # guard the float inversion: enforce minimality exactly at the boundary
-    while k > 1 and stats.binom.cdf(k - 2, n, 1.0 - beta) >= 1.0 - varsigma:
-        k -= 1
-    while k <= n and stats.binom.cdf(k - 1, n, 1.0 - beta) < 1.0 - varsigma:
-        k += 1
-    if k > n:
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if special.bdtr(mid - 1, n, 1.0 - beta) >= 1.0 - varsigma:
+            hi = mid
+        else:
+            lo = mid + 1
+    if special.bdtr(lo - 1, n, 1.0 - beta) < 1.0 - varsigma:
         raise NoValidIndexError(f"no k <= {n} reaches confidence {1 - varsigma}")
-    return k
+    return lo
 
 
 def map_samples(

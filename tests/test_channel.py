@@ -249,3 +249,17 @@ def test_discard_fading_leaves_the_stream_where_sampling_does(size):
     assert channel.discard_fading(skipped, size) is None
     assert skipped.bit_generator.state == drawn.bit_generator.state
     assert np.array_equal(skipped.normal(size=5), drawn.normal(size=5))
+
+
+@pytest.mark.parametrize("size", [(7,), (6000, 16), (6000, 16, 16)])
+def test_draws_equal_the_scaled_distribution_calls(size):
+    """error_power and rayleigh_fading give the values and leave the stream
+    state of exponential(1.0, size) and two normal(0, sqrt(1/2), size) calls."""
+    new, old = np.random.default_rng(7), np.random.default_rng(7)
+    assert np.array_equal(channel.error_power(new, size), old.exponential(1.0, size=size))
+    assert new.bit_generator.state == old.bit_generator.state
+    fading = channel.rayleigh_fading(new, size)
+    re = old.normal(0.0, np.sqrt(0.5), size=size)
+    im = old.normal(0.0, np.sqrt(0.5), size=size)
+    assert np.array_equal(fading.real, re) and np.array_equal(fading.imag, im)
+    assert new.bit_generator.state == old.bit_generator.state

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from v2xalloc import oracles
 from v2xalloc.selflearn import (
@@ -48,9 +51,19 @@ def test_calibration_index_vacuous_confidence():
 
 
 def test_calibration_index_too_few_samples():
-    # (1-beta)^n > varsigma: no admissible index
-    with pytest.raises(NoValidIndexError):
-        calibration_index(10, 0.05, 0.05)
+    # (1-beta)^n > varsigma: no admissible index; 1 - 0.95 is how the config
+    # forms varsigma for the sample_count=10 that the config and CLI reject
+    for varsigma in (0.05, 1 - 0.95):
+        with pytest.raises(NoValidIndexError):
+            calibration_index(10, 0.05, varsigma)
+
+
+def test_calibration_index_float_cdf_short_at_k_equals_n():
+    # varsigma = (1-beta)^n passes the pre-check, but the float CDF at n-1
+    # falls an ulp short of 1-varsigma: the bisection's last check rejects it
+    for n, beta in ((2, 0.01), (4, 0.02)):
+        with pytest.raises(NoValidIndexError):
+            calibration_index(n, beta, (1 - beta) ** n)
 
 
 def test_calibration_index_rejects_bad_args():
@@ -58,6 +71,79 @@ def test_calibration_index_rejects_bad_args():
         calibration_index(0, 0.1, 0.1)
     with pytest.raises(ValueError):
         calibration_index(10, 0.0, 0.1)
+
+
+def assert_calibration_boundary(n, beta, varsigma, k):
+    """k is the smallest index whose Bin(n, 1-beta) CDF at k-1 reaches
+    1-varsigma, by scipy.stats, which serves only as a test oracle here."""
+    cdf = stats.binom(n, 1.0 - beta).cdf
+    assert 1 <= k <= n
+    assert cdf(k - 1) >= 1.0 - varsigma > cdf(k - 2)
+
+
+# every (N, beta, varsigma) a config, test, script or benchmark runs with, with
+# varsigma = 1 - confidence as ScenarioConfig forms it, and its index k*
+REPO_INDICES = {
+    (3000, 0.05, 1 - 0.95): 2870,   # defaults, configs/default.yaml, the benchmark
+    (400, 0.05, 1 - 0.95): 388,     # the small_cfg fixtures
+    (300, 0.05, 1 - 0.95): 292,     # CLI and script tests
+    (3000, 0.05, 0.05): 2870,       # acceptance criterion 9
+    (500, 0.1, 0.1): 460,
+    (400, 0.1, 0.1): 369,           # validate's coverage check
+    (50, 0.1, 0.1): 49,
+    (500, 0.05, 0.1): 482,
+    (37, 0.3, 0.1): 30,
+    (1, 0.5, 0.5): 1,
+    (5, 0.2, 1 - 0.5 * 0.2**5): 1,
+    (50, 0.5, 1 - 0.5 * 0.5**50): 1,
+    (200, 0.9, 1 - 0.5 * 0.9**200): 1,
+}
+
+
+@pytest.mark.parametrize("n,beta,varsigma", sorted(REPO_INDICES))
+def test_calibration_index_of_every_repo_scenario(n, beta, varsigma):
+    k = calibration_index(n, beta, varsigma)
+    assert k == REPO_INDICES[n, beta, varsigma]
+    assert_calibration_boundary(n, beta, varsigma, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 299, 1000, 3000, 10_000])
+def test_calibration_index_boundary_on_a_grid(n):
+    # beta = varsigma = 1/2 is left out: for odd n the CDF at (n-1)/2 is 1/2
+    # exactly, a tie that float evaluation cannot decide
+    for beta in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
+        for varsigma in (0.01, 0.05, 0.1, 0.2, 0.5):
+            if beta == varsigma == 0.5:
+                continue
+            if (1.0 - beta) ** n > varsigma:
+                with pytest.raises(NoValidIndexError):
+                    calibration_index(n, beta, varsigma)
+            else:
+                assert_calibration_boundary(n, beta, varsigma,
+                                            calibration_index(n, beta, varsigma))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 300), st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.2, 0.3]),
+       st.sampled_from([0.01, 0.05, 0.1, 0.2]))
+def test_calibration_index_equals_exact_oracle(n, beta, varsigma):
+    try:
+        exact = oracles.calibration_index_exact(
+            n, Fraction(str(beta)), Fraction(str(varsigma)))
+    except ValueError:
+        with pytest.raises(NoValidIndexError):
+            calibration_index(n, beta, varsigma)
+    else:
+        assert calibration_index(n, beta, varsigma) == exact
+
+
+def test_calibration_index_failure_is_not_cached():
+    calibration_index.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NoValidIndexError):
+            calibration_index(10, 0.05, 0.05)
+    info = calibration_index.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 # ---------------------------------------------------------------------------
