@@ -40,7 +40,7 @@ def solve_corner(
     sigma2: float,
     p_max_c: float,
     p_max_d: float,
-    bandwidth_hz: float = 1.0,
+    bandwidth_hz: float,
 ) -> CornerSolution:
     """Maximize the CUE rate subject to both QoS lines and the power box.
 

@@ -19,41 +19,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import cue_capacity_bps
 
 
-@dataclass(frozen=True)
-class DistributionFamily:
+class MomentBounds(NamedTuple):
     """Moment bounds of a normalized perturbation family on [-1, 1]."""
 
-    variant: str
     mu_minus: float
     mu_plus: float
     sigma: float
 
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.mu_minus <= self.mu_plus <= 1.0:
-            raise ValueError("need -1 <= mu_minus <= mu_plus <= 1")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
 
-    @classmethod
-    def from_name(cls, name: str) -> "DistributionFamily":
-        try:
-            return _FAMILY_TABLE[name]
-        except KeyError:
-            raise ValueError(f"unknown family {name!r}; choose from {list(_FAMILY_TABLE)}")
-
-
-# validated once; ``instances.random_bernstein_params`` indexes this order
-_FAMILY_TABLE = {family.variant: family for family in (
-    DistributionFamily("bounded", -1.0, 1.0, 0.0),
-    DistributionFamily("unimodal_bounded", -0.5, 0.5, 1.0 / math.sqrt(12.0)),
-    DistributionFamily("unimodal_symmetric", 0.0, 0.0, 1.0 / math.sqrt(3.0)),
-)}
+# the module docstring's table, by ``ScenarioConfig.bernstein_family`` name;
+# ``instances.random_bernstein_params`` indexes this order
+FAMILIES = {
+    "bounded": MomentBounds(-1.0, 1.0, 0.0),
+    "unimodal_bounded": MomentBounds(-0.5, 0.5, 1.0 / math.sqrt(12.0)),
+    "unimodal_symmetric": MomentBounds(0.0, 0.0, 1.0 / math.sqrt(3.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -68,7 +55,7 @@ class BernsteinParams:
     g_bar_cross: float
     g_hat_d: float
     g_hat_cross: float
-    family: DistributionFamily
+    family: MomentBounds
     beta: float
     gamma_min_d: float
     sigma2: float
@@ -77,7 +64,7 @@ class BernsteinParams:
     gamma_min_c: float
     p_max_c: float
     p_max_d: float
-    bandwidth_hz: float = 1.0
+    bandwidth_hz: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
@@ -182,7 +169,7 @@ def _finalize(p_c_w: float, p_d_w: float, params: BernsteinParams, iterations: i
     return BisectionResult(True, p_c_w, p_d_w, cap, iterations)
 
 
-def bisection_power_allocation(params: BernsteinParams, xi_w: float | None = None) -> BisectionResult:
+def bisection_power_allocation(params: BernsteinParams, xi_w: float) -> BisectionResult:
     """Bisection on the VUE power with a closed-form inner CUE-power step.
 
     Shrinks [0, p_max_d] toward the VUE power whose inner solution hits the
@@ -192,8 +179,6 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float | None = Non
     runs out of room, on p_d = p_max_d.  Infeasible instances report zero
     capacity.  Iterations never exceed ceil(log2(p_max_d/xi)) + 1.
     """
-    if xi_w is None:
-        xi_w = 1e-4 * params.p_max_d
     if not 0.0 < xi_w < params.p_max_d:
         raise ValueError("termination threshold must lie in (0, p_max_d)")
     max_iter = math.ceil(math.log2(params.p_max_d / xi_w)) + 1

@@ -45,19 +45,17 @@ J0_DOMAIN_MAX = 50.0
 DISCARD_CHUNK = 1 << 16   # normals per draw into the reused buffer of discard_fading
 
 
-def bessel_j0(x: float | np.ndarray) -> float | np.ndarray:
+def bessel_j0(x: float) -> float:
     """Zero-order Bessel function of the first kind on the validated range |x| <= 50.
 
     Raises ValueError outside the documented validity range (the temporal
     correlation model never needs larger arguments).
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not math.isfinite(x):
         raise ValueError("bessel_j0 requires finite input")
-    if np.any(np.abs(arr) > J0_DOMAIN_MAX):
+    if abs(x) > J0_DOMAIN_MAX:
         raise ValueError(f"bessel_j0 argument outside validity range |x| <= {J0_DOMAIN_MAX}")
-    out = special.j0(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return float(special.j0(x))
 
 
 def doppler_coefficient(speed_kmh: float, carrier_hz: float, delay_s: float) -> float:
@@ -70,7 +68,7 @@ def doppler_coefficient(speed_kmh: float, carrier_hz: float, delay_s: float) -> 
     if speed_kmh < 0 or carrier_hz <= 0 or delay_s <= 0:
         raise ValueError("need speed_kmh >= 0, carrier_hz > 0, delay_s > 0")
     f_doppler = (speed_kmh / 3.6) * carrier_hz / SPEED_OF_LIGHT_M_S
-    lam = float(bessel_j0(2.0 * np.pi * f_doppler * delay_s))
+    lam = bessel_j0(2.0 * np.pi * f_doppler * delay_s)
     if not 0.0 < lam < 1.0:
         raise ValueError(
             f"doppler coefficient {lam:.6g} outside (0,1); "
@@ -125,25 +123,23 @@ def generate_geometry(cfg: ScenarioConfig, rng: np.random.Generator) -> DropGeom
 
 
 def large_scale_gain(
-    dist_m: np.ndarray | float,
+    dist_m: np.ndarray,
     shadow_sigma_db: float,
     rng: np.random.Generator,
-    *,
-    pathloss_constant_db: float = 128.1,
-    pathloss_exponent_db: float = 37.6,
-) -> np.ndarray | float:
+    pathloss_constant_db: float,
+    pathloss_exponent_db: float,
+) -> np.ndarray:
     """Linear large-scale gain: macro pathloss (distance in km) plus shadowing.
 
-    omega = 10^-(K + E*log10(d_km) + X)/10 with X ~ Normal(0, sigma^2) in dB.
+    omega = 10^-(K + E*log10(d_km) + X)/10 with X ~ Normal(0, sigma^2) in dB,
+    K and E the config's ``pathloss_constant_db`` and ``pathloss_exponent_db``.
     """
-    d = np.asarray(dist_m, dtype=float)
-    if np.any(d <= 0):
+    if np.any(dist_m <= 0):
         raise ValueError("distances must be positive")
-    loss_db = pathloss_constant_db + pathloss_exponent_db * np.log10(d / 1000.0)
+    loss_db = pathloss_constant_db + pathloss_exponent_db * np.log10(dist_m / 1000.0)
     if shadow_sigma_db > 0:
-        loss_db = loss_db + rng.normal(0.0, shadow_sigma_db, size=d.shape)
-    out = 10.0 ** (-loss_db / 10.0)
-    return float(out) if np.isscalar(dist_m) else out
+        loss_db = loss_db + rng.normal(0.0, shadow_sigma_db, size=dist_m.shape)
+    return 10.0 ** (-loss_db / 10.0)
 
 
 def rayleigh_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
@@ -169,19 +165,13 @@ def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> Non
         left -= step
 
 
-def sample_true_channel(
-    h_hat: complex | np.ndarray,
-    lam: float,
-    rng: np.random.Generator,
-    size: int | tuple[int, ...] | None = None,
-) -> complex | np.ndarray:
-    """Draw the true small-scale coefficient h = lam*h_hat + sqrt(1-lam^2)*e."""
+def sample_true_channel(h_hat: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw true small-scale coefficients h = lam*h_hat + sqrt(1-lam^2)*e, one
+    fresh e ~ CN(0, 1) per entry of ``h_hat``."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0,1)")
-    shape = np.shape(h_hat) if size is None else size
-    e = rayleigh_fading(rng, shape if shape != () else 1)
-    out = lam * np.asarray(h_hat) + np.sqrt(1.0 - lam**2) * (e if shape != () else e[0])
-    return out
+    e = rayleigh_fading(rng, h_hat.shape)
+    return lam * h_hat + np.sqrt(1.0 - lam**2) * e
 
 
 def error_power(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:

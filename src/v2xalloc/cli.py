@@ -22,6 +22,8 @@ from . import baselines, harness, selflearn
 from .channel import bessel_j0, doppler_coefficient
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 
+MAX_GRID_POINTS = 10_000   # a START:STEP:END grid asking for more is rejected
+
 
 def config_arguments() -> argparse.ArgumentParser:
     """Parent parser of ``--config`` and ``--set``, which ``resolve_config`` reads."""
@@ -67,6 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _methods(arg: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in arg.split(",") if m.strip())
+    if not methods:
+        raise ConfigError("--methods names no method")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"--methods names a method twice: {arg!r}")
     unknown = set(methods) - set(harness.ALL_METHODS)
     if unknown:
         raise ConfigError(f"unknown methods: {sorted(unknown)}")
@@ -82,16 +88,23 @@ def resolve_config(args: argparse.Namespace, **fields) -> ScenarioConfig:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
+    ranged = ":" in text
     try:
-        if ":" not in text:
-            return tuple(float(p) for p in text.split(","))
-        start, step, end = (float(p) for p in text.split(":"))
+        values = tuple(float(p) for p in text.split(":" if ranged else ","))
+        if ranged:
+            start, step, end = values
     except ValueError:
         raise ConfigError(f"--grid expects START:STEP:END or V1,V2,..., got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--grid values must be finite, got {text!r}")
+    if not ranged:
+        return values
     if step <= 0 or end < start:
         raise ConfigError("--grid requires step > 0 and end >= start")
-    count = math.floor((end - start) / step + 1e-9) + 1  # never past END
-    return tuple(start + i * step for i in range(count))
+    steps = (end - start) / step + 1e-9   # never past END; may overflow to inf
+    if steps >= MAX_GRID_POINTS:
+        raise ConfigError(f"--grid asks for more than {MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(math.floor(steps) + 1))
 
 
 def _log_config(cfg: ScenarioConfig, out: Path | None) -> None:
@@ -126,6 +139,7 @@ def _cmd_sweep(args) -> int:
     cfg = resolve_config(args, rng_seed=args.seed, drops=args.drops)
     spec = harness.SweepSpec(param=args.param, grid=_parse_grid(args.grid), drops=cfg.drops,
                              methods=_methods(args.methods))
+    spec.point_configs(cfg)   # a grid point the model rejects: exit before writing
     _log_config(cfg, args.out)
     raw_path = None
     if args.raw:

@@ -100,12 +100,12 @@ class ScenarioConfig:
         family, a Doppler coefficient outside (0, 1) and a sample count with no
         calibration index k*."""
         # imported here: these modules build on this one
-        from .bernstein import _FAMILY_TABLE
+        from .bernstein import FAMILIES
         from .channel import doppler_coefficient
         from .selflearn import NoValidIndexError, calibration_index
 
-        if self.bernstein_family not in _FAMILY_TABLE:
-            raise ConfigError(f"bernstein_family must be one of {tuple(_FAMILY_TABLE)}")
+        if self.bernstein_family not in FAMILIES:
+            raise ConfigError(f"bernstein_family must be one of {tuple(FAMILIES)}")
         try:
             doppler_coefficient(
                 self.vehicle_speed_kmh, self.carrier_frequency_hz, self.feedback_delay_s)

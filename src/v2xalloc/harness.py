@@ -96,7 +96,7 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
     g_hat_x = min((1.0 - lam2) * float(link.omega_cross[j, s]) * q, g_bar_x)
     return bernstein.BernsteinParams(
         g_bar_d=g_bar_d, g_bar_cross=g_bar_x, g_hat_d=g_hat_d, g_hat_cross=g_hat_x,
-        family=bernstein.DistributionFamily.from_name(cfg.bernstein_family),
+        family=bernstein.FAMILIES[cfg.bernstein_family],
         beta=cfg.outage_prob, gamma_min_d=cfg.sinr_min_vue, sigma2=cfg.noise_power_w,
         g_c=float(link.g_c[j]), g_b=float(link.g_b[s]), gamma_min_c=cfg.sinr_min_cue,
         p_max_c=cfg.p_max_cue_w, p_max_d=cfg.p_max_vue_w, bandwidth_hz=cfg.bandwidth_hz,
@@ -164,7 +164,7 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
                 if np.isnan(anchor_c[j, s]):
                     continue
                 sol = selflearn.closed_form_power(
-                    selflearn.AffineUncertaintySet(anchor_c[j, s], anchor_d[j, s], r_d),
+                    anchor_c[j, s], anchor_d[j, s], r_d,
                     link.g_c[j], link.g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
             else:
                 sol = baselines.solve_corner(g_d[s], g_x[j][s], g_c[j], g_b[s], gamma_c,
@@ -288,6 +288,10 @@ class SweepSpec:
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
 
+    def point_configs(self, cfg: ScenarioConfig) -> list[ScenarioConfig]:
+        """``cfg`` at each grid point; building them validates every point."""
+        return [cfg.replace(**{SWEEP_PARAMS[self.param]: value}) for value in self.grid]
+
 
 def summarize_method(rows) -> dict[str, float]:
     """Mean capacity / outage / SINR / feasibility of one method's drop rows."""
@@ -343,11 +347,9 @@ def run_sweep(
 
     Every grid point's configuration is built, and so validated, before the
     first drop runs."""
-    field_name = SWEEP_PARAMS[spec.param]
-    point_cfgs = [cfg.replace(**{field_name: value}) for value in spec.grid]
     rows: list[dict] = []
     raw_rows: list[dict] = []
-    for value, point_cfg in zip(spec.grid, point_cfgs):
+    for value, point_cfg in zip(spec.grid, spec.point_configs(cfg)):
         point_rows = drop_rows(point_cfg, spec.methods, spec.drops,
                                sweep_param=spec.param, value=value)
         for name in spec.methods:

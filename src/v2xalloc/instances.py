@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bernstein import _FAMILY_TABLE, BernsteinParams, DistributionFamily
-
-FAMILY_NAMES = tuple(_FAMILY_TABLE)
+from .bernstein import FAMILIES, BernsteinParams
 
 
 def _logu(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -26,13 +24,13 @@ def random_bernstein_params(
 ) -> BernsteinParams:
     g_bar_d = _logu(rng, -0.5, 0.5)
     g_bar_x = g_bar_d * _logu(rng, -1.8, -0.4)
-    name = family or FAMILY_NAMES[rng.integers(0, 3)]
+    name = family or tuple(FAMILIES)[rng.integers(0, 3)]
     return BernsteinParams(
         g_bar_d=g_bar_d,
         g_bar_cross=g_bar_x,
         g_hat_d=g_bar_d * float(rng.uniform(0.02, 0.4)),
         g_hat_cross=g_bar_x * float(rng.uniform(0.02, 0.4)),
-        family=DistributionFamily.from_name(name),
+        family=FAMILIES[name],
         beta=beta,
         gamma_min_d=_logu(rng, -0.3, 0.3),
         sigma2=_logu(rng, -2.0, -0.7),

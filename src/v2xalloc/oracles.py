@@ -70,19 +70,21 @@ def dual_feasibility_check(
     p_c_w: float,
     p_d_w: float,
     z: float,
-    anchor,
+    anchor_c_w: float,
+    anchor_d_w: float,
+    r_d: float,
     sigma2: float,
     rtol: float = 1e-9,
 ) -> bool:
     """Verify the dual certificate of a self-learning solution against its
-    ``selflearn.AffineUncertaintySet``: z*r_d >= sigma^2, z*anchor_d <= p_d,
+    anchor powers and radius: z*r_d >= sigma^2, z*anchor_d <= p_d,
     z*anchor_c >= p_c and z >= 0 (within relative tolerance)."""
     slack = 1.0 + rtol
     return (
         z >= -rtol
-        and z * anchor.r_d * slack >= sigma2
-        and z * anchor.anchor_d_w <= p_d_w * slack
-        and z * anchor.anchor_c_w * slack >= p_c_w
+        and z * r_d * slack >= sigma2
+        and z * anchor_d_w <= p_d_w * slack
+        and z * anchor_c_w * slack >= p_c_w
     )
 
 
@@ -252,8 +254,8 @@ def initial_feasible_reference(
     sigma2: float,
     p_max_c: float,
     p_max_d: float,
-    coverage_count: int | None = None,
-    trim_count: int = 0,
+    coverage_count: int,
+    trim_count: int,
 ) -> tuple[tuple[float, float] | None, str]:
     """Self-learning anchor by direct search, plus the branch that chose it.
 
@@ -278,15 +280,13 @@ def initial_feasible_reference(
     if g_d_eff <= 0:
         return None, "no_gain"
 
-    k = None if coverage_count is None else min(max(coverage_count, 1), n)
+    k = min(max(coverage_count, 1), n)
     g_d_floor = np.maximum(sample_g_d, 1e-300)
 
     def required_p_d(p_c: float) -> float:
         req = gamma_min_d * (sigma2 + p_c * g_x_eff) / g_d_eff
-        if k is not None:
-            sampled = gamma_min_d * (sigma2 + p_c * sample_g_x) / g_d_floor
-            req = max(req, float(np.partition(sampled, k - 1)[k - 1]))
-        return req
+        sampled = gamma_min_d * (sigma2 + p_c * sample_g_x) / g_d_floor
+        return max(req, float(np.partition(sampled, k - 1)[k - 1]))
 
     if required_p_d(p_max_c) <= p_max_d:
         p_c, branch = p_max_c, "cap"

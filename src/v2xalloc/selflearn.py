@@ -29,26 +29,6 @@ class NoValidIndexError(ValueError):
 
 
 @dataclass(frozen=True)
-class AffineUncertaintySet:
-    """Learned half-space: anchor pair (watts) and calibrated radius."""
-
-    anchor_c_w: float
-    anchor_d_w: float
-    r_d: float
-
-
-@dataclass(frozen=True)
-class CornerConstants:
-    """Scale-variable bounds of the closed-form solution."""
-
-    upsilon_c: float   # CUE QoS floor along the anchor ray
-    delta_d: float     # dual floor sigma^2 / r_d
-    lambda_d: float    # VUE power-cap ceiling p_max_d / anchor_d
-    lambda_c: float    # CUE power-cap ceiling p_max_c / anchor_c
-    omega_c: float     # CUE QoS ceiling once the CUE cap binds
-
-
-@dataclass(frozen=True)
 class SelfLearnSolution:
     feasible: bool
     p_c_w: float
@@ -56,7 +36,6 @@ class SelfLearnSolution:
     capacity_bps: float
     branch: int        # 1..3 per the closed form, 0 when infeasible
     z_star: float
-    constants: CornerConstants | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +132,8 @@ def initial_feasible(
     sigma2: float,
     p_max_c: float,
     p_max_d: float,
-    coverage_count: int | None = None,
-    trim_count: int = 0,
+    coverage_count: int,
+    trim_count: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Anchor power pairs of every candidate pair (CUE j, VUE s), per mode.
 
@@ -165,7 +144,8 @@ def initial_feasible(
     crosstalk) less the ``trim_count`` most extreme per tail, which would
     protect beyond the level the calibration certifies; ``average`` anchors
     at the sample means.  Either anchor must keep k = ``coverage_count``
-    samples in its half-space, or the learned region degenerates.
+    (clipped to 1..N) samples in its half-space, or the learned region
+    degenerates.
 
     At CUE power p the anchor needs VUE power ``max(eff(p), k-th smallest
     f_n(p))``, with ``eff(p) = Gamma_d (sigma^2 + p g_x_eff) / g_d_eff`` and
@@ -222,32 +202,30 @@ def initial_feasible(
     # sample side, per pair: ``free`` pairs never bind, ``covered`` ones can
     # fit k samples at all; ``need`` of a pair's open samples, packed left
     # into a NaN-padded array, must fit
-    k = None if coverage_count is None else min(max(coverage_count, 1), n)
-    free, covered = np.ones((2, rows), bool)
+    k = min(max(coverage_count, 1), n)
+    top = sampled_req(p_max_c, g_x.reshape(num_j, num_s, n), g_d_floor).reshape(rows, n)
+    pass_top = top <= p_max_d
+    free = np.count_nonzero(pass_top, axis=1) >= k
+    bind = np.flatnonzero(~free)
+    gx_b, gd_b = g_x[bind], g_d_floor[vue[bind]]
+    roots = (p_max_d * gd_b / gamma_min_d - sigma2) / gx_b   # checked below
+    t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
+    pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
+    pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
+    wide = (np.count_nonzero(pass_lo, axis=1) < k) | (np.count_nonzero(pass_hi, axis=1) >= k)
+    pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
+    pass_hi[wide] = pass_top[bind[wide]]
+    covered = np.ones(rows, bool)
+    covered[bind] = np.count_nonzero(pass_lo, axis=1) >= k
     need = np.zeros(rows, int)
-    gx_open = gd_open = np.ones((rows, 0))
-    if k is not None:
-        top = sampled_req(p_max_c, g_x.reshape(num_j, num_s, n), g_d_floor).reshape(rows, n)
-        pass_top = top <= p_max_d
-        free = np.count_nonzero(pass_top, axis=1) >= k
-        bind = np.flatnonzero(~free)
-        gx_b, gd_b = g_x[bind], g_d_floor[vue[bind]]
-        roots = (p_max_d * gd_b / gamma_min_d - sigma2) / gx_b   # checked below
-        t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
-        pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-        pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-        wide = (np.count_nonzero(pass_lo, axis=1) < k) | (np.count_nonzero(pass_hi, axis=1) >= k)
-        pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
-        pass_hi[wide] = pass_top[bind[wide]]
-        covered[bind] = np.count_nonzero(pass_lo, axis=1) >= k
-        need[bind] = k - np.count_nonzero(pass_hi, axis=1)
-        open_ = pass_lo & ~pass_hi
-        width = np.count_nonzero(open_, axis=1)
-        r, c = np.nonzero(open_)
-        col = np.arange(r.size) - np.repeat(np.cumsum(width) - width, width)
-        gx_open = np.full((rows, width.max(initial=0)), np.nan)
-        gd_open = np.ones_like(gx_open)
-        gx_open[bind[r], col], gd_open[bind[r], col] = gx_b[r, c], gd_b[r, c]
+    need[bind] = k - np.count_nonzero(pass_hi, axis=1)
+    open_ = pass_lo & ~pass_hi
+    width = np.count_nonzero(open_, axis=1)
+    r, c = np.nonzero(open_)
+    col = np.arange(r.size) - np.repeat(np.cumsum(width) - width, width)
+    gx_open = np.full((rows, width.max(initial=0)), np.nan)
+    gd_open = np.ones_like(gx_open)
+    gx_open[bind[r], col], gd_open[bind[r], col] = gx_b[r, c], gd_b[r, c]
 
     has_gain = g_d_eff > 0
     at_cap = has_gain & free & (sampled_req(p_max_c, g_x_eff, g_d_eff) <= p_max_d)
@@ -268,16 +246,16 @@ def initial_feasible(
 
     p_c = np.where(at_cap, p_max_c, 0.0)
     p_c.ravel()[search] = lo
+    # max with the k-th smallest sampled requirement
     req = sampled_req(p_c, g_x_eff, g_d_eff)
-    if k is not None:   # max with the k-th smallest sampled requirement
-        cap_rows = np.flatnonzero(at_cap.any(axis=0))
-        kth_cap = np.full(rows, np.nan)
-        kth_cap[cap_rows] = np.partition(top[cap_rows], k - 1, axis=1)[:, k - 1]
-        req = np.where(at_cap, np.maximum(req, kth_cap), req)
-        at = np.flatnonzero(lo > 0)   # searches that found an anchor
-        kth = np.partition(sampled_req(lo[at, None], g_x[pair[at]], g_d_floor[vue[pair[at]]]),
-                           k - 1, axis=1)[:, k - 1]
-        req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
+    cap_rows = np.flatnonzero(at_cap.any(axis=0))
+    kth_cap = np.full(rows, np.nan)
+    kth_cap[cap_rows] = np.partition(top[cap_rows], k - 1, axis=1)[:, k - 1]
+    req = np.where(at_cap, np.maximum(req, kth_cap), req)
+    at = np.flatnonzero(lo > 0)   # searches that found an anchor
+    kth = np.partition(sampled_req(lo[at, None], g_x[pair[at]], g_d_floor[vue[pair[at]]]),
+                       k - 1, axis=1)[:, k - 1]
+    req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
     slack = p_c * np.repeat(g_c, num_s) / gamma_min_c - req * g_b[vue] - sigma2
     anchored = (p_c > 0) & ~(slack < 0)
     p_c = np.where(anchored, p_c, np.nan).reshape(len(modes), num_j, num_s)
@@ -289,7 +267,7 @@ def initial_feasible(
 # closed-form allocation
 # ---------------------------------------------------------------------------
 
-def corner_constants(
+def closed_form_power(
     anchor_c_w: float,
     anchor_d_w: float,
     r_d: float,
@@ -299,60 +277,42 @@ def corner_constants(
     sigma2: float,
     p_max_c: float,
     p_max_d: float,
-) -> CornerConstants:
-    denom = anchor_c_w * g_c - gamma_min_c * anchor_d_w * g_b
-    # a nonpositive denominator means the CUE QoS line cannot be met anywhere
-    # on the anchor ray, so the floor is pushed to +inf
-    upsilon = sigma2 * gamma_min_c / denom if denom > 0 else math.inf
-    omega = (
-        (p_max_c * g_c - sigma2 * gamma_min_c) / (gamma_min_c * anchor_d_w * g_b)
-        if g_b > 0 else math.inf
-    )
-    return CornerConstants(
-        upsilon_c=upsilon,
-        delta_d=sigma2 / r_d if r_d > 0 else math.inf,
-        lambda_d=p_max_d / anchor_d_w,
-        lambda_c=p_max_c / anchor_c_w,
-        omega_c=omega,
-    )
-
-
-def closed_form_power(
-    anchor: AffineUncertaintySet,
-    g_c: float,
-    g_b: float,
-    gamma_min_c: float,
-    sigma2: float,
-    p_max_c: float,
-    p_max_d: float,
-    bandwidth_hz: float = 1.0,
+    bandwidth_hz: float,
 ) -> SelfLearnSolution:
     """Best of the three admissible corner branches of the scale variable.
 
-    Branch 1 scales the anchor to the CUE cap, branch 2 to the VUE cap,
+    The learned half-space is given by its anchor powers (watts) and radius
+    r_d.  Branch 1 scales the anchor to the CUE cap, branch 2 to the VUE cap,
     branch 3 keeps the CUE cap while the dual floor sigma^2/r_d fixes the VUE
     power; when no branch interval is admissible the pair carries zero
     capacity.  (Branch 2 guards its CUE QoS with the ray floor: the printed
     cap-side bound cannot certify a point that sits below the CUE cap.)
     """
     infeasible = SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0)
-    if anchor.r_d <= 0 or anchor.anchor_c_w <= 0 or anchor.anchor_d_w <= 0:
+    if r_d <= 0 or anchor_c_w <= 0 or anchor_d_w <= 0:
         return infeasible
-    c = corner_constants(
-        anchor.anchor_c_w, anchor.anchor_d_w, anchor.r_d,
-        g_c, g_b, gamma_min_c, sigma2, p_max_c, p_max_d,
-    )
-    ac, ad = anchor.anchor_c_w, anchor.anchor_d_w
+    ac, ad = anchor_c_w, anchor_d_w
+    # bounds of the scale z: the CUE QoS floor along the anchor ray (+inf when
+    # a nonpositive denominator means the ray never meets the CUE QoS line),
+    # the dual floor, the two power-cap ceilings and the CUE QoS ceiling once
+    # the CUE cap binds
+    denom = ac * g_c - gamma_min_c * ad * g_b
+    upsilon = sigma2 * gamma_min_c / denom if denom > 0 else math.inf
+    delta = sigma2 / r_d
+    lambda_d = p_max_d / ad
+    lambda_c = p_max_c / ac
+    omega = ((p_max_c * g_c - sigma2 * gamma_min_c) / (gamma_min_c * ad * g_b)
+             if g_b > 0 else math.inf)
 
     candidates: list[tuple[int, float, float, float]] = []
-    if max(c.upsilon_c, c.delta_d) <= c.lambda_c <= min(c.omega_c, c.lambda_d):
-        candidates.append((1, c.lambda_c, p_max_c, p_max_c * ad / ac))
-    if max(c.upsilon_c, c.delta_d) <= c.lambda_d <= c.lambda_c:
-        candidates.append((2, c.lambda_d, p_max_d * ac / ad, p_max_d))
-    if c.lambda_c <= c.delta_d <= min(c.omega_c, c.lambda_d):
-        candidates.append((3, c.delta_d, p_max_c, sigma2 * ad / anchor.r_d))
+    if max(upsilon, delta) <= lambda_c <= min(omega, lambda_d):
+        candidates.append((1, lambda_c, p_max_c, p_max_c * ad / ac))
+    if max(upsilon, delta) <= lambda_d <= lambda_c:
+        candidates.append((2, lambda_d, p_max_d * ac / ad, p_max_d))
+    if lambda_c <= delta <= min(omega, lambda_d):
+        candidates.append((3, delta, p_max_c, sigma2 * ad / r_d))
     if not candidates:
-        return SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0, c)
+        return infeasible
 
     best = None
     for branch, z, p_c, p_d in candidates:
@@ -360,5 +320,4 @@ def closed_form_power(
         if best is None or cap > best[0] + 1e-15:
             best = (cap, branch, z, p_c, p_d)
     cap, branch, z, p_c, p_d = best
-    return SelfLearnSolution(True, p_c, p_d, cap, branch, z, c)
-
+    return SelfLearnSolution(True, p_c, p_d, cap, branch, z)

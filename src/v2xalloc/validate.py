@@ -53,7 +53,7 @@ def check_bisection(rng: np.random.Generator, trials: int = 40) -> tuple[bool, s
     compared = 0
     for _ in range(trials):
         params = instances.random_bernstein_params(rng)
-        res = bernstein.bisection_power_allocation(params)
+        res = bernstein.bisection_power_allocation(params, 1e-4 * params.p_max_d)
         ref = oracles.bernstein_grid_oracle(params, n=300, stages=3)
         if res.feasible and ref is not None:
             compared += 1
@@ -70,10 +70,10 @@ def check_closed_form(rng: np.random.Generator, trials: int = 60) -> tuple[bool,
     compared = 0
     for _ in range(trials):
         inst = instances.random_selflearn_instance(rng)
-        anchor = selflearn.AffineUncertaintySet(inst["anchor_c"], inst["anchor_d"], inst["r_d"])
         sol = selflearn.closed_form_power(
-            anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"], inst["sigma2"],
-            inst["p_max_c"], inst["p_max_d"], inst["bandwidth_hz"])
+            inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"], inst["g_b"],
+            inst["gamma_min_c"], inst["sigma2"], inst["p_max_c"], inst["p_max_d"],
+            inst["bandwidth_hz"])
         ref = oracles.selflearn_z_grid_oracle(
             inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"], inst["g_b"],
             inst["gamma_min_c"], inst["sigma2"], inst["p_max_c"], inst["p_max_d"],

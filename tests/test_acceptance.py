@@ -21,7 +21,7 @@ from v2xalloc.channel import bessel_j0, doppler_coefficient
 from v2xalloc.config import ScenarioConfig
 from v2xalloc.instances import random_bernstein_params, random_selflearn_instance
 from v2xalloc.matching import hungarian_max_weight
-from v2xalloc.selflearn import AffineUncertaintySet, closed_form_power
+from v2xalloc.selflearn import closed_form_power
 
 DROPS = 200
 SWEEP_DROPS = 80
@@ -199,9 +199,9 @@ def test_criterion_6_closed_form_vs_oracle():
     worst = 0.0
     while feasible < 1000:
         inst = random_selflearn_instance(rng)
-        anchor = AffineUncertaintySet(inst["anchor_c"], inst["anchor_d"], inst["r_d"])
-        sol = closed_form_power(anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"],
-                                inst["sigma2"], inst["p_max_c"], inst["p_max_d"])
+        sol = closed_form_power(inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"],
+                                inst["g_b"], inst["gamma_min_c"], inst["sigma2"],
+                                inst["p_max_c"], inst["p_max_d"], 1.0)
         if not sol.feasible:
             continue
         ref = oracles.selflearn_z_grid_oracle(

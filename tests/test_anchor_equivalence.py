@@ -42,8 +42,6 @@ def bracket_widens(g_d, g_x, gamma_min_d, sigma2, p_max_c, p_max_d, coverage_cou
     """Whether one pair binds, can cover its k samples, and still fails the
     analytic bracket's check, so that its search takes the [0, p_max_c]
     bracket (the definition in ``initial_feasible``'s docstring)."""
-    if coverage_count is None:
-        return False
     k = min(max(coverage_count, 1), g_d.size)
     g_d = np.maximum(g_d, 1e-300)
 
@@ -67,7 +65,7 @@ def single_pair_cases(draw):
         gain = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
     g_d = np.array(draw(st.lists(gain, min_size=n, max_size=n)))
     g_x = np.array(draw(st.lists(gain, min_size=n, max_size=n)))
-    coverage = draw(st.one_of(st.none(), st.just(1), st.just(n), st.integers(-2, n + 2)))
+    coverage = draw(st.one_of(st.just(1), st.just(n), st.integers(-2, n + 2)))
     kwargs = dict(
         gamma_min_c=draw(st.floats(0.5, 3.0)),
         gamma_min_d=draw(st.floats(0.5, 3.0)),
@@ -102,8 +100,7 @@ def drop_cases(draw):
         gamma_min_c=draw(st.floats(0.5, 3.0)), gamma_min_d=draw(st.floats(0.5, 3.0)),
         sigma2=draw(st.floats(0.01, 0.3)), p_max_c=draw(st.floats(0.2, 2.0)),
         p_max_d=draw(st.floats(0.2, 2.0)),
-        coverage_count=draw(st.one_of(st.none(), st.just(1), st.just(n),
-                                      st.integers(-2, n + 2))),
+        coverage_count=draw(st.one_of(st.just(1), st.just(n), st.integers(-2, n + 2))),
         trim_count=draw(st.integers(0, n + 1)),
     )
     kind = draw(st.sampled_from(("near_noise", "tied", "spread")))
@@ -139,7 +136,8 @@ def random_case(rng, sigma_sign=1.0):
         gamma_min_c=rng.uniform(0.5, 3.0), gamma_min_d=rng.uniform(0.5, 3.0),
         sigma2=sigma_sign * rng.uniform(0.01, 0.3),
         p_max_c=rng.uniform(0.2, 2.0), p_max_d=rng.uniform(0.2, 2.0),
-        coverage_count=(None, 1, n, int(rng.integers(1, n + 1)))[int(rng.integers(4))],
+        # 0 is clipped to k = 1
+        coverage_count=(0, 1, n, int(rng.integers(1, n + 1)))[int(rng.integers(4))],
         trim_count=int(rng.integers(0, 3)),
     )
     kind = rng.random()
@@ -189,7 +187,7 @@ def test_every_branch_reached_and_matched():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         initial_feasible(("best",), np.ones((3, 1)), np.ones((3, 1, 1)), np.ones(1),
-                         np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0)
+                         np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0, 3, 0)
 
 
 @pytest.mark.parametrize("speed", [40.0, 80.0, 160.0])

@@ -14,7 +14,7 @@ def test_interference_free_corner():
     # no crosstalk: CUE at full power, VUE just meeting its own QoS
     sol = solve_corner(
         g_d=2.0, g_x=0.0, g_c=1.0, g_b=0.0, gamma_min_c=2.0, gamma_min_d=1.0,
-        sigma2=0.1, p_max_c=1.0, p_max_d=1.0)
+        sigma2=0.1, p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0)
     assert sol.feasible
     assert math.isclose(sol.p_c_w, 1.0)
     assert math.isclose(sol.p_d_w, 0.1 * 1.0 / 2.0)
@@ -46,7 +46,8 @@ def test_capacity_increases_along_vue_boundary():
 def test_corner_vue_cap_branch():
     # strong crosstalk pushes the solution to the VUE power cap
     sol = solve_corner(g_d=0.4, g_x=0.5, g_c=1.0, g_b=0.001, gamma_min_c=1.5,
-                       gamma_min_d=1.0, sigma2=0.01, p_max_c=1.0, p_max_d=1.0)
+                       gamma_min_d=1.0, sigma2=0.01, p_max_c=1.0, p_max_d=1.0,
+                       bandwidth_hz=1.0)
     assert sol.feasible
     assert math.isclose(sol.p_d_w, 1.0)
     assert sol.p_c_w < 1.0
@@ -57,11 +58,13 @@ def test_corner_vue_cap_branch():
 def test_corner_infeasible_cases():
     # VUE cannot reach its threshold even at full power and zero crosstalk
     sol = solve_corner(g_d=1e-6, g_x=0.0, g_c=1.0, g_b=0.0, gamma_min_c=2.0,
-                       gamma_min_d=1.0, sigma2=1.0, p_max_c=1.0, p_max_d=1.0)
+                       gamma_min_d=1.0, sigma2=1.0, p_max_c=1.0, p_max_d=1.0,
+                       bandwidth_hz=1.0)
     assert not sol.feasible and sol.capacity_bps == 0.0
     # CUE QoS impossible under the VUE interference it would need
     sol = solve_corner(g_d=1.0, g_x=0.1, g_c=1e-6, g_b=5.0, gamma_min_c=10.0,
-                       gamma_min_d=1.0, sigma2=0.1, p_max_c=1.0, p_max_d=1.0)
+                       gamma_min_d=1.0, sigma2=0.1, p_max_c=1.0, p_max_d=1.0,
+                       bandwidth_hz=1.0)
     assert not sol.feasible
 
 
@@ -133,7 +136,7 @@ def test_measure_gaps_orders_and_rejects_violations():
 def test_zero_uncertainty_gap_vanishes(rng):
     """With no gain deviation the robust bisection recovers the known-gain
     optimum, so the capacity gap collapses to bisection accuracy."""
-    from v2xalloc.bernstein import BernsteinParams, DistributionFamily, bisection_power_allocation
+    from v2xalloc.bernstein import FAMILIES, BernsteinParams, bisection_power_allocation
 
     checked = 0
     while checked < 10:
@@ -143,11 +146,11 @@ def test_zero_uncertainty_gap_vanishes(rng):
             continue
         params = BernsteinParams(
             g_bar_d=inst["g_d"], g_bar_cross=inst["g_x"], g_hat_d=0.0, g_hat_cross=0.0,
-            family=DistributionFamily.from_name("unimodal_symmetric"), beta=0.05,
+            family=FAMILIES["unimodal_symmetric"], beta=0.05,
             gamma_min_d=inst["gamma_min_d"], sigma2=inst["sigma2"], g_c=inst["g_c"],
             g_b=inst["g_b"], gamma_min_c=inst["gamma_min_c"],
             p_max_c=inst["p_max_c"], p_max_d=inst["p_max_d"], bandwidth_hz=1.0)
-        res = bisection_power_allocation(params)
+        res = bisection_power_allocation(params, 1e-4 * params.p_max_d)
         if inst["g_x"] <= 0 and not res.feasible:
             continue
         checked += 1

@@ -7,21 +7,22 @@ from hypothesis import strategies as st
 
 from v2xalloc import oracles
 from v2xalloc.bernstein import (
+    FAMILIES,
     BernsteinParams,
-    DistributionFamily,
+    MomentBounds,
     bernstein_margin,
     bisection_power_allocation,
     cue_power_floor,
     protection_weight,
     solve_inner_cue_power,
 )
-from v2xalloc.instances import FAMILY_NAMES, random_bernstein_params
+from v2xalloc.instances import random_bernstein_params
 
 
 def make_params(**kw):
     base = dict(
         g_bar_d=1.0, g_bar_cross=0.1, g_hat_d=0.1, g_hat_cross=0.01,
-        family=DistributionFamily.from_name("unimodal_symmetric"),
+        family=FAMILIES["unimodal_symmetric"],
         beta=0.05, gamma_min_d=1.0, sigma2=0.1,
         g_c=1.0, g_b=0.05, gamma_min_c=2.0, p_max_c=1.0, p_max_d=1.0,
         bandwidth_hz=1.0,
@@ -35,12 +36,18 @@ def make_params(**kw):
 # ---------------------------------------------------------------------------
 
 def test_family_table_holds_one_instance_per_name():
-    for name in FAMILY_NAMES:
-        family = DistributionFamily.from_name(name)
-        assert family.variant == name and DistributionFamily.from_name(name) is family
-    assert FAMILY_NAMES == ("bounded", "unimodal_bounded", "unimodal_symmetric")
-    with pytest.raises(ValueError, match="unknown family"):
-        DistributionFamily.from_name("gaussian")
+    # the moment table of Nemirovski & Shapiro, in the order that
+    # instances.random_bernstein_params indexes; unknown names are rejected
+    # when the config is built (test_config)
+    assert FAMILIES == {
+        "bounded": (-1.0, 1.0, 0.0),
+        "unimodal_bounded": (-0.5, 0.5, 1.0 / math.sqrt(12.0)),
+        "unimodal_symmetric": (0.0, 0.0, 1.0 / math.sqrt(3.0)),
+    }
+    assert tuple(FAMILIES) == ("bounded", "unimodal_bounded", "unimodal_symmetric")
+    for family in FAMILIES.values():
+        assert isinstance(family, MomentBounds)
+        assert -1.0 <= family.mu_minus <= family.mu_plus <= 1.0 and family.sigma >= 0.0
 
 
 def test_margin_reference_instance_term_by_term():
@@ -61,8 +68,7 @@ def test_margin_reference_instance_term_by_term():
 def test_margin_zero_deviation_collapses_to_deterministic():
     p = make_params(g_hat_d=0.0, g_hat_cross=0.0)
     for family in ("bounded", "unimodal_bounded", "unimodal_symmetric"):
-        pf = make_params(g_hat_d=0.0, g_hat_cross=0.0,
-                         family=DistributionFamily.from_name(family))
+        pf = make_params(g_hat_d=0.0, g_hat_cross=0.0, family=FAMILIES[family])
         got = bernstein_margin(0.7, 0.9, pf)
         det = 0.9 * p.g_bar_d / p.gamma_min_d - 0.7 * p.g_bar_cross - p.sigma2
         assert math.isclose(got, det, rel_tol=1e-12)
@@ -105,7 +111,7 @@ def _family_margins(pc, pd, params, beta):
             g_bar_d=params.g_bar_d, g_bar_cross=params.g_bar_cross,
             g_hat_d=params.g_hat_d, g_hat_cross=params.g_hat_cross,
             beta=beta, gamma_min_d=params.gamma_min_d, sigma2=params.sigma2,
-            family=DistributionFamily.from_name(name)))
+            family=FAMILIES[name]))
         for name in ("bounded", "unimodal_bounded", "unimodal_symmetric")
     ]
 
@@ -213,7 +219,7 @@ def test_bisection_lands_on_a_power_cap(rng):
 def test_bisection_feasible_output_satisfies_both_constraints(rng):
     for _ in range(60):
         params = random_bernstein_params(rng)
-        res = bisection_power_allocation(params)
+        res = bisection_power_allocation(params, 1e-4 * params.p_max_d)
         if not res.feasible:
             continue
         p_c, p_d = res.p_c_w, res.p_d_w
@@ -235,7 +241,7 @@ def test_bisection_against_grid_oracle(rng):
     compared = 0
     for _ in range(40):
         params = random_bernstein_params(rng)
-        res = bisection_power_allocation(params)
+        res = bisection_power_allocation(params, 1e-4 * params.p_max_d)
         ref = oracles.bernstein_grid_oracle(params, n=300, stages=3)
         if res.feasible and ref is not None:
             compared += 1

@@ -103,20 +103,24 @@ def test_pair_jitter_flag(rng):
     assert len(set(np.round(geom.vue_pair_m, 6))) > 1
 
 
+PATHLOSS = (ScenarioConfig.pathloss_constant_db, ScenarioConfig.pathloss_exponent_db)
+
+
 def test_large_scale_gain_reference_points(rng):
-    assert math.isclose(channel.large_scale_gain(1000.0, 0.0, rng), 10 ** (-12.81), rel_tol=1e-12)
-    # 100 m: 128.1 - 37.6 = 90.5 dB pathloss
-    assert math.isclose(channel.large_scale_gain(100.0, 0.0, rng), 10 ** (-9.05), rel_tol=1e-12)
+    # 1 km: 128.1 dB pathloss; 100 m: 128.1 - 37.6 = 90.5 dB
+    gain = channel.large_scale_gain(np.array([1000.0, 100.0]), 0.0, rng, *PATHLOSS)
+    assert math.isclose(gain[0], 10 ** (-12.81), rel_tol=1e-12)
+    assert math.isclose(gain[1], 10 ** (-9.05), rel_tol=1e-12)
 
 
 def test_large_scale_gain_deterministic_without_shadowing(rng):
-    a = channel.large_scale_gain(np.array([150.0, 150.0]), 0.0, rng)
+    a = channel.large_scale_gain(np.array([150.0, 150.0]), 0.0, rng, *PATHLOSS)
     assert a[0] == a[1]
 
 
 def test_large_scale_gain_rejects_nonpositive(rng):
     with pytest.raises(ValueError):
-        channel.large_scale_gain(0.0, 0.0, rng)
+        channel.large_scale_gain(np.array([10.0, 0.0]), 0.0, rng, *PATHLOSS)
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +128,9 @@ def test_large_scale_gain_rejects_nonpositive(rng):
 # ---------------------------------------------------------------------------
 
 def test_sample_true_channel_perfect_estimation_limit(rng):
-    h_hat = 0.3 + 0.4j
+    h_hat = np.array([0.3 + 0.4j])
     h = channel.sample_true_channel(h_hat, 1 - 1e-12, rng)
-    assert abs(h - h_hat) < 1e-5
+    assert h.shape == (1,) and abs(h[0] - h_hat[0]) < 1e-5
 
 
 def test_sample_true_channel_decorrelation_limit(rng):
@@ -150,7 +154,7 @@ def test_sample_true_channel_second_moment(rng):
 
 def test_sample_true_channel_rejects_bad_lambda(rng):
     with pytest.raises(ValueError):
-        channel.sample_true_channel(1.0 + 0j, 1.0, rng)
+        channel.sample_true_channel(np.array([1.0 + 0j]), 1.0, rng)
 
 
 def test_v2v_true_gain_formula(rng):
@@ -245,7 +249,7 @@ def test_pair_true_gains_equal_the_broadcast_columns(rng, shape):
 def test_discard_fading_leaves_the_stream_where_sampling_does(size):
     drawn = np.random.default_rng(99)
     skipped = np.random.default_rng(99)
-    channel.sample_true_channel(np.zeros(size, dtype=complex), 0.9, drawn, size=size)
+    channel.sample_true_channel(np.zeros(size, dtype=complex), 0.9, drawn)
     assert channel.discard_fading(skipped, size) is None
     assert skipped.bit_generator.state == drawn.bit_generator.state
     assert np.array_equal(skipped.normal(size=5), drawn.normal(size=5))

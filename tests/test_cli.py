@@ -1,6 +1,9 @@
 import json
 
-from v2xalloc.cli import _parse_grid, main
+import pytest
+
+from v2xalloc.cli import MAX_GRID_POINTS, _parse_grid, main
+from v2xalloc.config import ConfigError
 
 FAST = [
     "--set", "sample_count=300", "--set", "test_count=400",
@@ -84,9 +87,21 @@ def test_config_error_exit_code(tmp_path, capsys):
         ["run", "--drops", "0"],
         ["run", "--drops", "-3"],
         ["sweep", "--param", "speed", "--grid", "80", "--drops", "0", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "nan:1:5", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "0:nan:5", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "0:1:inf", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "40,inf", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "0:1e-300:1", *sweep_out],   # ~1e300 points
+        ["sweep", "--param", "speed", "--grid", "0:1e-308:1e308", *sweep_out],   # count overflows
+        ["run", "--methods", "", *FAST],
+        ["run", "--methods", " , ", *FAST],
+        ["run", "--methods", "opt,opt", *FAST],
+        ["sweep", "--param", "speed", "--grid", "80", "--methods", "opt,nrra,opt", *sweep_out],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv
+    # no rejected command wrote a file
+    assert {f.name for f in tmp_path.iterdir()} == {"bad.yaml", "unparsable.yaml"}
 
 
 def test_validate_exits_zero():
@@ -101,12 +116,19 @@ def test_unusable_scenario_exit_code(tmp_path, capsys):
     assert main(["sweep", "--param", "speed", "--grid", "80:420:500", "--drops", "1",
                  "--out", str(out), *FAST]) == 2
     assert not out.exists()
+    assert not out.with_name("sweep.csv.config.json").exists()
     assert "configuration error" in capsys.readouterr().err
 
 
 def test_grid_accepts_a_comma_list():
     assert _parse_grid("1,2,5,10,20,40") == (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
     assert _parse_grid("0.5") == (0.5,)
+
+
+def test_grid_point_limit():
+    assert len(_parse_grid(f"1:1:{MAX_GRID_POINTS}")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError):
+        _parse_grid(f"0:1:{MAX_GRID_POINTS}")
 
 
 def test_grid_never_passes_its_end():

@@ -11,12 +11,10 @@ from v2xalloc import oracles
 from v2xalloc.selflearn import (
     AVERAGE,
     WORST,
-    AffineUncertaintySet,
     NoValidIndexError,
     calibrate_radius,
     calibration_index,
     closed_form_power,
-    corner_constants,
     initial_feasible,
     map_samples,
 )
@@ -279,28 +277,28 @@ def test_anchor_infeasible_when_uncoverable():
 # closed-form power
 # ---------------------------------------------------------------------------
 
-CF_ARGS = dict(g_c=1.0, g_b=0.02, gamma_min_c=2.0, sigma2=0.05, p_max_c=1.0, p_max_d=1.0)
+CF_ARGS = dict(g_c=1.0, g_b=0.02, gamma_min_c=2.0, sigma2=0.05, p_max_c=1.0, p_max_d=1.0,
+               bandwidth_hz=1.0)
 
 
 def test_closed_form_vanishing_radius_is_infeasible():
-    sol = closed_form_power(AffineUncertaintySet(0.5, 0.2, 1e-12), **CF_ARGS)
+    sol = closed_form_power(0.5, 0.2, 1e-12, **CF_ARGS)
     assert not sol.feasible and sol.capacity_bps == 0.0
 
 
 def test_closed_form_scales_anchor_to_cue_cap():
     # interior Case-1 optimum: solution sits at z* = min(cap ratios) = p_max_c/anchor_c
-    anchor = AffineUncertaintySet(0.5, 0.1, 0.2)
-    sol = closed_form_power(anchor, **CF_ARGS)
+    anchor_c, anchor_d = 0.5, 0.1
+    sol = closed_form_power(anchor_c, anchor_d, 0.2, **CF_ARGS)
     assert sol.feasible and sol.branch == 1
-    z = CF_ARGS["p_max_c"] / anchor.anchor_c_w
-    assert math.isclose(sol.p_c_w, z * anchor.anchor_c_w, rel_tol=1e-12)
-    assert math.isclose(sol.p_d_w, z * anchor.anchor_d_w, rel_tol=1e-12)
+    z = CF_ARGS["p_max_c"] / anchor_c
+    assert math.isclose(sol.p_c_w, z * anchor_c, rel_tol=1e-12)
+    assert math.isclose(sol.p_d_w, z * anchor_d, rel_tol=1e-12)
 
 
 def test_closed_form_vue_cap_branch():
     # anchor_d large relative to its cap ratio forces z* = p_max_d/anchor_d
-    anchor = AffineUncertaintySet(0.2, 0.8, 0.2)
-    sol = closed_form_power(anchor, **CF_ARGS)
+    sol = closed_form_power(0.2, 0.8, 0.2, **CF_ARGS)
     assert sol.feasible and sol.branch == 2
     assert math.isclose(sol.p_d_w, 1.0, rel_tol=1e-12)
     assert math.isclose(sol.p_c_w, 0.2 / 0.8, rel_tol=1e-12)
@@ -308,8 +306,7 @@ def test_closed_form_vue_cap_branch():
 
 def test_closed_form_dual_floor_branch():
     # small radius pushes the dual floor above the CUE cap ratio
-    anchor = AffineUncertaintySet(1.0, 0.05, 0.01)
-    sol = closed_form_power(anchor, **CF_ARGS)
+    sol = closed_form_power(1.0, 0.05, 0.01, **CF_ARGS)
     assert sol.feasible and sol.branch == 3
     assert math.isclose(sol.p_c_w, 1.0, rel_tol=1e-12)
     assert math.isclose(sol.p_d_w, CF_ARGS["sigma2"] * 0.05 / 0.01, rel_tol=1e-12)
@@ -318,7 +315,7 @@ def test_closed_form_dual_floor_branch():
 def test_closed_form_branch3_power_decreases_with_radius():
     prev = np.inf
     for r_d in (0.01, 0.02, 0.04):
-        sol = closed_form_power(AffineUncertaintySet(1.0, 0.05, r_d), **CF_ARGS)
+        sol = closed_form_power(1.0, 0.05, r_d, **CF_ARGS)
         assert sol.feasible and sol.branch == 3
         assert sol.p_d_w < prev
         prev = sol.p_d_w
@@ -330,9 +327,9 @@ def test_closed_form_against_z_grid_oracle(rng):
     compared = 0
     for _ in range(200):
         inst = random_selflearn_instance(rng)
-        anchor = AffineUncertaintySet(inst["anchor_c"], inst["anchor_d"], inst["r_d"])
-        sol = closed_form_power(anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"],
-                                inst["sigma2"], inst["p_max_c"], inst["p_max_d"])
+        sol = closed_form_power(inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"],
+                                inst["g_b"], inst["gamma_min_c"], inst["sigma2"],
+                                inst["p_max_c"], inst["p_max_d"], 1.0)
         ref = oracles.selflearn_z_grid_oracle(
             inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"], inst["g_b"],
             inst["gamma_min_c"], inst["sigma2"], inst["p_max_c"], inst["p_max_d"],
@@ -350,24 +347,28 @@ def test_closed_form_solutions_pass_dual_check(rng):
 
     for _ in range(200):
         inst = random_selflearn_instance(rng)
-        anchor = AffineUncertaintySet(inst["anchor_c"], inst["anchor_d"], inst["r_d"])
-        sol = closed_form_power(anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"],
-                                inst["sigma2"], inst["p_max_c"], inst["p_max_d"])
+        anchor = inst["anchor_c"], inst["anchor_d"], inst["r_d"]
+        sol = closed_form_power(*anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"],
+                                inst["sigma2"], inst["p_max_c"], inst["p_max_d"], 1.0)
         if sol.feasible:
             assert oracles.dual_feasibility_check(
-                sol.p_c_w, sol.p_d_w, sol.z_star, anchor, inst["sigma2"])
+                sol.p_c_w, sol.p_d_w, sol.z_star, *anchor, inst["sigma2"])
 
 
 def test_dual_check_boundary_and_degenerate_cases():
-    anchor = AffineUncertaintySet(1.0, 0.05, 0.01)
+    anchor_c, anchor_d, r_d = 1.0, 0.05, 0.01
     sigma2 = 0.05
-    z = sigma2 / anchor.r_d
-    assert oracles.dual_feasibility_check(1.0, z * anchor.anchor_d_w, z, anchor, sigma2)
-    assert not oracles.dual_feasibility_check(1.0, 0.25, 0.0, anchor, sigma2)  # z=0, sigma2>0
+    z = sigma2 / r_d
+    assert oracles.dual_feasibility_check(1.0, z * anchor_d, z, anchor_c, anchor_d, r_d, sigma2)
+    # z=0, sigma2>0
+    assert not oracles.dual_feasibility_check(1.0, 0.25, 0.0, anchor_c, anchor_d, r_d, sigma2)
 
 
-def test_corner_constants_guard_nonpositive_denominator():
-    c = corner_constants(0.1, 0.5, 0.01, g_c=1.0, g_b=10.0, gamma_min_c=2.0,
-                         sigma2=0.05, p_max_c=1.0, p_max_d=1.0)
-    # anchor ray never meets the CUE QoS line: floor pinned to +inf
-    assert c.upsilon_c == math.inf
+def test_closed_form_guard_nonpositive_denominator():
+    # anchor_c*g_c - Gamma_c*anchor_d*g_b = 0.1 - 10 < 0: the anchor ray never
+    # meets the CUE QoS line, so its floor is +inf and no branch is admitted.
+    # A finite floor would admit branch 2 at z = p_max_d/anchor_d = 2, powers
+    # (0.2, 1.0) and a CUE SINR of 0.2 / 10.05 ~ 0.02 < Gamma_c = 2.
+    sol = closed_form_power(0.1, 0.5, 0.05, g_c=1.0, g_b=10.0, gamma_min_c=2.0, sigma2=0.05,
+                            p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0)
+    assert not sol.feasible and sol.branch == 0 and sol.capacity_bps == 0.0
