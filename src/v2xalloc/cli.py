@@ -4,7 +4,6 @@ Subcommands:
   run       one configuration, per-method drop summary
   sweep     parameter sweep to CSV (one file per sweep)
   validate  oracle/invariant smoke suite, nonzero exit on failure
-  oracle    print the reference constants used to pin the test suite
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error.
 Every run logs the fully resolved configuration (defaults + file + overrides)
@@ -18,8 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import baselines, harness, selflearn
-from .channel import bessel_j0, doppler_coefficient
+from . import harness
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 
 MAX_GRID_POINTS = 10_000   # a START:STEP:END grid asking for more is rejected
@@ -62,21 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the oracle/invariant smoke suite")
     p_val.add_argument("--seed", type=int, default=0)
-
-    sub.add_parser("oracle", help="print reference constants for cross-checking")
     return parser
 
 
 def _methods(arg: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in arg.split(",") if m.strip())
-    if not methods:
-        raise ConfigError("--methods names no method")
-    if len(set(methods)) < len(methods):
-        raise ConfigError(f"--methods names a method twice: {arg!r}")
-    unknown = set(methods) - set(harness.ALL_METHODS)
-    if unknown:
-        raise ConfigError(f"unknown methods: {sorted(unknown)}")
-    return methods
+    return harness.check_methods(tuple(m.strip() for m in arg.split(",") if m.strip()))
 
 
 def resolve_config(args: argparse.Namespace, **fields) -> ScenarioConfig:
@@ -156,22 +144,6 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_oracle(_args) -> int:
-    cfg = ScenarioConfig()
-    k_star = selflearn.calibration_index(cfg.sample_count, cfg.outage_prob, cfg.varsigma)
-    lam = doppler_coefficient(80.0, 2.0e9, 0.5e-3)
-    print("reference constants (defaults):")
-    print(f"  calibration index k*(N={cfg.sample_count}, beta={cfg.outage_prob}, "
-          f"varsigma={cfg.varsigma:.2f}) = {k_star}")
-    print(f"  J0(0.46542)                 = {bessel_j0(0.46542):.12f}")
-    print(f"  J0 at its first zero arg    = {bessel_j0(2.404825557695773):.3e}")
-    print(f"  doppler lambda(80 km/h, 2 GHz, 0.5 ms) = {lam:.6f}")
-    print(f"  transformed VUE threshold (Gamma=1, beta=0.05) = "
-          f"{baselines.apra_threshold(1.0, 0.05):.6f}")
-    print(f"  noise power over {cfg.bandwidth_hz:.3g} Hz = {cfg.noise_power_w:.6e} W")
-    return 0
-
-
 def exit_code(command, args) -> int:
     """``command(args)``, or exit code 2 after one ``configuration error:`` line."""
     try:
@@ -183,8 +155,7 @@ def exit_code(command, args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "validate": _cmd_validate,
-                "oracle": _cmd_oracle}
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "validate": _cmd_validate}
     return exit_code(commands[args.command], args)
 
 

@@ -67,11 +67,14 @@ class ScenarioConfig:
     drops: int = 200                        # geometry drops per experiment point
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         lo, hi = self.gnb_road_distance_m
         checks = [
             (self.num_cues >= 1, "num_cues must be >= 1"),
             (1 <= self.num_vues <= self.num_cues, "need 1 <= num_vues <= num_cues"),
-            (0.0 < lo <= hi, "gnb_road_distance_m must satisfy 0 < min <= max"),
+            (0.0 < lo <= hi < math.inf, "gnb_road_distance_m must satisfy 0 < min <= max < inf"),
             (self.vehicle_speed_kmh >= 0.0, "vehicle_speed_kmh must be >= 0"),
             (self.carrier_frequency_hz > 0.0, "carrier_frequency_hz must be > 0"),
             (self.feedback_delay_s > 0.0, "feedback_delay_s must be > 0"),
@@ -93,6 +96,13 @@ class ScenarioConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        for name in ("p_max_cue_w", "p_max_vue_w", "noise_power_w"):
+            try:
+                watts = getattr(self, name)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:   # a dBm value under- or overflows
+                raise ConfigError(f"{name} must be finite and > 0, got {watts!r}")
         self._check_model_applies()
 
     def _check_model_applies(self) -> None:

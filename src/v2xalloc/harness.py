@@ -211,15 +211,25 @@ def _evaluate(cfg, link, solved, test_err_d, test_err_x) -> dict[str, MethodDrop
     return results
 
 
+def check_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
+    """``methods``, or ConfigError unless it names known methods, each once."""
+    if not methods:
+        raise ConfigError("the method list names no method")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"the method list names a method twice: {methods}")
+    unknown = set(methods) - set(ALL_METHODS)
+    if unknown:
+        raise ConfigError(f"unknown methods: {sorted(unknown)}")
+    return methods
+
+
 def run_drop(
     cfg: ScenarioConfig,
     drop_index: int,
     methods: tuple[str, ...] = ALL_METHODS,
 ) -> DropResult:
     """Generate one drop, run the enabled allocators, score on held-out draws."""
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
+    check_methods(methods)
     rng = drop_rng(cfg.rng_seed, drop_index)
     link = channel.build_link_state(cfg, rng)
     j, s = cfg.num_cues, cfg.num_vues
@@ -287,6 +297,7 @@ class SweepSpec:
             raise ConfigError("grid must be monotone")
         if self.drops < 1:
             raise ConfigError("drops must be >= 1")
+        check_methods(self.methods)
 
     def point_configs(self, cfg: ScenarioConfig) -> list[ScenarioConfig]:
         """``cfg`` at each grid point; building them validates every point."""

@@ -62,8 +62,8 @@ def random_corner_instance(rng: np.random.Generator) -> dict:
 def random_selflearn_instance(rng: np.random.Generator) -> dict:
     sigma2 = _logu(rng, -2.0, -0.7)
     return dict(
-        anchor_c=_logu(rng, -0.7, 0.0),
-        anchor_d=_logu(rng, -1.5, -0.2),
+        anchor_c_w=_logu(rng, -0.7, 0.0),
+        anchor_d_w=_logu(rng, -1.5, -0.2),
         r_d=sigma2 * _logu(rng, -0.6, 0.8),
         g_c=_logu(rng, -0.5, 0.5),
         g_b=_logu(rng, -2.0, -0.7),

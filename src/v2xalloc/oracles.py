@@ -214,28 +214,28 @@ def inner_pc_grid_oracle(params, p_d: float, step_fraction: float = 1e-6, span: 
 
 
 def selflearn_z_grid_oracle(
-    anchor_c: float, anchor_d: float, r_d: float,
-    g_c: float, g_b: float, gamma_c: float, sigma2: float,
+    anchor_c_w: float, anchor_d_w: float, r_d: float,
+    g_c: float, g_b: float, gamma_min_c: float, sigma2: float,
     p_max_c: float, p_max_d: float, bandwidth_hz: float,
     n: int = 200_001,
 ):
     """Grid oracle for the affine-set power problem via its scale variable.
 
-    Along the anchor ray the dual scale z fixes p_d = z*anchor_d and allows
-    p_c up to min(z*anchor_c, p_max_c); every other feasible point is weakly
+    Along the anchor ray the dual scale z fixes p_d = z*anchor_d_w and allows
+    p_c up to min(z*anchor_c_w, p_max_c); every other feasible point is weakly
     dominated (capacity rises with p_c, falls with p_d).  Feasibility of each
     grid point is checked directly from the primal constraints.
     """
-    if r_d <= 0 or anchor_c <= 0 or anchor_d <= 0:
+    if r_d <= 0 or anchor_c_w <= 0 or anchor_d_w <= 0:
         return None
     z_lo = sigma2 / r_d
-    z_hi = p_max_d / anchor_d
+    z_hi = p_max_d / anchor_d_w
     if z_lo > z_hi:
         return None
     z = np.linspace(z_lo, z_hi, n)
-    pd = z * anchor_d
-    pc = np.minimum(z * anchor_c, p_max_c)
-    ok = pc * g_c / gamma_c - pd * g_b - sigma2 >= 0
+    pd = z * anchor_d_w
+    pc = np.minimum(z * anchor_c_w, p_max_c)
+    ok = pc * g_c / gamma_min_c - pd * g_b - sigma2 >= 0
     if not np.any(ok):
         return None
     cap = np.where(ok, bandwidth_hz * np.log2(1.0 + pc * g_c / (sigma2 + pd * g_b)), -np.inf)

@@ -199,21 +199,16 @@ def test_criterion_6_closed_form_vs_oracle():
     worst = 0.0
     while feasible < 1000:
         inst = random_selflearn_instance(rng)
-        sol = closed_form_power(inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"],
-                                inst["g_b"], inst["gamma_min_c"], inst["sigma2"],
-                                inst["p_max_c"], inst["p_max_d"], 1.0)
+        sol = closed_form_power(**inst)
         if not sol.feasible:
             continue
-        ref = oracles.selflearn_z_grid_oracle(
-            inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"], inst["g_b"],
-            inst["gamma_min_c"], inst["sigma2"], inst["p_max_c"], inst["p_max_d"],
-            1.0, n=200_001)
+        ref = oracles.selflearn_z_grid_oracle(**inst, n=200_001)
         assert ref is not None, "oracle lost a solver-feasible instance"
         feasible += 1
         z_ref, _, _, cap_ref = ref
         gap = abs(sol.capacity_bps - cap_ref) / max(cap_ref, 1e-12)
         worst = max(worst, gap)
-        z_step = (inst["p_max_d"] / inst["anchor_d"] - inst["sigma2"] / inst["r_d"]) / 200_000
+        z_step = (inst["p_max_d"] / inst["anchor_d_w"] - inst["sigma2"] / inst["r_d"]) / 200_000
         if abs(sol.z_star - z_ref) <= 3 * z_step or gap <= 1e-3:
             branch_hits += 1
     agreement = branch_hits / feasible

@@ -11,12 +11,19 @@ FAST = [
 ]
 
 
-def test_oracle_prints_reference_constants(capsys):
-    assert main(["oracle"]) == 0
-    out = capsys.readouterr().out
-    assert "19.495726" in out          # transformed VUE threshold (Gamma=1, beta=0.05)
-    assert "k*(N=3000" in out and "= 2870" in out
-    assert "0.946575" in out           # doppler coefficient at the default operating point
+def test_validate_prints_one_pass_line_per_check(capsys):
+    from v2xalloc import validate
+
+    assert main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"[PASS] {name}" for name, _ in validate.CHECKS]
+
+
+def test_oracle_command_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle"])
+    assert exc.value.code == 2
 
 
 def test_run_prints_summary_and_writes_csv(tmp_path, capsys):
@@ -97,6 +104,13 @@ def test_config_error_exit_code(tmp_path, capsys):
         ["run", "--methods", " , ", *FAST],
         ["run", "--methods", "opt,opt", *FAST],
         ["sweep", "--param", "speed", "--grid", "80", "--methods", "opt,nrra,opt", *sweep_out],
+        ["run", "--set", "p_max_cue_dbm=inf", *FAST],
+        ["run", "--set", "noise_psd_dbm_hz=nan", *FAST],
+        ["run", "--set", "p_max_cue_dbm=4000", *FAST],   # overflows to inf W
+        ["run", "--set", "noise_psd_dbm_hz=-5000", *FAST],   # underflows to 0 W
+        ["run", "--set", "p_max_vue_dbm=-5000", *FAST],
+        ["run", "--set", "gnb_road_distance_m=100,inf", *FAST],
+        ["run", "--set", "gnb_road_distance_m=nan,200", *FAST],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -49,9 +50,22 @@ def test_vue_pair_distance_tracks_speed():
     ("vehicle_speed_kmh", -1.0),
     ("bisection_accuracy", 1.0),
     ("bernstein_family", "gaussian"),
+    ("gnb_road_distance_m", (100.0, math.inf)),
+    ("gnb_road_distance_m", (math.nan, 200.0)),
+    ("p_max_cue_dbm", 4000.0),        # 10^400 W overflows
+    ("p_max_vue_dbm", -5000.0),       # underflows to 0 W
+    ("noise_psd_dbm_hz", -5000.0),    # noise power underflows to 0 W
 ])
 def test_invariants_rejected(field, value):
     with pytest.raises(ConfigError):
+        ScenarioConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"])
+def test_non_finite_float_rejected(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
         ScenarioConfig(**{field: value})
 
 

@@ -77,6 +77,14 @@ def test_run_drop_rejects_unknown_method(small_cfg):
         run_drop(small_cfg, 0, methods=("opt", "magic"))
 
 
+@pytest.mark.parametrize("methods", [(), ("opt", "opt"), ("opt", "magic")])
+def test_empty_repeated_or_unknown_method_lists_rejected(small_cfg, methods):
+    with pytest.raises(ConfigError):
+        run_drop(small_cfg, 0, methods)
+    with pytest.raises(ConfigError):
+        SweepSpec(param="speed", grid=(80.0,), drops=1, methods=methods)
+
+
 def test_outage_is_exact_violation_fraction(small_cfg):
     result = run_drop(small_cfg, 1)
     m = small_cfg.test_count

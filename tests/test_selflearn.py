@@ -327,13 +327,8 @@ def test_closed_form_against_z_grid_oracle(rng):
     compared = 0
     for _ in range(200):
         inst = random_selflearn_instance(rng)
-        sol = closed_form_power(inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"],
-                                inst["g_b"], inst["gamma_min_c"], inst["sigma2"],
-                                inst["p_max_c"], inst["p_max_d"], 1.0)
-        ref = oracles.selflearn_z_grid_oracle(
-            inst["anchor_c"], inst["anchor_d"], inst["r_d"], inst["g_c"], inst["g_b"],
-            inst["gamma_min_c"], inst["sigma2"], inst["p_max_c"], inst["p_max_d"],
-            1.0, n=100_001)
+        sol = closed_form_power(**inst)
+        ref = oracles.selflearn_z_grid_oracle(**inst, n=100_001)
         if sol.feasible and ref is not None:
             compared += 1
             assert abs(sol.capacity_bps - ref[3]) <= 1e-3 * max(ref[3], 1e-9)
@@ -347,12 +342,11 @@ def test_closed_form_solutions_pass_dual_check(rng):
 
     for _ in range(200):
         inst = random_selflearn_instance(rng)
-        anchor = inst["anchor_c"], inst["anchor_d"], inst["r_d"]
-        sol = closed_form_power(*anchor, inst["g_c"], inst["g_b"], inst["gamma_min_c"],
-                                inst["sigma2"], inst["p_max_c"], inst["p_max_d"], 1.0)
+        sol = closed_form_power(**inst)
         if sol.feasible:
             assert oracles.dual_feasibility_check(
-                sol.p_c_w, sol.p_d_w, sol.z_star, *anchor, inst["sigma2"])
+                sol.p_c_w, sol.p_d_w, sol.z_star, inst["anchor_c_w"], inst["anchor_d_w"],
+                inst["r_d"], inst["sigma2"])
 
 
 def test_dual_check_boundary_and_degenerate_cases():

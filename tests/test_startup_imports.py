@@ -1,10 +1,7 @@
 """Start-up imports: a run loads only the modules it executes.
 
 Each check runs in a fresh interpreter, since this test process has imported
-everything already.  Run as a script, the file performs the run check alone
-and exits 1 if a run loaded any of FORBIDDEN:
-
-    PYTHONPATH=src python tests/test_startup_imports.py
+everything already.
 """
 
 import json
@@ -51,9 +48,3 @@ def test_a_config_file_loads_yaml(tmp_path):
 def test_validate_loads_the_oracles():
     code = "from v2xalloc.cli import main\nassert main(['validate']) == 0"
     assert "v2xalloc.oracles" in loaded(code)
-
-
-if __name__ == "__main__":
-    found = loaded(RUN)
-    print("modules a run should not load:", found or "none")
-    sys.exit(1 if found else 0)
