@@ -22,11 +22,15 @@ allocators use as the nominal gain.
 
 A drop's random stream is consumed in a fixed order whatever methods run: the
 link state, then the N learning samples (amplitude-composed, read only by the
-self-learning allocators), then the M held-out error powers.  Draws that no
-enabled method reads are not formed: ``discard_fading`` advances the stream
-past the samples when no self-learning allocator runs, and the held-out gains
-are formed only for the pairs each method scores (``pair_true_gains``).  The
-values that are formed are the same bit for bit either way.
+self-learning allocators), then the M held-out error powers.  Solving and the
+assignment read no random numbers, so the held-out powers are drawn after
+them.  Draws that no enabled method reads are not formed: ``discard_fading``
+advances the stream past the samples when no self-learning allocator runs, and
+``error_power_columns`` keeps the held-out crosstalk powers of the scored
+pairs only.  Large draws run in chunks of about DRAW_CHUNK floats: the samples
+go straight into one pair-major array (``sample_pair_gains``) and the held-out
+block is drawn in runs of whole realizations.  The values that are formed are
+the same bit for bit either way.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .config import ScenarioConfig
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 J0_DOMAIN_MAX = 50.0
-DISCARD_CHUNK = 1 << 16   # normals per draw into the reused buffer of discard_fading
+DRAW_CHUNK = 1 << 16   # floats per chunk of a chunked draw
 
 
 def bessel_j0(x: float) -> float:
@@ -142,11 +146,23 @@ def large_scale_gain(
     return 10.0 ** (-loss_db / 10.0)
 
 
-def rayleigh_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-    """Circular complex normal CN(0,1) draws (unit-mean power Rayleigh envelope)."""
-    re = rng.standard_normal(size) * np.sqrt(0.5)
-    im = rng.standard_normal(size) * np.sqrt(0.5)
-    return re + 1j * im
+def rayleigh_fading(
+    rng: np.random.Generator, size: int | tuple[int, ...], re: np.ndarray | None = None,
+) -> np.ndarray:
+    """Circular complex normal CN(0,1) draws (unit-mean power Rayleigh envelope).
+
+    The real parts are drawn first, then the imaginary parts.  ``re``, if
+    given, holds real parts drawn earlier, ``rng.standard_normal(size) *
+    np.sqrt(0.5)``, and only the imaginary parts are drawn here.
+    """
+    if re is None:
+        re = rng.standard_normal(size) * np.sqrt(0.5)
+    # in place: the values of re + 1j * im, with fewer temporaries
+    im = rng.standard_normal(size)
+    im *= np.sqrt(0.5)
+    e = 1j * im
+    e += re
+    return e
 
 
 def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> None:
@@ -155,28 +171,83 @@ def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> Non
 
     ``rayleigh_fading`` scales two blocks of standard normals, so the same
     count of standard normals is drawn here into one reused buffer of at most
-    DISCARD_CHUNK floats.
+    DRAW_CHUNK floats.
     """
     left = 2 * int(np.prod(size))
-    buf = np.empty(min(left, DISCARD_CHUNK))
+    buf = np.empty(min(left, DRAW_CHUNK))
     while left > 0:
-        step = min(left, DISCARD_CHUNK)
+        step = min(left, DRAW_CHUNK)
         rng.standard_normal(out=buf[:step])
         left -= step
 
 
-def sample_true_channel(h_hat: np.ndarray, lam: float, rng: np.random.Generator) -> np.ndarray:
+def sample_true_channel(
+    h_hat: np.ndarray, lam: float, rng: np.random.Generator, re: np.ndarray | None = None,
+) -> np.ndarray:
     """Draw true small-scale coefficients h = lam*h_hat + sqrt(1-lam^2)*e, one
-    fresh e ~ CN(0, 1) per entry of ``h_hat``."""
+    fresh e ~ CN(0, 1) per entry of ``h_hat``.  Given ``re``, the real parts of
+    e drawn earlier as in ``rayleigh_fading``, one e per entry of ``re``, and
+    ``h_hat`` broadcasts against it."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0,1)")
-    e = rayleigh_fading(rng, h_hat.shape)
-    return lam * h_hat + np.sqrt(1.0 - lam**2) * e
+    h = rayleigh_fading(rng, h_hat.shape if re is None else re.shape, re)
+    h *= np.sqrt(1.0 - lam**2)
+    h += lam * h_hat
+    return h
+
+
+def sample_pair_gains(
+    h_hat: np.ndarray, omega: np.ndarray, lam: float, count: int, rng: np.random.Generator,
+) -> np.ndarray:
+    """``count`` sampled true gains |lam*h_hat + sqrt(1-lam^2)*e|^2 * omega per
+    entry of ``h_hat``, pair-major: a (h_hat.size, count) array whose row p
+    holds the samples of flat entry p.
+
+    The values and the stream are those of ``np.abs(sample_true_channel(
+    np.broadcast_to(h_hat, (count,) + h_hat.shape), lam, rng)) ** 2 * omega``,
+    transposed: all real parts are drawn, then all imaginary parts, each in
+    chunks of whole samples of about DRAW_CHUNK floats.  The real chunks are
+    written into the output; the imaginary pass forms each chunk's
+    coefficients with ``sample_true_channel`` from those real parts and
+    overwrites the chunk with its gains, so only one (h_hat.size, count)
+    array is formed.
+    """
+    h_hat, omega = h_hat.ravel(), np.ravel(omega)
+    out = np.empty((h_hat.size, count))
+    step = max(1, DRAW_CHUNK // max(h_hat.size, 1))
+    chunks = [(a, min(a + step, count)) for a in range(0, count, step)]
+    buf = np.empty((min(step, count), h_hat.size))
+    for a, b in chunks:
+        np.multiply(rng.standard_normal(out=buf[:b - a]), np.sqrt(0.5), out=out[:, a:b].T)
+    for a, b in chunks:
+        h = sample_true_channel(h_hat, lam, rng, re=out[:, a:b].T)
+        # np.abs of the complex chunk, as the full-array formula takes it:
+        # np.hypot of the parts rounds differently
+        g = np.abs(h)
+        g **= 2
+        np.multiply(g, omega, out=out[:, a:b].T)
+    return out
 
 
 def error_power(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """|e|^2 draws for e ~ CN(0,1): unit-mean exponential."""
     return rng.standard_exponential(size)
+
+
+def error_power_columns(
+    rng: np.random.Generator, count: int, shape: tuple[int, ...], columns,
+) -> np.ndarray:
+    """The flat ``columns`` of ``error_power(rng, (count,) + shape)`` as a
+    (count, len(columns)) array, drawn in chunks of whole realizations of
+    about DRAW_CHUNK floats: the same values, leaving the stream in the same
+    state."""
+    width = math.prod(shape)
+    step = max(1, DRAW_CHUNK // max(width, 1))
+    out = np.empty((count, len(columns)))
+    for a in range(0, count, step):
+        b = min(a + step, count)
+        out[a:b] = error_power(rng, (b - a, width))[:, columns]
+    return out
 
 
 def v2v_true_gain(
@@ -263,28 +334,6 @@ def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState
         h_hat_d=rayleigh_fading(rng, s),
         h_hat_cross=rayleigh_fading(rng, (j, s)),
         lam=lam,
-    )
-
-
-def draw_realizations(
-    link: LinkState, rng: np.random.Generator, count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the error powers of ``count`` fresh true-gain realizations: (count, S)
-    direct and (count, J, S) crosstalk.  ``pair_true_gains`` forms the gains."""
-    return (error_power(rng, (count,) + link.omega_d.shape),
-            error_power(rng, (count,) + link.omega_cross.shape))
-
-
-def pair_true_gains(
-    link: LinkState, err_d: np.ndarray, err_x: np.ndarray, j: int, s: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power-composed direct and crosstalk gains of pair (j, s) over the
-    realizations of ``draw_realizations``: column (s) and (j, s) of the gains
-    over all pairs, computed from the same operands in the same order."""
-    return (
-        v2v_true_gain(link.omega_d[s], link.h_hat_d_sq[s], link.lam, err_d[:, s]),
-        v2v_true_gain(link.omega_cross[j, s], link.h_hat_cross_sq[j, s], link.lam,
-                      err_x[:, j, s]),
     )
 
 

@@ -20,6 +20,12 @@ class ConfigError(ValueError):
     """Raised for malformed configuration files, keys or values."""
 
 
+# Log-normal shadowing spreads are 3-12 dB in practice.  At 60 dB even a 40-sigma
+# draw (2,400 dB) plus the path loss keeps every large-scale gain 10^(-L/10) a
+# normal float; far larger spreads over- or underflow it to inf or 0.
+MAX_SHADOWING_SIGMA_DB = 60.0
+
+
 def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0) / 1000.0
 
@@ -83,8 +89,10 @@ class ScenarioConfig:
             (self.sinr_min_vue > 0.0, "sinr_min_vue must be > 0 (linear)"),
             (0.0 < self.outage_prob < 1.0, "outage_prob must lie in (0,1)"),
             (0.0 < self.confidence < 1.0, "confidence must lie in (0,1)"),
-            (self.shadowing_sigma_cue_db >= 0.0, "shadowing_sigma_cue_db must be >= 0"),
-            (self.shadowing_sigma_vue_db >= 0.0, "shadowing_sigma_vue_db must be >= 0"),
+            (0.0 <= self.shadowing_sigma_cue_db <= MAX_SHADOWING_SIGMA_DB,
+             f"shadowing_sigma_cue_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB"),
+            (0.0 <= self.shadowing_sigma_vue_db <= MAX_SHADOWING_SIGMA_DB,
+             f"shadowing_sigma_vue_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB"),
             (self.sample_count >= 1, "sample_count must be >= 1"),
             (self.test_count >= 1, "test_count must be >= 1"),
             (0.0 < self.bisection_accuracy < 1.0, "bisection_accuracy must lie in (0,1)"),

@@ -3,7 +3,8 @@
 One drop = one geometry + shadowing + fading realization.  Every enabled
 allocator produces a spectrum-reuse assignment with powers; each matched pair
 is then scored on a shared set of M fresh vehicle-side channel realizations
-(outage = fraction of realizations whose VUE SINR falls below the threshold).
+(outage = fraction of realizations whose VUE SINR falls below the threshold),
+drawn after the assignment.
 Drops use RNG streams derived from (seed, drop_index), so results do not
 depend on execution order.
 
@@ -178,19 +179,26 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
 # drops
 # ---------------------------------------------------------------------------
 
-def _evaluate(cfg, link, solved, test_err_d, test_err_x) -> dict[str, MethodDropStats]:
+def _evaluate(cfg, link, solved, rng) -> dict[str, MethodDropStats]:
     """Score the transmitting matched pairs of every method in ``solved``
-    (name -> matrix, assignment) on the held-out draws, given as error
-    powers.  Each pair's gains are formed once, for all methods that score
-    it, and dropped before the next pair's."""
+    (name -> matrix, assignment) on M held-out draws from ``rng``: the (M, S)
+    direct error powers, then the (M, J, S) crosstalk ones in chunks over M,
+    of which only the scored pairs' columns are kept.  Each pair's gains are
+    formed once, for all methods that score it, and dropped before the next
+    pair's."""
     scorers = {}
     for name, (matrix, assignment) in solved.items():
         for j, s in enumerate(assignment.column_of_row):
             if not matrix.is_virtual(s) and matrix.capacity[j, s] > 0.0:
                 scorers.setdefault((j, s), []).append(name)
+    err_d = channel.error_power(rng, (cfg.test_count, cfg.num_vues))
+    err_x = channel.error_power_columns(rng, cfg.test_count, link.omega_cross.shape,
+                                        [j * cfg.num_vues + s for j, s in scorers])
     scored = {name: {} for name in solved}   # row -> (outage, mean SINR)
-    for (j, s), names in scorers.items():
-        g_d, g_x = channel.pair_true_gains(link, test_err_d, test_err_x, j, s)
+    for col, ((j, s), names) in enumerate(scorers.items()):
+        g_d = channel.v2v_true_gain(link.omega_d[s], link.h_hat_d_sq[s], link.lam, err_d[:, s])
+        g_x = channel.v2v_true_gain(link.omega_cross[j, s], link.h_hat_cross_sq[j, s],
+                                    link.lam, err_x[:, col])
         for name in names:
             matrix = solved[name][0]
             sinr = channel.sinr_vue(matrix.p_c_w[j, s], matrix.p_d_w[j, s], g_d, g_x,
@@ -238,21 +246,19 @@ def run_drop(
     modes = tuple(mode for name, mode in SELF_LEARNING_MODES.items() if name in methods)
     if modes:
         # learning samples: amplitude-composed around the block estimate, so
-        # the sampled gains carry the full estimate-error interaction
-        sample_d = np.abs(channel.sample_true_channel(
-            np.broadcast_to(link.h_hat_d, (n, s)), link.lam, rng)) ** 2 * link.omega_d
-        sample_x = np.abs(channel.sample_true_channel(
-            np.broadcast_to(link.h_hat_cross, (n, j, s)), link.lam, rng)) ** 2 * link.omega_cross
+        # the sampled gains carry the full estimate-error interaction; drawn
+        # pair-major, handed over as sample-major views
+        sample_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
+        sample_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n,
+                                             rng)
         k_star = selflearn.calibration_index(n, cfg.outage_prob, cfg.varsigma)
-        learned = selflearn_calibration(cfg, link, modes, sample_d, sample_x, k_star)
+        learned = selflearn_calibration(cfg, link, modes, sample_d.T,
+                                        sample_x.T.reshape(n, j, s), k_star)
     else:
         # no method reads the samples: skip their draws, keeping the stream
         channel.discard_fading(rng, (n, s))
         channel.discard_fading(rng, (n, j, s))
         learned = None
-    # held-out evaluation: error powers, from which _evaluate forms the
-    # power-composed gains of the pairs it scores
-    test_err = channel.draw_realizations(link, rng, cfg.test_count)
 
     solved = {}
     for name in methods:
@@ -260,8 +266,9 @@ def run_drop(
         matrix = build_capacity_matrix(*pairs, link.g_c, cfg.p_max_cue_w, cfg.noise_power_w,
                                        cfg.bandwidth_hz)
         solved[name] = matrix, hungarian_max_weight(matrix)[0]
+    # solving and assigning read no random numbers: the held-out draws follow
     return DropResult(drop_index=drop_index, lam=link.lam,
-                      methods=_evaluate(cfg, link, solved, *test_err))
+                      methods=_evaluate(cfg, link, solved, rng))
 
 
 # ---------------------------------------------------------------------------

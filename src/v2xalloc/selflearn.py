@@ -118,6 +118,7 @@ def calibrate_radius(mapped: np.ndarray, k_star: int) -> float:
 
 WORST = "worst"
 AVERAGE = "average"
+ANCHOR_BLOCK = 1 << 16   # floats per row block of the anchor search's (pairs, N) temporaries
 
 
 @np.errstate(all="ignore")   # inf and NaN requirements fit under no cap
@@ -172,7 +173,9 @@ def initial_feasible(
     binds (n(p_max_c) < k) and can be covered (n(0) >= k).  All of this is
     per pair, shared by the modes; the bisections of every mode and pair run
     in lockstep as arrays, and the result equals, bit for bit, the
-    definition evaluated pair by pair.
+    definition evaluated pair by pair.  The per-pair passes over the N
+    samples run in blocks of rows of about ANCHOR_BLOCK floats, so no
+    (pairs, N) temporary is formed beside the inputs.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
@@ -184,6 +187,9 @@ def initial_feasible(
     g_d = np.ascontiguousarray(sample_g_d.T)
     g_x = np.ascontiguousarray(sample_g_x.reshape(n, rows).T)
     g_d_floor = np.maximum(g_d, 1e-300)
+    # every (pairs, N) temporary is formed per block of rows
+    step = max(1, ANCHOR_BLOCK // n)
+    blocks = [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
     def sampled_req(p, gx, gd):
         return gamma_min_d * (sigma2 + p * gx) / gd
@@ -193,42 +199,55 @@ def initial_feasible(
         if mode == WORST:
             t = min(max(trim_count, 0), n - 1)
             g_d_eff[m] = np.partition(g_d, t, axis=1)[vue, t]
-            g_x_eff[m] = np.partition(g_x, n - 1 - t, axis=1)[:, n - 1 - t]
+            for blk in blocks:
+                g_x_eff[m, blk] = np.partition(g_x[blk], n - 1 - t, axis=1)[:, n - 1 - t]
         elif mode == AVERAGE:
             g_d_eff[m], g_x_eff[m] = g_d.mean(axis=1)[vue], g_x.mean(axis=1)
         else:
             raise ValueError(f"unknown anchor mode {mode!r}")
+    has_gain = g_d_eff > 0
+    cap_fits = has_gain & (sampled_req(p_max_c, g_x_eff, g_d_eff) <= p_max_d)
 
     # sample side, per pair: ``free`` pairs never bind, ``covered`` ones can
     # fit k samples at all; ``need`` of a pair's open samples, packed left
-    # into a NaN-padded array, must fit
+    # into a NaN-padded array, must fit; ``kth_cap`` is the k-th smallest
+    # requirement at full CUE power of the pairs that may anchor there
     k = min(max(coverage_count, 1), n)
-    top = sampled_req(p_max_c, g_x.reshape(num_j, num_s, n), g_d_floor).reshape(rows, n)
-    pass_top = top <= p_max_d
-    free = np.count_nonzero(pass_top, axis=1) >= k
-    bind = np.flatnonzero(~free)
-    gx_b, gd_b = g_x[bind], g_d_floor[vue[bind]]
-    roots = (p_max_d * gd_b / gamma_min_d - sigma2) / gx_b   # checked below
-    t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
-    pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-    pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-    wide = (np.count_nonzero(pass_lo, axis=1) < k) | (np.count_nonzero(pass_hi, axis=1) >= k)
-    pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
-    pass_hi[wide] = pass_top[bind[wide]]
+    free = np.empty(rows, bool)
     covered = np.ones(rows, bool)
-    covered[bind] = np.count_nonzero(pass_lo, axis=1) >= k
     need = np.zeros(rows, int)
-    need[bind] = k - np.count_nonzero(pass_hi, axis=1)
-    open_ = pass_lo & ~pass_hi
-    width = np.count_nonzero(open_, axis=1)
-    r, c = np.nonzero(open_)
+    kth_cap = np.full(rows, np.nan)
+    open_rows, open_gx, open_gd = [], [], []
+    for blk in blocks:
+        gx, gd = g_x[blk], g_d_floor[vue[blk]]
+        top = sampled_req(p_max_c, gx, gd)
+        pass_top = top <= p_max_d
+        free[blk] = np.count_nonzero(pass_top, axis=1) >= k
+        cap = np.flatnonzero(cap_fits[:, blk].any(axis=0) & free[blk])
+        kth_cap[blk.start + cap] = np.partition(top[cap], k - 1, axis=1)[:, k - 1]
+        bind = np.flatnonzero(~free[blk])
+        gx_b, gd_b = gx[bind], gd[bind]
+        roots = (p_max_d * gd_b / gamma_min_d - sigma2) / gx_b   # checked below
+        t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
+        pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
+        pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
+        wide = (np.count_nonzero(pass_lo, axis=1) < k) | (np.count_nonzero(pass_hi, axis=1) >= k)
+        pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
+        pass_hi[wide] = pass_top[bind[wide]]
+        covered[blk.start + bind] = np.count_nonzero(pass_lo, axis=1) >= k
+        need[blk.start + bind] = k - np.count_nonzero(pass_hi, axis=1)
+        r, c = np.nonzero(pass_lo & ~pass_hi)
+        open_rows.append(blk.start + bind[r])
+        open_gx.append(gx_b[r, c])
+        open_gd.append(gd_b[r, c])
+    r = np.concatenate(open_rows)              # ascending, one entry per open sample
+    width = np.bincount(r, minlength=rows)
     col = np.arange(r.size) - np.repeat(np.cumsum(width) - width, width)
     gx_open = np.full((rows, width.max(initial=0)), np.nan)
     gd_open = np.ones_like(gx_open)
-    gx_open[bind[r], col], gd_open[bind[r], col] = gx_b[r, c], gd_b[r, c]
+    gx_open[r, col], gd_open[r, col] = np.concatenate(open_gx), np.concatenate(open_gd)
 
-    has_gain = g_d_eff > 0
-    at_cap = has_gain & free & (sampled_req(p_max_c, g_x_eff, g_d_eff) <= p_max_d)
+    at_cap = cap_fits & free
     fits_0 = sampled_req(0.0, g_x_eff, g_d_eff) <= p_max_d
     search = np.flatnonzero(has_gain & ~at_cap & covered & fits_0)
 
@@ -248,13 +267,14 @@ def initial_feasible(
     p_c.ravel()[search] = lo
     # max with the k-th smallest sampled requirement
     req = sampled_req(p_c, g_x_eff, g_d_eff)
-    cap_rows = np.flatnonzero(at_cap.any(axis=0))
-    kth_cap = np.full(rows, np.nan)
-    kth_cap[cap_rows] = np.partition(top[cap_rows], k - 1, axis=1)[:, k - 1]
     req = np.where(at_cap, np.maximum(req, kth_cap), req)
     at = np.flatnonzero(lo > 0)   # searches that found an anchor
-    kth = np.partition(sampled_req(lo[at, None], g_x[pair[at]], g_d_floor[vue[pair[at]]]),
-                       k - 1, axis=1)[:, k - 1]
+    kth = np.empty(at.size)
+    for a in range(0, at.size, step):
+        found = at[a:a + step]
+        kth[a:a + step] = np.partition(
+            sampled_req(lo[found, None], g_x[pair[found]], g_d_floor[vue[pair[found]]]),
+            k - 1, axis=1)[:, k - 1]
     req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
     slack = p_c * np.repeat(g_c, num_s) / gamma_min_c - req * g_b[vue] - sigma2
     anchored = (p_c > 0) & ~(slack < 0)

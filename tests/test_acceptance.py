@@ -158,17 +158,16 @@ def test_selflearn_guarantee_under_the_sampling_model():
         result = harness.run_drop(cfg, d, tuple(outages))
         link = channel.build_link_state(cfg, harness.drop_rng(cfg.rng_seed, d))
         rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed, spawn_key=(d, 1)))
-        g_d = np.abs(channel.sample_true_channel(np.broadcast_to(
-            link.h_hat_d, (draws, num_s)), link.lam, rng)) ** 2 * link.omega_d
-        g_x = np.abs(channel.sample_true_channel(np.broadcast_to(
-            link.h_hat_cross, (draws, num_j, num_s)), link.lam, rng)) ** 2 * link.omega_cross
+        g_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, draws, rng)
+        g_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, draws,
+                                        rng).reshape(num_j, num_s, draws)
         for name, pairs in outages.items():
             stats = result.methods[name]
             for j, s in enumerate(stats.assignment.column_of_row):
                 if stats.matrix.is_virtual(s) or stats.matrix.capacity[j, s] <= 0.0:
                     continue
                 sinr = channel.sinr_vue(stats.matrix.p_c_w[j, s], stats.matrix.p_d_w[j, s],
-                                        g_d[:, s], g_x[:, j, s], cfg.noise_power_w)
+                                        g_d[s], g_x[j, s], cfg.noise_power_w)
                 pairs.append(float(np.mean(sinr < cfg.sinr_min_vue)))
     for name, pairs in outages.items():
         pairs = np.asarray(pairs)

@@ -210,40 +210,71 @@ def test_link_state_mean_gains(rng):
     assert np.all(link.g_c > 0) and np.all(link.g_b > 0)
 
 
-def test_draw_realizations_shapes_and_mean(rng):
+def test_held_out_error_powers_shapes_and_mean(rng):
     cfg = ScenarioConfig()
     link = channel.build_link_state(cfg, rng)
-    err_d, err_x = channel.draw_realizations(link, rng, 20000)
-    assert err_d.shape == (20000, cfg.num_vues)
-    assert err_x.shape == (20000, cfg.num_cues, cfg.num_vues)
+    count, pairs = 20000, cfg.num_cues * cfg.num_vues
+    err_d = channel.error_power(rng, (count, cfg.num_vues))
+    err_x = channel.error_power_columns(rng, count, link.omega_cross.shape, list(range(pairs)))
+    assert err_d.shape == (count, cfg.num_vues)
+    assert err_x.shape == (count, pairs)
     assert np.all(err_d >= 0) and np.all(err_x >= 0)
     # unit-mean error powers; the gains formed from them match the conditional
     # mean within Monte Carlo noise
     assert np.all(np.abs(err_x.mean(axis=0) - 1.0) < 0.05)
-    g_d = np.stack([channel.pair_true_gains(link, err_d, err_x, 0, s)[0]
-                    for s in range(cfg.num_vues)], axis=1)
+    g_d = channel.v2v_true_gain(link.omega_d, link.h_hat_d_sq, link.lam, err_d)
     assert np.all(g_d >= 0)
     rel_err = np.abs(g_d.mean(axis=0) / link.g_bar_d - 1.0)
     assert np.all(rel_err < 0.05)
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (6, 3)])
-def test_pair_true_gains_equal_the_broadcast_columns(rng, shape):
-    cfg = ScenarioConfig(num_cues=shape[0], num_vues=shape[1])
-    link = channel.build_link_state(cfg, rng)
-    err_d, err_x = channel.draw_realizations(link, rng, 700)
-    all_d = channel.v2v_true_gain(link.omega_d, np.abs(link.h_hat_d) ** 2, link.lam, err_d)
-    all_x = channel.v2v_true_gain(link.omega_cross, np.abs(link.h_hat_cross) ** 2, link.lam,
-                                  err_x)
-    for j in range(cfg.num_cues):
-        for s in range(cfg.num_vues):
-            g_d, g_x = channel.pair_true_gains(link, err_d, err_x, j, s)
-            assert np.array_equal(g_d, all_d[:, s])
-            assert np.array_equal(g_x, all_x[:, j, s])
+# (count, shape) of the chunked draws: a count below one chunk, a multiple of
+# the chunk, one past it, and the held-out and sample blocks of real drops
+CHUNKED_SHAPES = [
+    (1, (1,)), (1, (3, 5)), (100, (16, 16)), (256, (16, 16)), (257, (16, 16)),
+    (3000, (4,)), (3000, (4, 4)), (3000, (16, 16)), (6000, (4, 4)), (5000, (16, 16)),
+]
+
+
+@pytest.mark.parametrize("count, shape", CHUNKED_SHAPES)
+def test_chunked_held_out_columns_equal_the_full_block(count, shape):
+    """error_power_columns gives the columns of one full standard_exponential
+    block, exactly, and leaves the generator where that block does."""
+    full, chunked = np.random.default_rng(11), np.random.default_rng(11)
+    width = math.prod(shape)
+    columns = sorted({0, width - 1, width // 2, width // 3})[::-1]   # any order
+    expected = full.standard_exponential((count,) + shape).reshape(count, width)[:, columns]
+    got = channel.error_power_columns(chunked, count, shape, columns)
+    assert got.shape == (count, len(columns))
+    assert (got == expected).all()
+    assert chunked.bit_generator.state == full.bit_generator.state
+
+
+@pytest.mark.parametrize("count, shape", CHUNKED_SHAPES)
+def test_pair_gain_samples_equal_the_broadcast_sampling(count, shape):
+    """sample_pair_gains gives, pair-major, the values of the amplitude-composed
+    gains over the broadcast estimate, exactly, and leaves the generator where
+    that sampling does."""
+    setup = np.random.default_rng(3)
+    h_hat = channel.rayleigh_fading(setup, shape)
+    omega = setup.uniform(1e-12, 1e-6, shape)
+    lam = 0.9466
+    full, fused = np.random.default_rng(12), np.random.default_rng(12)
+    expected = np.abs(channel.sample_true_channel(
+        np.broadcast_to(h_hat, (count,) + shape), lam, full)) ** 2 * omega
+    got = channel.sample_pair_gains(h_hat, omega, lam, count, fused)
+    assert got.shape == (math.prod(shape), count)
+    assert (got == expected.reshape(count, -1).T).all()
+    assert fused.bit_generator.state == full.bit_generator.state
+
+
+def test_pair_gain_samples_reject_bad_lambda(rng):
+    with pytest.raises(ValueError):
+        channel.sample_pair_gains(np.ones(2, complex), np.ones(2), 1.0, 5, rng)
 
 
 @pytest.mark.parametrize("size", [
-    0, 1, channel.DISCARD_CHUNK - 1, channel.DISCARD_CHUNK, channel.DISCARD_CHUNK + 1,
+    0, 1, channel.DRAW_CHUNK - 1, channel.DRAW_CHUNK, channel.DRAW_CHUNK + 1,
     (3000, 16, 16),  # N * J * S of a J = S = 16 drop
 ])
 def test_discard_fading_leaves_the_stream_where_sampling_does(size):

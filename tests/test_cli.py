@@ -118,6 +118,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert {f.name for f in tmp_path.iterdir()} == {"bad.yaml", "unparsable.yaml"}
 
 
+def test_shadowing_spread_beyond_the_bound_exits_2(tmp_path, capsys):
+    """A spread that could over- or underflow a large-scale gain is rejected at
+    load time, before any drop runs; the largest allowed spread runs."""
+    out = tmp_path / "run.csv"
+    for field in ("shadowing_sigma_cue_db", "shadowing_sigma_vue_db"):
+        assert main(["run", "--drops", "1", "--out", str(out), "--set", f"{field}=1e4",
+                     *FAST]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["run", "--drops", "1", "--out", str(out), "--set",
+                 "shadowing_sigma_vue_db=60", *FAST]) == 0
+    assert out.exists()
+
+
 def test_validate_exits_zero():
     assert main(["validate"]) == 0
 

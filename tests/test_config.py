@@ -55,6 +55,10 @@ def test_vue_pair_distance_tracks_speed():
     ("p_max_cue_dbm", 4000.0),        # 10^400 W overflows
     ("p_max_vue_dbm", -5000.0),       # underflows to 0 W
     ("noise_psd_dbm_hz", -5000.0),    # noise power underflows to 0 W
+    ("shadowing_sigma_cue_db", -1.0),
+    ("shadowing_sigma_vue_db", 60.5),
+    ("shadowing_sigma_vue_db", 1000.0),   # shadowing could over- or underflow omega
+    ("shadowing_sigma_cue_db", 1e4),
 ])
 def test_invariants_rejected(field, value):
     with pytest.raises(ConfigError):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from v2xalloc import channel, harness
-from v2xalloc.config import ConfigError
+from v2xalloc.config import ConfigError, ScenarioConfig
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
 
 
@@ -93,6 +94,25 @@ def test_outage_is_exact_violation_fraction(small_cfg):
             assert 0.0 <= outage <= 1.0
             count = outage * m
             assert abs(count - round(count)) < 1e-9
+
+
+# tracemalloc peaks of one J = S = 16 drop at the default N and M: at most
+# the one (pairs, N) sample array, no (M, J, S) block, and otherwise chunks
+# and the scored pairs' columns (full-array drop stages read 12.8 and 58 MiB)
+DENSE_PEAK_MIB = {("opt", "brra", "nrra", "apra"): 4.0, harness.ALL_METHODS: 20.0}
+
+
+@pytest.mark.parametrize("methods", list(DENSE_PEAK_MIB), ids=["no_learning", "all_methods"])
+def test_dense_drop_memory_peak(methods):
+    cfg = ScenarioConfig(num_cues=16, num_vues=16)
+    run_drop(cfg, 0, methods)   # warm caches out of the measurement
+    tracemalloc.start()
+    try:
+        run_drop(cfg, 1, methods)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DENSE_PEAK_MIB[methods] * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_virtual_columns_used_when_more_cues(small_cfg):

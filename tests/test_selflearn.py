@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from v2xalloc import oracles
+from v2xalloc import channel, oracles, selflearn
+from v2xalloc.config import ScenarioConfig
 from v2xalloc.selflearn import (
     AVERAGE,
     WORST,
@@ -271,6 +272,76 @@ def test_anchor_infeasible_when_uncoverable():
     g_d = np.full(50, 1e-6)
     g_x = np.full(50, 10.0)
     assert anchor_of(WORST, g_d, g_x, coverage_count=50) is None
+
+
+def anchors_in_blocks(block, modes, *args, **kwargs):
+    """initial_feasible's anchors with ANCHOR_BLOCK set to ``block`` floats."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selflearn, "ANCHOR_BLOCK", block)
+        return initial_feasible(modes, *args, **kwargs)
+
+
+def assert_same_anchors(got, expected):
+    assert got.keys() == expected.keys()
+    for mode, (p_c, p_d) in expected.items():
+        assert np.array_equal(got[mode][0], p_c, equal_nan=True), mode
+        assert np.array_equal(got[mode][1], p_d, equal_nan=True), mode
+
+
+@st.composite
+def drop_cases(draw):
+    n = draw(st.integers(1, 30))
+    num_j, num_s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    gain = draw(st.sampled_from([
+        st.sampled_from((0.0, 0.25, 1.0, 2.5)),   # ties, and g_d = 0 hits the floor
+        st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False),
+    ]))
+    g_d = np.array(draw(st.lists(gain, min_size=n * num_s, max_size=n * num_s)))
+    g_x = np.array(draw(st.lists(gain, min_size=n * num_j * num_s,
+                                 max_size=n * num_j * num_s)))
+    g_c = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=num_j, max_size=num_j)))
+    g_b = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=num_s, max_size=num_s)))
+    kwargs = dict(
+        gamma_min_c=draw(st.floats(0.5, 3.0)), gamma_min_d=draw(st.floats(0.5, 3.0)),
+        sigma2=draw(st.floats(0.01, 0.3)),
+        p_max_c=draw(st.floats(0.2, 2.0)), p_max_d=draw(st.floats(0.2, 2.0)),
+        coverage_count=draw(st.one_of(st.just(n), st.integers(-2, n + 2))),
+        trim_count=draw(st.integers(0, n + 1)),
+    )
+    return g_d.reshape(n, num_s), g_x.reshape(n, num_j, num_s), g_c, g_b, kwargs
+
+
+@settings(deadline=None, max_examples=200)
+@given(drop_cases())
+def test_anchor_search_in_one_row_blocks_equals_one_block(case):
+    """A one-row block splits every per-pair pass, which the default block
+    size leaves whole on these shapes: the anchors must not change."""
+    g_d, g_x, g_c, g_b, kwargs = case
+    modes = (WORST, AVERAGE)
+    expected = initial_feasible(modes, g_d, g_x, g_c, g_b, **kwargs)
+    assert_same_anchors(anchors_in_blocks(1, modes, g_d, g_x, g_c, g_b, **kwargs), expected)
+
+
+@pytest.mark.parametrize("speed", [40.0, 160.0])
+def test_anchor_search_blocks_on_a_dense_drop(speed):
+    """On a J = S = 16 drop the default block splits the 256 pairs into 13
+    blocks; one block over all of them gives the same anchors."""
+    cfg = ScenarioConfig(num_cues=16, num_vues=16, vehicle_speed_kmh=speed)
+    rng = np.random.default_rng(2027)
+    link = channel.build_link_state(cfg, rng)
+    n = cfg.sample_count
+    g_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng).T
+    g_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n, rng).T
+    args = (g_d, g_x.reshape(n, 16, 16), link.g_c, link.g_b, cfg.sinr_min_cue,
+            cfg.sinr_min_vue, cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w)
+    budget = max(1, (n - calibration_index(n, cfg.outage_prob, cfg.varsigma)) // 16)
+    kwargs = dict(coverage_count=n - budget, trim_count=2 * budget)
+    modes = (WORST, AVERAGE)
+    assert selflearn.ANCHOR_BLOCK // n < 256
+    expected = anchors_in_blocks(256 * n, modes, *args, **kwargs)
+    got = initial_feasible(modes, *args, **kwargs)
+    assert any(not np.isnan(p_c).all() for p_c, _ in got.values())
+    assert_same_anchors(got, expected)
 
 
 # ---------------------------------------------------------------------------
