@@ -283,8 +283,9 @@ class LinkState:
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie in (0,1)")
         for name in ("omega_c", "omega_d", "omega_cross", "omega_b"):
-            if np.any(getattr(self, name) <= 0):
-                raise ValueError(f"{name} must be strictly positive")
+            omega = getattr(self, name)
+            if not np.all((omega > 0) & (omega < np.inf)):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     # exact gains of the gNB-connected links, computed once per drop
     @cached_property

@@ -24,6 +24,10 @@ class ConfigError(ValueError):
 # draw (2,400 dB) plus the path loss keeps every large-scale gain 10^(-L/10) a
 # normal float; far larger spreads over- or underflow it to inf or 0.
 MAX_SHADOWING_SIGMA_DB = 60.0
+# A large-scale loss L of up to 3,000 dB keeps 10^(-L/10) a normal float (the
+# limit is about 3,080 dB).  So the path loss alone must stay within
+# 3,000 - 40 * MAX_SHADOWING_SIGMA_DB = 600 dB of zero over every link distance.
+MAX_LARGE_SCALE_LOSS_DB = 3000.0
 
 
 def dbm_to_watt(x_dbm: float) -> float:
@@ -111,7 +115,27 @@ class ScenarioConfig:
                 watts = math.inf
             if not 0.0 < watts < math.inf:   # a dBm value under- or overflows
                 raise ConfigError(f"{name} must be finite and > 0, got {watts!r}")
+        self._check_pathloss_range()
         self._check_model_applies()
+
+    def _check_pathloss_range(self) -> None:
+        """Reject a path loss that shadowing could push out of MAX_LARGE_SCALE_LOSS_DB.
+
+        The loss is monotone in distance, so it is checked at the distance floor
+        and at a bound on the longest link: every vehicle is within ``reach`` of
+        the gNB (the far road edge, the lane offset and the largest jittered
+        pair spacing), so no link is longer than twice that."""
+        reach = self.gnb_road_distance_m[1] + self.lane_offset_m + 1.2 * self.vue_pair_distance_m
+        floor = self.min_link_distance_m
+        for dist_m in (floor, max(2.0 * reach, floor)):
+            loss_db = (self.pathloss_constant_db
+                       + self.pathloss_exponent_db * math.log10(dist_m / 1000.0))
+            if not abs(loss_db) + 40.0 * MAX_SHADOWING_SIGMA_DB <= MAX_LARGE_SCALE_LOSS_DB:
+                raise ConfigError(
+                    f"pathloss_constant_db={self.pathloss_constant_db:g}, pathloss_exponent_db="
+                    f"{self.pathloss_exponent_db:g}: the path loss at {dist_m:g} m is "
+                    f"{loss_db:g} dB; it must lie within "
+                    f"+-{MAX_LARGE_SCALE_LOSS_DB - 40.0 * MAX_SHADOWING_SIGMA_DB:g} dB")
 
     def _check_model_applies(self) -> None:
         """Reject scenarios the drop pipeline cannot run: an unknown Bernstein

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,20 @@ def test_geometry_bounds_and_pair_distance(rng):
     assert np.allclose(geom.vue_pair_m, 2.5 * 80 / 3.6)  # 55.6 m at 80 km/h
     assert np.all(geom.cue_vue_m >= cfg.min_link_distance_m)
     assert np.all(geom.vue_gnb_m > 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(d_lo=st.floats(1.0, 500.0), width=st.floats(0.0, 1000.0), lane=st.floats(0.0, 50.0),
+       speed=st.floats(1.0, 300.0), jitter=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_every_link_within_twice_the_vehicle_reach(d_lo, width, lane, speed, jitter, seed):
+    """The config checks the path loss out to 2 * reach; no drawn link is longer."""
+    cfg = ScenarioConfig(gnb_road_distance_m=(d_lo, d_lo + width), lane_offset_m=lane,
+                         vehicle_speed_kmh=speed, vue_pair_jitter=jitter, num_cues=6,
+                         num_vues=5, sample_count=300)
+    geom = channel.generate_geometry(cfg, np.random.default_rng(seed))
+    reach = d_lo + width + lane + 1.2 * cfg.vue_pair_distance_m
+    for name in ("cue_gnb_m", "vue_pair_m", "cue_vue_m", "vue_gnb_m"):
+        assert np.all(getattr(geom, name) <= 2.0 * reach)
 
 
 def test_geometry_deterministic_per_seed():
@@ -208,6 +223,16 @@ def test_link_state_mean_gains(rng):
     expected = link.omega_d * (lam2 * np.abs(link.h_hat_d) ** 2 + (1 - lam2))
     assert np.allclose(link.g_bar_d, expected)
     assert np.all(link.g_c > 0) and np.all(link.g_b > 0)
+
+
+@pytest.mark.parametrize("omega", [0.0, np.inf, np.nan])
+def test_link_state_rejects_a_gain_that_is_not_finite_and_positive(rng, omega):
+    link = channel.build_link_state(ScenarioConfig(num_cues=2, num_vues=2), rng)
+    for name in ("omega_c", "omega_d", "omega_cross", "omega_b"):
+        bad = getattr(link, name).copy()
+        bad.flat[-1] = omega
+        with pytest.raises(ValueError, match=f"{name} must be finite and strictly positive"):
+            dataclasses.replace(link, **{name: bad})
 
 
 def test_held_out_error_powers_shapes_and_mean(rng):

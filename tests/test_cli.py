@@ -132,6 +132,23 @@ def test_shadowing_spread_beyond_the_bound_exits_2(tmp_path, capsys):
     assert out.exists()
 
 
+def test_path_loss_beyond_the_bound_exits_2(tmp_path, capsys):
+    """A path loss that could over- or underflow a large-scale gain is rejected
+    at load time, before any drop runs; a loss near the bound runs."""
+    out = tmp_path / "run.csv"
+    for extra in (
+        ["--set", "pathloss_constant_db=4000"],
+        ["--set", "min_link_distance_m=1e-300", "--set", "gnb_road_distance_m=1e-300,1e-300",
+         "--set", "lane_offset_m=0"],
+    ):
+        assert main(["run", "--drops", "1", "--out", str(out), *extra, *FAST]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["run", "--drops", "1", "--out", str(out), "--set",
+                 "pathloss_constant_db=590", *FAST]) == 0
+    assert out.exists()
+
+
 def test_validate_exits_zero():
     assert main(["validate"]) == 0
 

@@ -59,6 +59,12 @@ def test_vue_pair_distance_tracks_speed():
     ("shadowing_sigma_vue_db", 60.5),
     ("shadowing_sigma_vue_db", 1000.0),   # shadowing could over- or underflow omega
     ("shadowing_sigma_cue_db", 1e4),
+    ("pathloss_constant_db", 4000.0),     # omega underflows to 0 at every distance
+    ("pathloss_constant_db", -700.0),     # 40-sigma shadowing could overflow it to inf
+    ("pathloss_exponent_db", 1e308),      # -inf dB at the distance floor
+    ("pathloss_exponent_db", -500.0),     # > 600 dB at the 3 m floor
+    ("min_link_distance_m", 1e-300),      # -11,265 dB at the floor
+    ("gnb_road_distance_m", (100.0, 1e308)),   # the farthest link is inf m
 ])
 def test_invariants_rejected(field, value):
     with pytest.raises(ConfigError):
@@ -71,6 +77,25 @@ def test_invariants_rejected(field, value):
 def test_non_finite_float_rejected(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         ScenarioConfig(**{field: value})
+
+
+def test_path_loss_bound_is_600_db_at_the_floor_and_the_farthest_link():
+    # with a positive slope the floor sets the lowest loss: 37.6 * log10(0.003) = -94.86 dB
+    floor_db = 37.6 * math.log10(3.0 / 1000.0)
+    ScenarioConfig(pathloss_constant_db=-600.0 - floor_db + 1e-9)
+    with pytest.raises(ConfigError, match="path loss at 3 m"):
+        ScenarioConfig(pathloss_constant_db=-600.0 - floor_db - 1e-9)
+    # and the farthest link the highest: every vehicle is within 200 + 4 + 1.2 * 55.6 m
+    # of the gNB, so no link is longer than twice that
+    reach = 200.0 + 4.0 + 1.2 * ScenarioConfig().vue_pair_distance_m
+    far_db = 37.6 * math.log10(2.0 * reach / 1000.0)
+    ScenarioConfig(pathloss_constant_db=600.0 - far_db - 1e-9)
+    with pytest.raises(ConfigError, match=f"path loss at {2.0 * reach:g} m"):
+        ScenarioConfig(pathloss_constant_db=600.0 - far_db + 1e-9)
+    # a flat loss is the same at both ends
+    ScenarioConfig(pathloss_constant_db=-600.0, pathloss_exponent_db=0.0)
+    with pytest.raises(ConfigError, match="within \\+-600 dB"):
+        ScenarioConfig(pathloss_constant_db=-600.5, pathloss_exponent_db=0.0)
 
 
 def test_unknown_key_rejected():

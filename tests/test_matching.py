@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from v2xalloc.matching import build_capacity_matrix, hungarian_max_weight
 from v2xalloc.oracles import assignment_bruteforce
@@ -54,8 +55,65 @@ def test_total_monotone_in_entries(weights, row, col, bump):
 def test_rejects_invalid_matrices():
     with pytest.raises(ValueError):
         hungarian_max_weight(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         hungarian_max_weight(np.array([[1.0, -0.5], [0.0, 1.0]]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            hungarian_max_weight(np.array([[1.0, bad], [0.0, 1.0]]))
+
+
+# scipy.optimize.linear_sum_assignment is the reference the port must equal
+# column for column, ties included; only the tests import it.
+
+def scipy_columns(weights):
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    assert list(rows) == list(range(weights.shape[0]))
+    return cols, float(weights[rows, cols].sum())
+
+
+def tie_prone_matrix(rng, kind, n):
+    if kind == "uniform":
+        return rng.uniform(0.0, 10.0, (n, n))
+    if kind == "small_integers":
+        return rng.integers(0, 3, (n, n)).astype(float)
+    if kind == "zero_heavy":
+        return rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) >= 0.6)
+    # virtual-padded: real columns, then equal virtual columns per row
+    real = int(rng.integers(1, n + 1))
+    weights = np.empty((n, n))
+    weights[:, :real] = rng.uniform(0.0, 5.0, (n, real))
+    weights[:, real:] = rng.uniform(0.0, 5.0, (n, 1))
+    return weights
+
+
+@pytest.mark.parametrize(
+    "seed,kind", enumerate(["uniform", "small_integers", "zero_heavy", "virtual_padded"]))
+def test_columns_equal_scipy(seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        weights = tie_prone_matrix(rng, kind, int(rng.integers(1, 12)))
+        assignment, total = hungarian_max_weight(weights)
+        cols, ref_total = scipy_columns(weights)
+        assert list(assignment.column_of_row) == list(cols), weights
+        assert total == ref_total
+
+
+@settings(deadline=None, max_examples=200)
+@given(weights=st.integers(1, 9).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, n),
+                         elements=st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e9)))))
+def test_columns_equal_scipy_on_generated_matrices(weights):
+    assignment, total = hungarian_max_weight(weights)
+    cols, ref_total = scipy_columns(weights)
+    assert list(assignment.column_of_row) == list(cols)
+    assert total == ref_total
+
+
+def test_equal_weights_give_the_identity():
+    # the free columns are listed in reverse order, so ties resolve to row i -> column i
+    for n in (1, 2, 5, 9):
+        assignment, _ = hungarian_max_weight(np.full((n, n), 3.0))
+        assert list(assignment.column_of_row) == list(range(n))
 
 
 def pair_arrays(j, s, cap=0.0, p_c=0.0, p_d=0.0):

@@ -13,8 +13,9 @@ from pathlib import Path
 import v2xalloc
 
 SRC = Path(v2xalloc.__file__).resolve().parent.parent
-# scipy.stats and mpmath serve only the oracles, yaml only a config file
-FORBIDDEN = ("scipy.stats", "mpmath", "yaml", "v2xalloc.oracles")
+# scipy.stats and mpmath serve only the oracles, yaml only a config file;
+# scipy.optimize serves only the assignment tests, as their reference
+FORBIDDEN = ("scipy.stats", "scipy.optimize", "mpmath", "yaml", "v2xalloc.oracles")
 
 RUN = """
 import v2xalloc.cli, v2xalloc.harness
@@ -47,4 +48,5 @@ def test_a_config_file_loads_yaml(tmp_path):
 
 def test_validate_loads_the_oracles():
     code = "from v2xalloc.cli import main\nassert main(['validate']) == 0"
-    assert "v2xalloc.oracles" in loaded(code)
+    modules = loaded(code)
+    assert "v2xalloc.oracles" in modules and "scipy.optimize" not in modules
