@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .config import ScenarioConfig
 
@@ -49,9 +48,54 @@ J0_DOMAIN_MAX = 50.0
 DRAW_CHUNK = 1 << 16   # floats per chunk of a chunked draw
 
 
+# Cephes j0 coefficients: a rational form in x^2 on [0, 5] with the zeros
+# DR1 = j_{0,1}^2 and DR2 = j_{0,2}^2 factored out, and the Hankel asymptotic
+# modulus (PP/PQ) and phase (QP/QQ) in 25/x^2 above 5.  QQ and RQ leave out
+# their leading 1 (p1evl).
+_J0_PP = (7.96936729297347051624E-4, 8.28352392107440799803E-2, 1.23953371646414299388E0,
+          5.44725003058768775090E0, 8.74716500199817011941E0, 5.30324038235394892183E0,
+          9.99999999999999997821E-1)
+_J0_PQ = (9.24408810558863637013E-4, 8.56288474354474431428E-2, 1.25352743901058953537E0,
+          5.47097740330417105182E0, 8.76190883237069594232E0, 5.30605288235394617618E0,
+          1.00000000000000000218E0)
+_J0_QP = (-1.13663838898469149931E-2, -1.28252718670509318512E0, -1.95539544257735972385E1,
+          -9.32060152123768231369E1, -1.77681167980488050595E2, -1.47077505154951170175E2,
+          -5.14105326766599330220E1, -6.05014350600728481186E0)
+_J0_QQ = (6.43178256118178023184E1, 8.56430025976980587198E2, 3.88240183605401609683E3,
+          7.24046774195652478189E3, 5.93072701187316984827E3, 2.06209331660327847417E3,
+          2.42005740240291393179E2)
+_J0_RP = (-4.79443220978201773821E9, 1.95617491946556577543E12, -2.49248344360967716204E14,
+          9.70862251047306323952E15)
+_J0_RQ = (4.99563147152651017219E2, 1.73785401676374683123E5, 4.84409658339962045305E7,
+          1.11855537045356834862E10, 2.11277520115489217587E12, 3.10518229857422583814E14,
+          3.18121955943204943306E16, 1.71086294081043136091E18)
+_J0_DR1 = 5.78318596294678452118E0
+_J0_DR2 = 3.04712623436620863991E1
+_SQRT_2_OVER_PI = 7.9788456080286535587989E-1
+_PI_OVER_4 = 7.85398163397448309616E-1
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule from the leading coefficient, as Cephes ``polevl``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """``_polevl`` with an implied leading coefficient of 1, as Cephes ``p1evl``."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
 def bessel_j0(x: float) -> float:
     """Zero-order Bessel function of the first kind on the validated range |x| <= 50.
 
+    A port of Cephes ``j0`` with its coefficients and operation order, so it
+    returns the same double as ``scipy.special.j0`` without importing scipy.
     Raises ValueError outside the documented validity range (the temporal
     correlation model never needs larger arguments).
     """
@@ -59,7 +103,20 @@ def bessel_j0(x: float) -> float:
         raise ValueError("bessel_j0 requires finite input")
     if abs(x) > J0_DOMAIN_MAX:
         raise ValueError(f"bessel_j0 argument outside validity range |x| <= {J0_DOMAIN_MAX}")
-    return float(special.j0(x))
+    x = abs(float(x))
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        return p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
+    xn = x - _PI_OVER_4
+    p = p * math.cos(xn) - w * q * math.sin(xn)
+    return p * _SQRT_2_OVER_PI / math.sqrt(x)
 
 
 def doppler_coefficient(speed_kmh: float, carrier_hz: float, delay_s: float) -> float:

@@ -147,7 +147,7 @@ def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def hungarian_max_weight(matrix: CapacityMatrix | np.ndarray) -> tuple[ReuseAssignment, float]:
+def hungarian_max_weight(matrix: CapacityMatrix | np.ndarray) -> ReuseAssignment:
     """Assignment maximizing the summed pair capacity (shortest augmenting path)."""
     weights = matrix.capacity if isinstance(matrix, CapacityMatrix) else np.asarray(matrix, float)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
@@ -158,5 +158,4 @@ def hungarian_max_weight(matrix: CapacityMatrix | np.ndarray) -> tuple[ReuseAssi
         raise ValueError("capacities must be nonnegative")
     column_of_row = np.array(_shortest_augmenting_path((-weights).tolist()), dtype=int)
     num_real = matrix.num_real if isinstance(matrix, CapacityMatrix) else weights.shape[1]
-    total = float(weights[np.arange(weights.shape[0]), column_of_row].sum())
-    return ReuseAssignment(column_of_row=column_of_row, num_real=num_real), total
+    return ReuseAssignment(column_of_row=column_of_row, num_real=num_real)

@@ -96,7 +96,8 @@ def check_matching(rng: np.random.Generator) -> tuple[bool, str]:
     for _ in range(trials):
         size = int(rng.integers(2, 7))
         weights = rng.uniform(0.0, 10.0, size=(size, size))
-        _, total = matching.hungarian_max_weight(weights)
+        cols = matching.hungarian_max_weight(weights).column_of_row
+        total = float(weights[np.arange(size), cols].sum())
         ref_total, _ = oracles.assignment_bruteforce(weights)
         if abs(total - ref_total) > 1e-9 * max(1.0, abs(ref_total)):
             return False, f"assignment total {total} != brute force {ref_total}"

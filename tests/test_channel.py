@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from v2xalloc import channel
 from v2xalloc.config import ScenarioConfig
@@ -41,6 +42,52 @@ def test_j0_domain_error():
         channel.bessel_j0(51.0)
     with pytest.raises(ValueError):
         channel.bessel_j0(float("nan"))
+
+
+# scipy.special.j0 is the reference the Cephes port must equal double for
+# double; only the tests import it.
+
+def assert_j0_equals_scipy(xs):
+    ours = np.array([channel.bessel_j0(float(x)) for x in xs])
+    mismatched = np.flatnonzero(ours != special.j0(xs))
+    assert mismatched.size == 0, xs[mismatched[:5]]
+
+
+def test_j0_equals_scipy_on_a_grid_and_uniform_points():
+    rng = np.random.default_rng(20261019)
+    assert_j0_equals_scipy(np.linspace(0.0, 50.0, 400_001))
+    assert_j0_equals_scipy(rng.uniform(0.0, 50.0, 400_000))
+    assert_j0_equals_scipy(rng.uniform(0.0, 1e-4, 10_000))
+
+
+def test_j0_equals_scipy_at_the_branch_points_and_for_negative_x():
+    # the series cut at 1e-5, the rational/asymptotic cut at 5 and the domain
+    # edge at 50, 64 ulps either side; then every point mirrored
+    near = []
+    for edge in (1e-5, 5.0, 50.0):
+        below = above = edge
+        near.append(edge)
+        for _ in range(64):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near += [below, above]
+    xs = np.array([x for x in near if x <= 50.0]
+                  + [0.0, 5e-324, 1e-300, 1e-8, 1.0, J0_FIRST_ZERO, 10.0])
+    assert_j0_equals_scipy(xs)
+    assert_j0_equals_scipy(-xs)
+    assert_j0_equals_scipy(-np.linspace(0.0, 50.0, 5_001))
+
+
+# every speed (km/h) a config, test, script or benchmark sets at the default
+# carrier and delay, and the 1..400 km/h monotonicity grid below
+REPO_SPEEDS = (0.01, 40.0, 60.0, 70.0, 80.0, 100.0, 120.0, 130.0, 140.0, 160.0)
+
+
+def test_lambda_of_every_repo_speed_equals_scipy():
+    cases = [(v, 2.0e9, 0.5e-3) for v in REPO_SPEEDS + tuple(np.linspace(1.0, 400.0, 41))]
+    for speed, carrier, delay in cases + [(200.0, 5.9e9, 1.0e-3)]:
+        f_doppler = (float(speed) / 3.6) * carrier / channel.SPEED_OF_LIGHT_M_S
+        lam = channel.doppler_coefficient(float(speed), carrier, delay)
+        assert lam == special.j0(2.0 * np.pi * f_doppler * delay), speed
 
 
 def test_doppler_coefficient_reference_point():

@@ -11,8 +11,16 @@ from v2xalloc.matching import build_capacity_matrix, hungarian_max_weight
 from v2xalloc.oracles import assignment_bruteforce
 
 
+def assign(matrix):
+    """The assignment of a square weight array or CapacityMatrix, and its total."""
+    assignment = hungarian_max_weight(matrix)
+    weights = getattr(matrix, "capacity", matrix)
+    total = float(weights[np.arange(weights.shape[0]), assignment.column_of_row].sum())
+    return assignment, total
+
+
 def test_two_by_two_reference():
-    assignment, total = hungarian_max_weight(np.array([[3.0, 1.0], [2.0, 4.0]]))
+    assignment, total = assign(np.array([[3.0, 1.0], [2.0, 4.0]]))
     assert math.isclose(total, 7.0)
     assert list(assignment.column_of_row) == [0, 1]
 
@@ -20,7 +28,7 @@ def test_two_by_two_reference():
 def test_identity_dominant_matrix(rng):
     weights = rng.uniform(0.0, 1.0, size=(5, 5))
     np.fill_diagonal(weights, 10.0 + rng.uniform(0, 1, 5))
-    assignment, _ = hungarian_max_weight(weights)
+    assignment = hungarian_max_weight(weights)
     assert list(assignment.column_of_row) == [0, 1, 2, 3, 4]
 
 
@@ -28,14 +36,14 @@ def test_matches_bruteforce_on_random_matrices(rng):
     for _ in range(60):
         size = int(rng.integers(2, 8))
         weights = rng.uniform(0.0, 10.0, size=(size, size))
-        _, total = hungarian_max_weight(weights)
+        _, total = assign(weights)
         ref_total, _ = assignment_bruteforce(weights)
         assert math.isclose(total, ref_total, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_assignment_is_a_permutation(rng):
     weights = rng.uniform(0.0, 5.0, size=(7, 7))
-    assignment, _ = hungarian_max_weight(weights)
+    assignment = hungarian_max_weight(weights)
     assert sorted(assignment.column_of_row.tolist()) == list(range(7))
 
 
@@ -45,10 +53,10 @@ def test_assignment_is_a_permutation(rng):
     row=st.integers(0, 3), col=st.integers(0, 3), bump=st.floats(0.0, 50.0),
 )
 def test_total_monotone_in_entries(weights, row, col, bump):
-    _, total = hungarian_max_weight(weights)
+    _, total = assign(weights)
     bumped = weights.copy()
     bumped[row, col] += bump
-    _, total2 = hungarian_max_weight(bumped)
+    _, total2 = assign(bumped)
     assert total2 >= total - 1e-9
 
 
@@ -92,7 +100,7 @@ def test_columns_equal_scipy(seed, kind):
     rng = np.random.default_rng(seed)
     for _ in range(400):
         weights = tie_prone_matrix(rng, kind, int(rng.integers(1, 12)))
-        assignment, total = hungarian_max_weight(weights)
+        assignment, total = assign(weights)
         cols, ref_total = scipy_columns(weights)
         assert list(assignment.column_of_row) == list(cols), weights
         assert total == ref_total
@@ -103,7 +111,7 @@ def test_columns_equal_scipy(seed, kind):
     lambda n: hnp.arrays(np.float64, (n, n),
                          elements=st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1e9)))))
 def test_columns_equal_scipy_on_generated_matrices(weights):
-    assignment, total = hungarian_max_weight(weights)
+    assignment, total = assign(weights)
     cols, ref_total = scipy_columns(weights)
     assert list(assignment.column_of_row) == list(cols)
     assert total == ref_total
@@ -112,7 +120,7 @@ def test_columns_equal_scipy_on_generated_matrices(weights):
 def test_equal_weights_give_the_identity():
     # the free columns are listed in reverse order, so ties resolve to row i -> column i
     for n in (1, 2, 5, 9):
-        assignment, _ = hungarian_max_weight(np.full((n, n), 3.0))
+        assignment = hungarian_max_weight(np.full((n, n), 3.0))
         assert list(assignment.column_of_row) == list(range(n))
 
 
@@ -145,7 +153,7 @@ def test_build_matrix_all_virtual_when_no_vues():
     matrix = build_capacity_matrix(*pair_arrays(2, 0), g_c, 1.0, 4e-14, 1.0)
     assert matrix.num_real == 0
     assert np.all(matrix.p_d_w == 0.0)
-    assignment, total = hungarian_max_weight(matrix)
+    _, total = assign(matrix)
     assert math.isclose(total, float(np.sum(1.0 * np.log2(1 + g_c / 4e-14))), rel_tol=1e-12)
 
 

@@ -1,11 +1,12 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from v2xalloc import channel, oracles, selflearn
 from v2xalloc.config import ScenarioConfig
@@ -143,6 +144,76 @@ def test_calibration_index_failure_is_not_cached():
             calibration_index(10, 0.05, 0.05)
     info = calibration_index.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
+
+
+# The bisection on scipy.special.bdtr that k* used to run alone: the reference
+# calibration_index must equal, k for k and error for error.  scipy serves
+# only as a test reference here.
+
+def bdtr_bisection(n, beta, varsigma):
+    """k*, or the NoValidIndexError message, of the bisection on bdtr."""
+    if (1.0 - beta) ** n > varsigma:
+        return f"no k <= {n} reaches confidence {1 - varsigma}; increase the sample count"
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if special.bdtr(mid - 1, n, 1.0 - beta) >= 1.0 - varsigma:
+            hi = mid
+        else:
+            lo = mid + 1
+    if special.bdtr(lo - 1, n, 1.0 - beta) < 1.0 - varsigma:
+        return f"no k <= {n} reaches confidence {1 - varsigma}"
+    return lo
+
+
+def k_star_or_message(n, beta, varsigma):
+    try:
+        return calibration_index(n, beta, varsigma)
+    except NoValidIndexError as exc:
+        return str(exc)
+
+
+PARITY_NS = [*range(1, 401), *range(401, 10_001, 37), 10**5, 10**6]
+PARITY_BETAS = (0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.9)
+PARITY_VARSIGMAS = (0.01, 0.05, 0.1, 0.2, 0.5)
+
+
+@pytest.mark.parametrize("beta", PARITY_BETAS)
+def test_calibration_index_equals_the_bdtr_bisection_on_a_grid(beta):
+    for n in PARITY_NS:
+        for varsigma in PARITY_VARSIGMAS:
+            assert k_star_or_message(n, beta, varsigma) == bdtr_bisection(n, beta, varsigma), \
+                (n, beta, varsigma)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 20_000), st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+def test_calibration_index_equals_the_bdtr_bisection(n, beta, varsigma):
+    assert k_star_or_message(n, beta, varsigma) == bdtr_bisection(n, beta, varsigma)
+
+
+def test_bdtr_decides_only_within_the_tie_band(monkeypatch):
+    asked, decide = [], selflearn._bdtr_reaches
+    monkeypatch.setattr(selflearn, "_bdtr_reaches",
+                        lambda *args: asked.append(args) or decide(*args))
+    calibration_index.cache_clear()
+    for n in range(1, 401):
+        for beta in PARITY_BETAS:
+            for varsigma in PARITY_VARSIGMAS:
+                k_star_or_message(n, beta, varsigma)
+    assert (1, 3, 0.5, 0.5) in asked   # Bin(3, 1/2) has CDF exactly 1/2 at 1
+    for x, n, p, level in asked:       # bdtr was asked for the CDF at x
+        first, cdf = selflearn._binomial_cdf(n, p)
+        assert abs(cdf[x - first] - level) <= selflearn.TIE_BAND
+
+
+def test_calibration_index_of_a_huge_sample_set_is_cheap():
+    calibration_index.cache_clear()
+    start = time.perf_counter()
+    k = calibration_index(10**8, 0.05, 0.05)
+    elapsed = time.perf_counter() - start
+    assert k == bdtr_bisection(10**8, 0.05, 0.05)
+    assert elapsed < 0.1
 
 
 # ---------------------------------------------------------------------------

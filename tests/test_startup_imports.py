@@ -13,9 +13,10 @@ from pathlib import Path
 import v2xalloc
 
 SRC = Path(v2xalloc.__file__).resolve().parent.parent
-# scipy.stats and mpmath serve only the oracles, yaml only a config file;
-# scipy.optimize serves only the assignment tests, as their reference
-FORBIDDEN = ("scipy.stats", "scipy.optimize", "mpmath", "yaml", "v2xalloc.oracles")
+# mpmath serves only the oracles, yaml only a config file; scipy serves only
+# k*'s float-tie band (scipy.special.bdtr) and the tests, as their reference
+SCIPY = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize")
+FORBIDDEN = SCIPY + ("mpmath", "yaml", "v2xalloc.oracles")
 
 RUN = """
 import v2xalloc.cli, v2xalloc.harness
@@ -49,4 +50,13 @@ def test_a_config_file_loads_yaml(tmp_path):
 def test_validate_loads_the_oracles():
     code = "from v2xalloc.cli import main\nassert main(['validate']) == 0"
     modules = loaded(code)
-    assert "v2xalloc.oracles" in modules and "scipy.optimize" not in modules
+    assert "v2xalloc.oracles" in modules and not set(SCIPY) & set(modules)
+
+
+def test_a_float_tie_in_k_star_loads_scipy_special():
+    # Bin(3, 1/2) has CDF 1/2 at 1, exactly 1 - varsigma: scipy's bdtr decides
+    code = ("from v2xalloc.selflearn import calibration_index\n"
+            "assert calibration_index(300, 0.05, 0.05) == 292\n"
+            "import sys\nassert 'scipy' not in sys.modules\n"
+            "assert calibration_index(3, 0.5, 0.5) == 2")
+    assert loaded(code) == ["scipy", "scipy.special"]
