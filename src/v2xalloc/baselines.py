@@ -30,6 +30,10 @@ class CornerSolution:
     capacity_bps: float
 
 
+# frozen, so every infeasible pair can share one result
+_INFEASIBLE = CornerSolution(False, 0.0, 0.0, 0.0)
+
+
 def solve_corner(
     g_d: float,
     g_x: float,
@@ -49,34 +53,28 @@ def solve_corner(
     every other feasible point has smaller p_c and/or larger p_d, so a failing
     corner means an empty feasible set.
     """
-    infeasible = CornerSolution(False, 0.0, 0.0, 0.0)
     if min(g_d, g_c, gamma_min_c, gamma_min_d, sigma2, p_max_c, p_max_d) <= 0:
-        return infeasible
+        return _INFEASIBLE
     if g_x < 0 or g_b < 0:
-        return infeasible
-
-    def qos_c_ok(p_c: float, p_d: float) -> bool:
-        return p_c * g_c / gamma_min_c - p_d * g_b >= sigma2 * (1.0 - 1e-12)
-
-    def finish(p_c: float, p_d: float) -> CornerSolution:
-        return CornerSolution(True, p_c, p_d,
-                              cue_capacity_bps(p_c, p_d, g_c, g_b, sigma2, bandwidth_hz))
+        return _INFEASIBLE
 
     # corner 1: CUE at full power, VUE just meeting its QoS line
-    p_d_line = gamma_min_d * (sigma2 + p_max_c * g_x) / g_d
-    if p_d_line <= p_max_d:
-        return finish(p_max_c, p_d_line) if qos_c_ok(p_max_c, p_d_line) else infeasible
-
-    # corner 2: VUE at full power, CUE as large as the VUE line tolerates
-    if g_x <= 0:
-        return infeasible  # line cannot be met even without crosstalk
-    p_c_line = (p_max_d * g_d / gamma_min_d - sigma2) / g_x
-    if p_c_line <= 0:
-        return infeasible
-    p_c_line = min(p_c_line, p_max_c)
-    if qos_c_ok(p_c_line, p_max_d):
-        return finish(p_c_line, p_max_d)
-    return infeasible
+    p_d = gamma_min_d * (sigma2 + p_max_c * g_x) / g_d
+    if p_d <= p_max_d:
+        p_c = p_max_c
+    else:
+        # corner 2: VUE at full power, CUE as large as the VUE line tolerates
+        if g_x <= 0:
+            return _INFEASIBLE  # line cannot be met even without crosstalk
+        p_c = (p_max_d * g_d / gamma_min_d - sigma2) / g_x
+        if p_c <= 0:
+            return _INFEASIBLE
+        p_c, p_d = min(p_c, p_max_c), p_max_d
+    # the CUE QoS line, checked once, at the chosen corner
+    if p_c * g_c / gamma_min_c - p_d * g_b >= sigma2 * (1.0 - 1e-12):
+        return CornerSolution(True, p_c, p_d,
+                              cue_capacity_bps(p_c, p_d, g_c, g_b, sigma2, bandwidth_hz))
+    return _INFEASIBLE
 
 
 def apra_threshold(gamma_min_d: float, beta: float) -> float:

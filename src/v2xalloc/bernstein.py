@@ -117,26 +117,35 @@ def cue_power_floor(p_d_w: float, params: BernsteinParams) -> float:
     return params.gamma_min_c * (params.sigma2 + p_d_w * params.g_b) / params.g_c
 
 
-def _inner_terms(params: BernsteinParams) -> tuple[float, float, float, float]:
-    """Constants of the inner step for one pair: the VUE gain term
-    g_bar_d + mu-*g_hat_d, the protection weight times sigma_F, the slope
-    g_bar_x + mu+*g_hat_x of the VUE-branch root and the CUE-branch denominator."""
+def _inner_terms(params: BernsteinParams) -> tuple[float, ...]:
+    """Constants of the inner step for one pair, in ``_inner_cue_power``'s
+    argument order: the VUE gain term g_bar_d + mu-*g_hat_d, the protection
+    weight times sigma_F, the slope g_bar_x + mu+*g_hat_x of the VUE-branch
+    root, the CUE-branch denominator, then the pair's own g_hat_d, Gamma_d,
+    sigma^2, Gamma_c, g_b and g_c."""
     fam = params.family
     prot = protection_weight(params.beta) * fam.sigma
     slope = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
     return (params.g_bar_d + fam.mu_minus * params.g_hat_d, prot, slope,
-            slope + prot * params.g_hat_cross)
+            slope + prot * params.g_hat_cross, params.g_hat_d, params.gamma_min_d,
+            params.sigma2, params.gamma_min_c, params.g_b, params.g_c)
 
 
-def _inner_cue_power(p_d_w: float, params: BernsteinParams, terms) -> float | None:
-    gain_d, prot, slope, cue_den = terms
-    gd = params.gamma_min_d
-    base = p_d_w * gain_d / gd - params.sigma2
+def _inner_cue_power(p_d_w, gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2, gamma_c, g_b,
+                     g_c):
+    """The inner step on plain floats (``_inner_terms``): called once per
+    bisection step, so the min/max are spelled as the comparisons that
+    Python's builtins make, which cost less than the calls."""
+    base = p_d_w * gain_d / gd - sigma2
     # roots of the branches binding on the CUE and on the VUE deviation product
-    upper = min(base / cue_den, (base - prot * p_d_w * params.g_hat_d / gd) / slope)
-    if upper < max(cue_power_floor(p_d_w, params), 0.0):
+    upper = base / cue_den
+    vue_root = (base - prot * p_d_w * g_hat_d / gd) / slope
+    if vue_root < upper:
+        upper = vue_root
+    floor = gamma_c * (sigma2 + p_d_w * g_b) / g_c   # cue_power_floor
+    if upper < (0.0 if 0.0 > floor else floor):
         return None
-    return float(upper)
+    return upper
 
 
 def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None:
@@ -148,7 +157,8 @@ def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None
     feasible region is p_c <= min(both roots).  Returns None when that upper
     bound falls below the QoS floor (or below zero).
     """
-    return _inner_cue_power(p_d_w, params, _inner_terms(params))
+    upper = _inner_cue_power(p_d_w, *_inner_terms(params))
+    return None if upper is None else float(upper)
 
 
 @dataclass(frozen=True)
@@ -178,38 +188,43 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float) -> Bisectio
     higher).  The optimum therefore lands on p_c = p_max_c or, if the loop
     runs out of room, on p_d = p_max_d.  Infeasible instances report zero
     capacity.  Iterations never exceed ceil(log2(p_max_d/xi)) + 1.
+
+    The pair's constants are read from ``params`` once per call, and each
+    step runs on plain floats.
     """
-    if not 0.0 < xi_w < params.p_max_d:
-        raise ValueError("termination threshold must lie in (0, p_max_d)")
-    max_iter = math.ceil(math.log2(params.p_max_d / xi_w)) + 1
-    terms = _inner_terms(params)
     p_max_c, p_max_d = params.p_max_c, params.p_max_d
+    if not 0.0 < xi_w < p_max_d:
+        raise ValueError("termination threshold must lie in (0, p_max_d)")
+    max_iter = math.ceil(math.log2(p_max_d / xi_w)) + 1
+    (gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2, gamma_c, g_b,
+     g_c) = terms = _inner_terms(params)
+    cap_lo, cap_hi, stop_d = p_max_c - xi_w, p_max_c + xi_w, p_max_d - xi_w
 
     lo, hi = 0.0, p_max_d
-    iterations = 0
-    p_d = None
-    while p_d is None or p_d < p_max_d - xi_w:
-        if iterations >= max_iter:
-            break
+    # max_iter >= 2, so the loop runs and sets ``iterations``
+    for iterations in range(1, max_iter + 1):
         p_d = 0.5 * (lo + hi)
-        iterations += 1
-        p_c = _inner_cue_power(p_d, params, terms)
-        if p_c is None or p_c < p_max_c - xi_w:
+        # the terms spelled out: unpacking ``*terms`` on every step costs more
+        p_c = _inner_cue_power(p_d, gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2,
+                               gamma_c, g_b, g_c)
+        if p_c is None or p_c < cap_lo:
             lo = p_d  # inner CUE power too small (or VUE margin unattainable)
-        elif p_c > p_max_c + xi_w:
+        elif p_c > cap_hi:
             hi = p_d  # CUE cap binds; try less VUE power
         else:
             return _finalize(p_c, p_d, params, iterations)
+        if not p_d < stop_d:
+            break
 
     # Loop left without hitting the CUE cap window: either the VUE needs its
     # full power budget, or the cap window was skipped over (steep inner
     # response); in both cases the binding candidate is the smallest VUE power
     # known to support the capped CUE power, else the full VUE budget.
     if hi < p_max_d:
-        p_c = _inner_cue_power(hi, params, terms)
+        p_c = _inner_cue_power(hi, *terms)
         if p_c is not None and p_c >= p_max_c:
             return _finalize(p_max_c, hi, params, iterations)
-    p_c = _inner_cue_power(p_max_d, params, terms)
+    p_c = _inner_cue_power(p_max_d, *terms)
     if p_c is None:
         return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
     return _finalize(p_c, p_max_d, params, iterations)

@@ -286,9 +286,12 @@ def sample_pair_gains(
     return out
 
 
-def error_power(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-    """|e|^2 draws for e ~ CN(0,1): unit-mean exponential."""
-    return rng.standard_exponential(size)
+def error_power(
+    rng: np.random.Generator, size: int | tuple[int, ...], out: np.ndarray | None = None,
+) -> np.ndarray:
+    """|e|^2 draws for e ~ CN(0,1): unit-mean exponential, written into
+    ``out`` (of shape ``size``) if given."""
+    return rng.standard_exponential(size, out=out)
 
 
 def error_power_columns(
@@ -296,14 +299,15 @@ def error_power_columns(
 ) -> np.ndarray:
     """The flat ``columns`` of ``error_power(rng, (count,) + shape)`` as a
     (count, len(columns)) array, drawn in chunks of whole realizations of
-    about DRAW_CHUNK floats: the same values, leaving the stream in the same
-    state."""
+    about DRAW_CHUNK floats into one reused buffer: the same values, leaving
+    the stream in the same state."""
     width = math.prod(shape)
     step = max(1, DRAW_CHUNK // max(width, 1))
     out = np.empty((count, len(columns)))
+    buf = np.empty((min(step, count), width))
     for a in range(0, count, step):
         b = min(a + step, count)
-        out[a:b] = error_power(rng, (b - a, width))[:, columns]
+        out[a:b] = error_power(rng, (b - a, width), out=buf[:b - a])[:, columns]
     return out
 
 

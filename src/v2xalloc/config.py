@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +29,10 @@ MAX_SHADOWING_SIGMA_DB = 60.0
 # limit is about 3,080 dB).  So the path loss alone must stay within
 # 3,000 - 40 * MAX_SHADOWING_SIGMA_DB = 600 dB of zero over every link distance.
 MAX_LARGE_SCALE_LOSS_DB = 3000.0
+# Each drop draws N*S*(J + 1) learning-sample gains, 160 MB of them at N = 10^7
+# even with J = S = 1, and the calibration index k* costs O(sqrt(N)) time and
+# memory when the config is built.  The bound is checked before k* is computed.
+MAX_SAMPLE_COUNT = 10**7
 
 
 def dbm_to_watt(x_dbm: float) -> float:
@@ -97,7 +102,8 @@ class ScenarioConfig:
              f"shadowing_sigma_cue_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB"),
             (0.0 <= self.shadowing_sigma_vue_db <= MAX_SHADOWING_SIGMA_DB,
              f"shadowing_sigma_vue_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB"),
-            (self.sample_count >= 1, "sample_count must be >= 1"),
+            (1 <= self.sample_count <= MAX_SAMPLE_COUNT,
+             f"sample_count must lie in [1, {MAX_SAMPLE_COUNT:,}]"),
             (self.test_count >= 1, "test_count must be >= 1"),
             (0.0 < self.bisection_accuracy < 1.0, "bisection_accuracy must lie in (0,1)"),
             (self.deviation_box_scale > 0.0, "deviation_box_scale must be > 0"),
@@ -167,15 +173,19 @@ class ScenarioConfig:
     def varsigma(self) -> float:
         return 1.0 - self.confidence
 
-    @property
+    # The watt values are read once per candidate pair on the drop path, so
+    # each is computed on first read and kept in the instance dict.  A frozen
+    # dataclass compares, hashes, copies (``replace``) and exports (``to_dict``)
+    # only its fields, so the kept values change none of these.
+    @cached_property
     def p_max_cue_w(self) -> float:
         return dbm_to_watt(self.p_max_cue_dbm)
 
-    @property
+    @cached_property
     def p_max_vue_w(self) -> float:
         return dbm_to_watt(self.p_max_vue_dbm)
 
-    @property
+    @cached_property
     def noise_power_w(self) -> float:
         return dbm_to_watt(self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz))
 
@@ -184,7 +194,7 @@ class ScenarioConfig:
         # 2.5 s safety headway at the configured speed
         return 2.5 * self.vehicle_speed_kmh / 3.6
 
-    @property
+    @cached_property
     def bisection_xi_w(self) -> float:
         return self.bisection_accuracy * self.p_max_vue_w
 

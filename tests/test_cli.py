@@ -3,7 +3,7 @@ import json
 import pytest
 
 from v2xalloc.cli import MAX_GRID_POINTS, _parse_grid, main
-from v2xalloc.config import ConfigError
+from v2xalloc.config import MAX_SAMPLE_COUNT, ConfigError
 
 FAST = [
     "--set", "sample_count=300", "--set", "test_count=400",
@@ -156,6 +156,8 @@ def test_validate_exits_zero():
 def test_unusable_scenario_exit_code(tmp_path, capsys):
     assert main(["run", "--set", "vehicle_speed_kmh=500"]) == 2
     assert main(["run", "--set", "sample_count=10"]) == 2
+    # above the bound: rejected before k* is computed
+    assert main(["run", "--set", f"sample_count={MAX_SAMPLE_COUNT + 1}"]) == 2
     out = tmp_path / "sweep.csv"
     # the last grid point leaves the model's range: rejected before any drop runs
     assert main(["sweep", "--param", "speed", "--grid", "80:420:500", "--drops", "1",

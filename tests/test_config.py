@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from v2xalloc import selflearn
 from v2xalloc.config import (
+    MAX_SAMPLE_COUNT,
     ConfigError,
     ScenarioConfig,
     apply_overrides,
@@ -31,6 +33,48 @@ def test_power_caps_linear():
     cfg = ScenarioConfig()
     assert math.isclose(cfg.p_max_cue_w, 1.0, rel_tol=1e-12)  # 30 dBm
     assert math.isclose(dbm_to_watt(0.0), 1e-3, rel_tol=1e-12)
+
+
+WATT_VALUES = ("p_max_cue_w", "p_max_vue_w", "noise_power_w", "bisection_xi_w")
+
+
+def test_watt_values_are_computed_once_per_instance():
+    cfg = ScenarioConfig(p_max_cue_dbm=23.0, p_max_vue_dbm=17.0, bisection_accuracy=1e-3)
+    first = [getattr(cfg, name) for name in WATT_VALUES]
+    assert first == [dbm_to_watt(23.0), dbm_to_watt(17.0),
+                     dbm_to_watt(-174.0 + 10.0 * math.log10(10.0e6)), 1e-3 * dbm_to_watt(17.0)]
+    # kept in the instance: the same objects on every later read
+    assert all(getattr(cfg, name) is value for name, value in zip(WATT_VALUES, first))
+    assert set(WATT_VALUES) <= set(vars(cfg))
+
+
+def test_kept_watt_values_leave_equality_copies_and_export_alone():
+    read, fresh = ScenarioConfig(), ScenarioConfig()
+    for name in WATT_VALUES:
+        getattr(read, name)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read.to_dict() == fresh.to_dict() and read.to_json() == fresh.to_json()
+    assert not set(WATT_VALUES) & set(read.to_dict())
+    # a copy with other fields computes its own values, not the kept ones
+    changed = read.replace(p_max_cue_dbm=20.0, p_max_vue_dbm=10.0, bandwidth_hz=1.0e6)
+    assert changed.p_max_cue_w == dbm_to_watt(20.0)
+    assert changed.p_max_vue_w == dbm_to_watt(10.0)
+    assert changed.noise_power_w == dbm_to_watt(-174.0 + 60.0)
+    assert changed.bisection_xi_w == 1e-4 * dbm_to_watt(10.0)
+    assert changed != read
+
+
+def test_sample_count_bound_is_checked_before_the_calibration_index(monkeypatch):
+    def no_calibration(*args):
+        raise AssertionError("calibration_index called for an out-of-range sample_count")
+
+    base = ScenarioConfig(sample_count=MAX_SAMPLE_COUNT)
+    monkeypatch.setattr(selflearn, "calibration_index", no_calibration)
+    for count in (MAX_SAMPLE_COUNT + 1, 10**11):
+        with pytest.raises(ConfigError, match="sample_count must lie in"):
+            ScenarioConfig(sample_count=count)
+        with pytest.raises(ConfigError, match="sample_count must lie in"):
+            apply_overrides(base, [f"sample_count={count}"])
 
 
 def test_vue_pair_distance_tracks_speed():
@@ -65,6 +109,7 @@ def test_vue_pair_distance_tracks_speed():
     ("pathloss_exponent_db", -500.0),     # > 600 dB at the 3 m floor
     ("min_link_distance_m", 1e-300),      # -11,265 dB at the floor
     ("gnb_road_distance_m", (100.0, 1e308)),   # the farthest link is inf m
+    ("sample_count", MAX_SAMPLE_COUNT + 1),    # k* would cost O(sqrt(N)) at load
 ])
 def test_invariants_rejected(field, value):
     with pytest.raises(ConfigError):
