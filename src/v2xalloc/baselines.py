@@ -53,9 +53,9 @@ def solve_corner(
     every other feasible point has smaller p_c and/or larger p_d, so a failing
     corner means an empty feasible set.
     """
-    if min(g_d, g_c, gamma_min_c, gamma_min_d, sigma2, p_max_c, p_max_d) <= 0:
-        return _INFEASIBLE
-    if g_x < 0 or g_b < 0:
+    # "not (x > 0 ...)": a NaN argument makes the pair infeasible
+    if not (g_d > 0 and g_c > 0 and gamma_min_c > 0 and gamma_min_d > 0 and sigma2 > 0
+            and p_max_c > 0 and p_max_d > 0 and g_x >= 0 and g_b >= 0):
         return _INFEASIBLE
 
     # corner 1: CUE at full power, VUE just meeting its QoS line

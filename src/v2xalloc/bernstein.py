@@ -69,12 +69,14 @@ class BernsteinParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0,1)")
-        if min(self.g_bar_d, self.g_bar_cross, self.gamma_min_d, self.gamma_min_c,
-               self.sigma2, self.g_c, self.g_b, self.p_max_c, self.p_max_d) <= 0.0:
+        # written as "not (x > 0 ...)" so that a NaN fails every check
+        if not (self.g_bar_d > 0.0 and self.g_bar_cross > 0.0 and self.gamma_min_d > 0.0
+                and self.gamma_min_c > 0.0 and self.sigma2 > 0.0 and self.g_c > 0.0
+                and self.g_b > 0.0 and self.p_max_c > 0.0 and self.p_max_d > 0.0):
             raise ValueError("gains, thresholds, noise and caps must be positive")
-        if self.g_hat_d < 0.0 or self.g_hat_cross < 0.0:
+        if not (self.g_hat_d >= 0.0 and self.g_hat_cross >= 0.0):
             raise ValueError("deviation half-widths must be >= 0")
-        if self.g_bar_d - self.g_hat_d < 0.0 or self.g_bar_cross - self.g_hat_cross < 0.0:
+        if not (self.g_bar_d >= self.g_hat_d and self.g_bar_cross >= self.g_hat_cross):
             raise ValueError("uncertainty interval must stay nonnegative (g_bar >= g_hat)")
 
 

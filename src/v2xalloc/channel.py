@@ -384,7 +384,6 @@ def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState
         pathloss_constant_db=cfg.pathloss_constant_db,
         pathloss_exponent_db=cfg.pathloss_exponent_db,
     )
-    lam = doppler_coefficient(cfg.vehicle_speed_kmh, cfg.carrier_frequency_hz, cfg.feedback_delay_s)
     j, s = cfg.num_cues, cfg.num_vues
     return LinkState(
         omega_c=large_scale_gain(geom.cue_gnb_m, cfg.shadowing_sigma_cue_db, rng, **pl),
@@ -395,7 +394,7 @@ def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState
         h_b=rayleigh_fading(rng, s),
         h_hat_d=rayleigh_fading(rng, s),
         h_hat_cross=rayleigh_fading(rng, (j, s)),
-        lam=lam,
+        lam=cfg.lam,
     )
 
 

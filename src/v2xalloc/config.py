@@ -31,7 +31,10 @@ MAX_SHADOWING_SIGMA_DB = 60.0
 MAX_LARGE_SCALE_LOSS_DB = 3000.0
 # Each drop draws N*S*(J + 1) learning-sample gains, 160 MB of them at N = 10^7
 # even with J = S = 1, and the calibration index k* costs O(sqrt(N)) time and
-# memory when the config is built.  The bound is checked before k* is computed.
+# memory when the config is built.  The held-out scoring holds an (M, S) and an
+# (M, scored pairs) block of error powers, so the test count M has the same
+# bound.  Both are checked when the config is built, before k* is computed, so
+# an oversized count fails at load rather than after a drop's solves.
 MAX_SAMPLE_COUNT = 10**7
 
 
@@ -104,7 +107,8 @@ class ScenarioConfig:
              f"shadowing_sigma_vue_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB"),
             (1 <= self.sample_count <= MAX_SAMPLE_COUNT,
              f"sample_count must lie in [1, {MAX_SAMPLE_COUNT:,}]"),
-            (self.test_count >= 1, "test_count must be >= 1"),
+            (1 <= self.test_count <= MAX_SAMPLE_COUNT,
+             f"test_count must lie in [1, {MAX_SAMPLE_COUNT:,}]"),
             (0.0 < self.bisection_accuracy < 1.0, "bisection_accuracy must lie in (0,1)"),
             (self.deviation_box_scale > 0.0, "deviation_box_scale must be > 0"),
             (self.lane_offset_m >= 0.0, "lane_offset_m must be >= 0"),
@@ -146,24 +150,23 @@ class ScenarioConfig:
     def _check_model_applies(self) -> None:
         """Reject scenarios the drop pipeline cannot run: an unknown Bernstein
         family, a Doppler coefficient outside (0, 1) and a sample count with no
-        calibration index k*."""
+        calibration index k*.  Reading ``lam`` and ``k_star`` here also keeps
+        them for every drop of the instance."""
         # imported here: these modules build on this one
         from .bernstein import FAMILIES
-        from .channel import doppler_coefficient
-        from .selflearn import NoValidIndexError, calibration_index
+        from .selflearn import NoValidIndexError
 
         if self.bernstein_family not in FAMILIES:
             raise ConfigError(f"bernstein_family must be one of {tuple(FAMILIES)}")
         try:
-            doppler_coefficient(
-                self.vehicle_speed_kmh, self.carrier_frequency_hz, self.feedback_delay_s)
+            self.lam
         except ValueError as exc:
             raise ConfigError(
                 f"vehicle_speed_kmh={self.vehicle_speed_kmh:g}, carrier_frequency_hz="
                 f"{self.carrier_frequency_hz:g}, feedback_delay_s={self.feedback_delay_s:g}: "
                 f"{exc}") from None
         try:
-            calibration_index(self.sample_count, self.outage_prob, self.varsigma)
+            self.k_star
         except NoValidIndexError as exc:
             raise ConfigError(f"sample_count={self.sample_count}: {exc}") from None
 
@@ -197,6 +200,20 @@ class ScenarioConfig:
     @cached_property
     def bisection_xi_w(self) -> float:
         return self.bisection_accuracy * self.p_max_vue_w
+
+    # The scenario's model constants, derived once per instance and read by
+    # every drop: the Doppler coefficient lambda = J0(2 pi f_D T) and the
+    # calibration index k* of (N, beta, varsigma).
+    @cached_property
+    def lam(self) -> float:
+        from .channel import doppler_coefficient
+        return doppler_coefficient(
+            self.vehicle_speed_kmh, self.carrier_frequency_hz, self.feedback_delay_s)
+
+    @cached_property
+    def k_star(self) -> int:
+        from .selflearn import calibration_index
+        return calibration_index(self.sample_count, self.outage_prob, self.varsigma)
 
     def replace(self, **changes: Any) -> "ScenarioConfig":
         return dataclasses.replace(self, **changes)

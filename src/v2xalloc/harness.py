@@ -104,7 +104,7 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
     )
 
 
-def selflearn_calibration(cfg, link, modes, sample_d, sample_x, k_star):
+def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
     """Per anchor mode: the (J, S) anchor powers (NaN where a pair has none)
     and the shared radius r_d (None without identity-pair anchors).
 
@@ -118,7 +118,7 @@ def selflearn_calibration(cfg, link, modes, sample_d, sample_x, k_star):
     identity pairing (VUE s with CUE s: the anchor arrays' diagonal) and
     reused for every candidate pair.
     """
-    n = sample_d.shape[0]
+    n, k_star = sample_d.shape[0], cfg.k_star
     budget = max(1, (n - k_star) // cfg.num_vues)
     anchors = selflearn.initial_feasible(
         modes, sample_d, sample_x, link.g_c, link.g_b, cfg.sinr_min_cue, cfg.sinr_min_vue,
@@ -255,9 +255,8 @@ def run_drop(
         sample_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
         sample_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n,
                                              rng)
-        k_star = selflearn.calibration_index(n, cfg.outage_prob, cfg.varsigma)
         learned = selflearn_calibration(cfg, link, modes, sample_d.T,
-                                        sample_x.T.reshape(n, j, s), k_star)
+                                        sample_x.T.reshape(n, j, s))
     else:
         # no method reads the samples: skip their draws, keeping the stream
         channel.discard_fading(rng, (n, s))

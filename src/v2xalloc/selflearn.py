@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,57 +43,28 @@ class SelfLearnSolution:
 TIE_BAND = 1e-8   # CDFs this close to 1 - varsigma are left to scipy's bdtr
 
 
-def _stirling_error(x: int) -> float:
-    """log(x!) - log(sqrt(2*pi*x) * (x/e)^x) for x >= 1: a table-free
-    Stirling series above 15, lgamma below."""
-    if x <= 15:
-        return math.lgamma(x + 1.0) - (x + 0.5) * math.log(x) + x - 0.5 * math.log(2 * math.pi)
-    xx = float(x) * x
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / xx) / xx) / xx) / xx) / x
-
-
-def _deviance(x: float, mean: float) -> float:
-    """x*log(x/mean) + mean - x, by its series in (x-mean)/(x+mean) near the
-    mean, where the closed form cancels."""
-    if abs(x - mean) >= 0.1 * (x + mean):
-        return x * math.log(x / mean) + mean - x
-    v = (x - mean) / (x + mean)
-    total, term, j = (x - mean) * v, 2.0 * x * v, 1
-    while True:
-        term *= v * v
-        nxt = total + term / (2 * j + 1)
-        if nxt == total:
-            return total
-        total, j = nxt, j + 1
-
-
 def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     """(first, cdf): cdf[i] is the Bin(n, p) CDF at first + i.
 
     The window is the mode +- (12 sd + 60), clipped to 0..n; by Bernstein's
-    inequality the mass outside it is below 1e-30.  The pmf at the mode is
-    Loader's saddle-point form, good to a few ulps at any n (lgamma(n) would
-    lose about n*eps); the other terms are cumulative products of the term
-    ratios outward from it.  The CDF's error is below about len(cdf)*eps,
-    3e-11 at n = 10^8 (4e-15 measured against 40-digit sums).
+    inequality the mass outside it is below 1e-30.  Its terms are pmf(k) /
+    pmf(mode): cumulative products of the term ratios outward from the mode,
+    each at most 1 up to rounding, so none overflows (a product from the
+    window's edge does, at n = 10^7 and p = 1 - 1e-12).  Dividing their
+    running sum by the window's total gives the CDF with no absolute pmf.
+    Its error is below about len(cdf)*eps, 3e-11 at n = 10^8 (2.4e-14
+    measured against 40-digit sums).
     """
     q = 1.0 - p
     mode = min(n, math.floor((n + 1) * p))
     reach = math.ceil(12.0 * math.sqrt(n * p * q)) + 60
     first, last = max(0, mode - reach), min(n, mode + reach)
-    if mode == 0:
-        log_mode = n * math.log1p(-p)
-    elif mode == n:
-        log_mode = n * math.log(p)
-    else:
-        log_mode = (_stirling_error(n) - _stirling_error(mode) - _stirling_error(n - mode)
-                    - _deviance(mode, n * p) - _deviance(n - mode, n * q)
-                    + 0.5 * math.log(n / (2 * math.pi * mode * (n - mode))))
     down = np.arange(mode, first, -1, dtype=float)   # pmf(k-1)/pmf(k), k = mode..first+1
     up = np.arange(mode, last, dtype=float)          # pmf(k+1)/pmf(k), k = mode..last-1
     terms = np.concatenate((np.cumprod(down * q / ((n - down + 1.0) * p))[::-1], [1.0],
                             np.cumprod((n - up) * p / ((up + 1.0) * q))))
-    return first, np.cumsum(terms * math.exp(log_mode))
+    cdf = np.cumsum(terms)
+    return first, cdf / cdf[-1]
 
 
 def _bdtr_reaches(k: int, n: int, p: float, level: float) -> bool:
@@ -103,7 +73,6 @@ def _bdtr_reaches(k: int, n: int, p: float, level: float) -> bool:
     return bool(special.bdtr(k, n, p) >= level)
 
 
-@lru_cache(maxsize=64)
 def calibration_index(n: int, beta: float, varsigma: float) -> int:
     """Smallest k with sum_{t=0}^{k-1} C(n,t)(1-beta)^t beta^(n-t) >= 1-varsigma.
 
@@ -116,11 +85,10 @@ def calibration_index(n: int, beta: float, varsigma: float) -> int:
     n <= 10^6 (3.1e-9 measured; Cephes states 8.7e-10 for incbet up to
     10^5), so there k* equals that bisection's.  bdtr's error grows beyond
     (0.11 at the mean at n = 10^8); where it leaves the band, k* follows the
-    accurate CDF.
-    Computed once per argument triple: every drop of a run asks again.
+    accurate CDF.  A run reads k* from ``ScenarioConfig.k_star``, which
+    calls this once per config.
     Raises NoValidIndexError when even k = n fails, as when
-    (1-beta)^n > varsigma, so the sample set must be enlarged; exceptions are
-    not cached.
+    (1-beta)^n > varsigma, so the sample set must be enlarged.
 
     Where the CDF equals 1-varsigma exactly (beta = varsigma = 1/2 and odd n,
     where Pr{X <= (n-1)/2} = 1/2), the float CDF decides the tie either way,
@@ -388,7 +356,7 @@ def closed_form_power(
     cap-side bound cannot certify a point that sits below the CUE cap.)
     """
     infeasible = SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0)
-    if r_d <= 0 or anchor_c_w <= 0 or anchor_d_w <= 0:
+    if not (r_d > 0 and anchor_c_w > 0 and anchor_d_w > 0):   # NaN too
         return infeasible
     ac, ad = anchor_c_w, anchor_d_w
     # bounds of the scale z: the CUE QoS floor along the anchor ray (+inf when

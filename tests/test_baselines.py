@@ -55,6 +55,17 @@ def test_corner_vue_cap_branch():
     assert math.isclose(sol.p_d_w * 0.4 / 1.0 - sol.p_c_w * 0.5, 0.01, abs_tol=1e-12)
 
 
+CORNER_ARGS = dict(g_d=2.0, g_x=0.1, g_c=1.0, g_b=0.01, gamma_min_c=2.0, gamma_min_d=1.0,
+                   sigma2=0.1, p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0)
+
+
+@pytest.mark.parametrize("field", [name for name in CORNER_ARGS if name != "bandwidth_hz"])
+def test_corner_nan_argument_is_infeasible(field):
+    assert solve_corner(**CORNER_ARGS).feasible
+    sol = solve_corner(**{**CORNER_ARGS, field: math.nan})
+    assert not sol.feasible and sol.capacity_bps == 0.0
+
+
 def test_corner_infeasible_cases():
     # VUE cannot reach its threshold even at full power and zero crosstalk
     sol = solve_corner(g_d=1e-6, g_x=0.0, g_c=1.0, g_b=0.0, gamma_min_c=2.0,

@@ -31,6 +31,15 @@ def make_params(**kw):
     return BernsteinParams(**base)
 
 
+@pytest.mark.parametrize("field", [
+    "g_bar_d", "g_bar_cross", "g_hat_d", "g_hat_cross", "beta", "gamma_min_d", "sigma2",
+    "g_c", "g_b", "gamma_min_c", "p_max_c", "p_max_d"])
+def test_params_reject_nan_in_every_checked_field(field):
+    make_params()
+    with pytest.raises(ValueError):
+        make_params(**{field: math.nan})
+
+
 # ---------------------------------------------------------------------------
 # margin
 # ---------------------------------------------------------------------------

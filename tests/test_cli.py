@@ -132,6 +132,14 @@ def test_shadowing_spread_beyond_the_bound_exits_2(tmp_path, capsys):
     assert out.exists()
 
 
+def test_oversized_test_count_exits_2_before_anything_is_written(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert main(["run", "--drops", "1", "--out", str(out), *FAST,
+                 "--set", f"test_count={MAX_SAMPLE_COUNT + 1}"]) == 2
+    assert "test_count must lie in" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_path_loss_beyond_the_bound_exits_2(tmp_path, capsys):
     """A path loss that could over- or underflow a large-scale gain is rejected
     at load time, before any drop runs; a loss near the bound runs."""

@@ -77,6 +77,15 @@ def test_sample_count_bound_is_checked_before_the_calibration_index(monkeypatch)
             apply_overrides(base, [f"sample_count={count}"])
 
 
+def test_test_count_bound_is_checked_at_load():
+    ScenarioConfig(test_count=MAX_SAMPLE_COUNT)
+    for count in (MAX_SAMPLE_COUNT + 1, 10**11):
+        with pytest.raises(ConfigError, match="test_count must lie in"):
+            ScenarioConfig(test_count=count)
+        with pytest.raises(ConfigError, match="test_count must lie in"):
+            apply_overrides(ScenarioConfig(), [f"test_count={count}"])
+
+
 def test_vue_pair_distance_tracks_speed():
     assert math.isclose(ScenarioConfig().vue_pair_distance_m, 2.5 * 80 / 3.6, rel_tol=1e-12)
     assert math.isclose(

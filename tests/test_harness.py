@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -71,6 +72,40 @@ def test_method_results_do_not_depend_on_the_other_methods(small_cfg, methods):
         for name in methods:
             assert np.array_equal(alone.methods[name].mean_vue_sinr,
                                   full.methods[name].mean_vue_sinr, equal_nan=True)
+
+
+def test_lambda_and_k_star_are_derived_once_per_config(small_cfg, monkeypatch):
+    """Drops read lambda and k* from their config: with the two functions that
+    derive them made to fail, drops still equal their unpatched results."""
+    from v2xalloc import selflearn
+
+    expected = [run_drop(small_cfg, d) for d in range(3)]
+    cfg = small_cfg.replace()
+    derive = {"calibration_index": selflearn.calibration_index,
+              "doppler_coefficient": channel.doppler_coefficient}
+
+    def refuse(*args):
+        raise AssertionError("derived again after the config was built")
+
+    monkeypatch.setattr(selflearn, "calibration_index", refuse)
+    monkeypatch.setattr(channel, "doppler_coefficient", refuse)
+    for d, want in enumerate(expected):
+        assert drops_equal(run_drop(cfg, d), want)
+    # a copy with other fields derives its own values, each once
+    calls = []
+    for module, name in ((selflearn, "calibration_index"), (channel, "doppler_coefficient")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: calls.append(name) or derive[name](*args))
+    other = cfg.replace(vehicle_speed_kmh=40.0, sample_count=500)
+    assert sorted(calls) == ["calibration_index", "doppler_coefficient"]
+    assert other.lam == derive["doppler_coefficient"](40.0, 2.0e9, 0.5e-3) != cfg.lam
+    assert other.k_star == derive["calibration_index"](500, 0.05, other.varsigma) != cfg.k_star
+    assert len(calls) == 2    # the reads above derived nothing again
+    # the kept values enter no comparison, hash or export
+    assert cfg == small_cfg and hash(cfg) == hash(dataclasses.astuple(cfg))
+    assert cfg.to_dict() == dataclasses.asdict(small_cfg) | {
+        "gnb_road_distance_m": list(small_cfg.gnb_road_distance_m)}
+    assert {"lam", "k_star"} <= set(vars(cfg)) and not {"lam", "k_star"} & set(cfg.to_dict())
 
 
 def test_run_drop_rejects_unknown_method(small_cfg):

@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,15 +138,6 @@ def test_calibration_index_equals_exact_oracle(n, beta, varsigma):
         assert calibration_index(n, beta, varsigma) == exact
 
 
-def test_calibration_index_failure_is_not_cached():
-    calibration_index.cache_clear()
-    for _ in range(2):
-        with pytest.raises(NoValidIndexError):
-            calibration_index(10, 0.05, 0.05)
-    info = calibration_index.cache_info()
-    assert (info.misses, info.currsize) == (2, 0)
-
-
 # The bisection on scipy.special.bdtr that k* used to run alone: the reference
 # calibration_index must equal, k for k and error for error.  scipy serves
 # only as a test reference here.
@@ -196,7 +188,6 @@ def test_bdtr_decides_only_within_the_tie_band(monkeypatch):
     asked, decide = [], selflearn._bdtr_reaches
     monkeypatch.setattr(selflearn, "_bdtr_reaches",
                         lambda *args: asked.append(args) or decide(*args))
-    calibration_index.cache_clear()
     for n in range(1, 401):
         for beta in PARITY_BETAS:
             for varsigma in PARITY_VARSIGMAS:
@@ -208,12 +199,43 @@ def test_bdtr_decides_only_within_the_tie_band(monkeypatch):
 
 
 def test_calibration_index_of_a_huge_sample_set_is_cheap():
-    calibration_index.cache_clear()
     start = time.perf_counter()
     k = calibration_index(10**8, 0.05, 0.05)
     elapsed = time.perf_counter() - start
     assert k == bdtr_bisection(10**8, 0.05, 0.05)
     assert elapsed < 0.1
+
+
+def window_cdf_40_digits(n, p, first, size):
+    """The Bin(n, p) CDF over first .. first+size-1 from 40-digit sums of the
+    window's terms, each divided by the window's total."""
+    with mpmath.workdps(40):
+        p_mp = mpmath.mpf(p)
+        q_mp = 1 - p_mp
+        term, terms = mpmath.mpf(1), [mpmath.mpf(1)]
+        for k in range(first, first + size - 1):
+            term = term * (n - k) * p_mp / ((k + 1) * q_mp)
+            terms.append(term)
+        total, running, cdf = mpmath.fsum(terms), mpmath.mpf(0), []
+        for term in terms:
+            running += term
+            cdf.append(float(running / total))
+    return np.array(cdf)
+
+
+@pytest.mark.parametrize("n,p", [(3000, 0.95), (3000, 0.5), (10**5, 0.95), (10**7, 0.95),
+                                 (10**7, 0.999)])
+def test_binomial_cdf_against_40_digit_window_sums(n, p):
+    first, cdf = selflearn._binomial_cdf(n, p)
+    assert first + cdf.size - 1 <= n
+    exact = window_cdf_40_digits(n, p, first, cdf.size)
+    assert np.max(np.abs(cdf - exact)) <= 1e-12
+
+
+def test_calibration_index_where_a_product_from_the_window_edge_would_overflow():
+    # term ratios multiplied up from the window's lower edge overflow here;
+    # taken outward from the mode they stay at most 1
+    assert calibration_index(10**7, 1e-12, 1 - 1e-6) == 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +474,15 @@ def test_closed_form_dual_floor_branch():
     assert sol.feasible and sol.branch == 3
     assert math.isclose(sol.p_c_w, 1.0, rel_tol=1e-12)
     assert math.isclose(sol.p_d_w, CF_ARGS["sigma2"] * 0.05 / 0.01, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_closed_form_nan_anchor_or_radius_is_infeasible(position):
+    args = [1.0, 0.05, 0.01]    # the dual-floor branch's instance
+    assert closed_form_power(*args, **CF_ARGS).feasible
+    args[position] = math.nan
+    sol = closed_form_power(*args, **CF_ARGS)
+    assert not sol.feasible and sol.capacity_bps == 0.0
 
 
 def test_closed_form_branch3_power_decreases_with_radius():
