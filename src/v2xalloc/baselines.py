@@ -55,7 +55,7 @@ def solve_corner(
     """
     # "not (x > 0 ...)": a NaN argument makes the pair infeasible
     if not (g_d > 0 and g_c > 0 and gamma_min_c > 0 and gamma_min_d > 0 and sigma2 > 0
-            and p_max_c > 0 and p_max_d > 0 and g_x >= 0 and g_b >= 0):
+            and p_max_c > 0 and p_max_d > 0 and g_x >= 0 and g_b >= 0 and bandwidth_hz > 0):
         return _INFEASIBLE
 
     # corner 1: CUE at full power, VUE just meeting its QoS line

@@ -72,8 +72,9 @@ class BernsteinParams:
         # written as "not (x > 0 ...)" so that a NaN fails every check
         if not (self.g_bar_d > 0.0 and self.g_bar_cross > 0.0 and self.gamma_min_d > 0.0
                 and self.gamma_min_c > 0.0 and self.sigma2 > 0.0 and self.g_c > 0.0
-                and self.g_b > 0.0 and self.p_max_c > 0.0 and self.p_max_d > 0.0):
-            raise ValueError("gains, thresholds, noise and caps must be positive")
+                and self.g_b > 0.0 and self.p_max_c > 0.0 and self.p_max_d > 0.0
+                and self.bandwidth_hz > 0.0):
+            raise ValueError("gains, thresholds, noise, caps and bandwidth must be positive")
         if not (self.g_hat_d >= 0.0 and self.g_hat_cross >= 0.0):
             raise ValueError("deviation half-widths must be >= 0")
         if not (self.g_bar_d >= self.g_hat_d and self.g_bar_cross >= self.g_hat_cross):

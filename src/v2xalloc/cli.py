@@ -138,6 +138,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0 (it seeds numpy's SeedSequence)")
     from . import validate  # its oracles pull in mpmath, which no other command needs
 
     ok = validate.run_validation(seed=args.seed)

@@ -114,6 +114,7 @@ class ScenarioConfig:
             (self.lane_offset_m >= 0.0, "lane_offset_m must be >= 0"),
             (self.min_link_distance_m > 0.0, "min_link_distance_m must be > 0"),
             (self.drops >= 1, "drops must be >= 1"),
+            (self.rng_seed >= 0, "rng_seed must be >= 0 (it seeds numpy's SeedSequence)"),
         ]
         for ok, msg in checks:
             if not ok:

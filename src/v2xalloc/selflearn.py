@@ -356,7 +356,10 @@ def closed_form_power(
     cap-side bound cannot certify a point that sits below the CUE cap.)
     """
     infeasible = SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0)
-    if not (r_d > 0 and anchor_c_w > 0 and anchor_d_w > 0):   # NaN too
+    # "not (x > 0 ...)": a NaN argument makes the pair infeasible
+    if not (r_d > 0 and anchor_c_w > 0 and anchor_d_w > 0 and g_c > 0 and g_b >= 0
+            and gamma_min_c > 0 and sigma2 > 0 and p_max_c > 0 and p_max_d > 0
+            and bandwidth_hz > 0):
         return infeasible
     ac, ad = anchor_c_w, anchor_d_w
     # bounds of the scale z: the CUE QoS floor along the anchor ray (+inf when

@@ -33,7 +33,7 @@ def make_params(**kw):
 
 @pytest.mark.parametrize("field", [
     "g_bar_d", "g_bar_cross", "g_hat_d", "g_hat_cross", "beta", "gamma_min_d", "sigma2",
-    "g_c", "g_b", "gamma_min_c", "p_max_c", "p_max_d"])
+    "g_c", "g_b", "gamma_min_c", "p_max_c", "p_max_d", "bandwidth_hz"])
 def test_params_reject_nan_in_every_checked_field(field):
     make_params()
     with pytest.raises(ValueError):

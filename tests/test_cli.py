@@ -157,6 +157,19 @@ def test_path_loss_beyond_the_bound_exits_2(tmp_path, capsys):
     assert out.exists()
 
 
+def test_negative_seed_exits_2_before_any_drop(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    for extra in (["--seed", "-1"], ["--set", "rng_seed=-5"]):
+        assert main(["run", "--drops", "1", "--out", str(out), *extra, *FAST]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: rng_seed must be >= 0")
+    assert main(["sweep", "--param", "speed", "--grid", "80", "--drops", "1", "--seed", "-1",
+                 "--out", str(out), *FAST]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: rng_seed must be >= 0")
+    assert list(tmp_path.iterdir()) == []
+    assert main(["validate", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: --seed must be >= 0")
+
+
 def test_validate_exits_zero():
     assert main(["validate"]) == 0
 

@@ -119,6 +119,7 @@ def test_vue_pair_distance_tracks_speed():
     ("min_link_distance_m", 1e-300),      # -11,265 dB at the floor
     ("gnb_road_distance_m", (100.0, 1e308)),   # the farthest link is inf m
     ("sample_count", MAX_SAMPLE_COUNT + 1),    # k* would cost O(sqrt(N)) at load
+    ("rng_seed", -1),                          # numpy's SeedSequence would raise mid-run
 ])
 def test_invariants_rejected(field, value):
     with pytest.raises(ConfigError):

@@ -485,6 +485,15 @@ def test_closed_form_nan_anchor_or_radius_is_infeasible(position):
     assert not sol.feasible and sol.capacity_bps == 0.0
 
 
+@pytest.mark.parametrize("field", list(CF_ARGS))
+def test_closed_form_nan_argument_is_infeasible(field):
+    # both instances: a NaN cap or bandwidth once passed on either branch
+    for anchor in ([1.0, 0.05, 0.01], [0.2, 0.8, 0.2]):
+        assert closed_form_power(*anchor, **CF_ARGS).feasible
+        sol = closed_form_power(*anchor, **{**CF_ARGS, field: math.nan})
+        assert not sol.feasible and sol.capacity_bps == 0.0
+
+
 def test_closed_form_branch3_power_decreases_with_radius():
     prev = np.inf
     for r_d in (0.01, 0.02, 0.04):
