@@ -5,7 +5,8 @@ Subcommands:
   sweep     parameter sweep to CSV (one file per sweep)
   validate  oracle/invariant smoke suite, nonzero exit on failure
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (a bad
+configuration, or a file that cannot be read or written).
 Every run logs the fully resolved configuration (defaults + file + overrides)
 so results can be reproduced exactly.
 """
@@ -96,10 +97,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def _log_config(cfg: ScenarioConfig, out: Path | None) -> None:
+    """Log ``cfg`` and create ``out``, so an unwritable path fails before any drop."""
+    if out is not None:
+        open(out, "a").close()
+        out.with_suffix(out.suffix + ".config.json").write_text(cfg.to_json() + "\n")
     print("# resolved configuration:", file=sys.stderr)
     print(cfg.to_json(), file=sys.stderr)
-    if out is not None:
-        out.with_suffix(out.suffix + ".config.json").write_text(cfg.to_json() + "\n")
 
 
 def run_rows(cfg: ScenarioConfig, methods: tuple[str, ...], out: Path | None) -> list[dict]:
@@ -147,10 +150,11 @@ def _cmd_validate(args) -> int:
 
 
 def exit_code(command, args) -> int:
-    """``command(args)``, or exit code 2 after one ``configuration error:`` line."""
+    """``command(args)``, or exit code 2 after one ``configuration error:`` line
+    for a bad configuration or a file that cannot be read or written."""
     try:
         return command(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

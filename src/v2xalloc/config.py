@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import Any
 
@@ -86,8 +87,14 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            # a float or bool count would fail mid-run, or index by a float
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a boolean, got {value!r}")
         lo, hi = self.gnb_road_distance_m
         checks = [
             (self.num_cues >= 1, "num_cues must be >= 1"),

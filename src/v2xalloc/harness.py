@@ -397,11 +397,15 @@ def run_sweep(
 ) -> list[dict]:
     """Aggregate every grid point; optionally emit the summary / raw CSV files.
 
-    Every grid point's configuration is built, and so validated, before the
-    first drop runs."""
+    Every grid point's configuration is built, and so validated, and every
+    output file created before the first drop runs."""
+    point_cfgs = spec.point_configs(cfg)
+    for path in (out_path, raw_path):
+        if path is not None:
+            open(path, "a").close()
     rows: list[dict] = []
     raw_rows: list[dict] = []
-    for value, point_cfg in zip(spec.grid, spec.point_configs(cfg)):
+    for value, point_cfg in zip(spec.grid, point_cfgs):
         point_rows = drop_rows(point_cfg, spec.methods, spec.drops,
                                sweep_param=spec.param, value=value)
         for name in spec.methods:

@@ -40,7 +40,12 @@ class SelfLearnSolution:
 # calibration
 # ---------------------------------------------------------------------------
 
-TIE_BAND = 1e-8   # CDFs this close to 1 - varsigma are left to scipy's bdtr
+TIE_BAND = 1e-8   # CDFs this close to 1 - varsigma are decided by an exact sum
+# Largest n * b.bit_length() (about the bit size of b^n, p = a/b) for which a
+# band probe is summed exactly.  At the cap the costliest probe, p = 1/2 at
+# x = n - 1, takes about 70 ms on a 2-core Xeon (a 53-bit p: 17 ms); doubling
+# the cap quadruples that.
+EXACT_TIE_BITS = 1 << 15
 
 
 def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
@@ -67,10 +72,22 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     return first, cdf / cdf[-1]
 
 
-def _bdtr_reaches(k: int, n: int, p: float, level: float) -> bool:
-    """scipy's Bin(n, p) CDF at k >= level: the tie band's decider, loaded only here."""
-    from scipy import special
-    return bool(special.bdtr(k, n, p) >= level)
+def _exact_reaches(x: int, n: int, p: float, level: float) -> bool:
+    """Bin(n, p) CDF at x >= level, exactly, for the rationals the doubles hold.
+
+    With p = a/b and level = c/d, the CDF is sum_{t<=x} C(n,t) a^t (b-a)^(n-t)
+    / b^n; each term is the last times (n-t) a / ((t+1) (b-a)), an exact
+    integer division.  Needs p < 1, which the pre-check of
+    ``calibration_index`` ensures.
+    """
+    a, b = p.as_integer_ratio()
+    c, d = level.as_integer_ratio()
+    rest = b - a
+    term = total = rest ** n
+    for t in range(x):
+        term = term * ((n - t) * a) // ((t + 1) * rest)
+        total += term
+    return d * total >= c * b ** n
 
 
 def calibration_index(n: int, beta: float, varsigma: float) -> int:
@@ -78,21 +95,19 @@ def calibration_index(n: int, beta: float, varsigma: float) -> int:
 
     The sum is the Bin(n, 1-beta) CDF at k-1, nondecreasing in k, so an
     integer bisection over 1..n finds k in about log2(n) probes of one
-    ``_binomial_cdf`` window (O(sqrt(n)) floats).  A probe within TIE_BAND =
-    1e-8 of 1-varsigma is decided by scipy's ``special.bdtr(k-1, n, 1-beta)``
-    instead, so float ties resolve as a bisection on bdtr alone resolves
-    them.  The band exceeds the window's error bound and bdtr's error for
-    n <= 10^6 (3.1e-9 measured; Cephes states 8.7e-10 for incbet up to
-    10^5), so there k* equals that bisection's.  bdtr's error grows beyond
-    (0.11 at the mean at n = 10^8); where it leaves the band, k* follows the
-    accurate CDF.  A run reads k* from ``ScenarioConfig.k_star``, which
-    calls this once per config.
+    ``_binomial_cdf`` window (O(sqrt(n)) floats).  The window's error is
+    below TIE_BAND = 1e-8, so a probe farther than that from 1-varsigma is
+    decided by the window; a probe within it, a float tie, is decided by
+    ``_exact_reaches`` on the rationals of the doubles p = 1.0 - beta and
+    1.0 - varsigma, so k equals the exact rational answer for those two
+    numbers, ties included (beta = varsigma = 1/2 and odd n, where
+    Pr{X <= (n-1)/2} = 1/2, give k = (n+1)/2).  Where n * b.bit_length()
+    of p = a/b exceeds EXACT_TIE_BITS, the window decides the band too, and
+    at an exact tie k may then differ by one from the exact answer.  A run
+    reads k* from ``ScenarioConfig.k_star``, which calls this once per
+    config.
     Raises NoValidIndexError when even k = n fails, as when
     (1-beta)^n > varsigma, so the sample set must be enlarged.
-
-    Where the CDF equals 1-varsigma exactly (beta = varsigma = 1/2 and odd n,
-    where Pr{X <= (n-1)/2} = 1/2), the float CDF decides the tie either way,
-    so k may differ by one from the exact rational answer.
     """
     if not (0.0 < beta < 1.0 and 0.0 < varsigma < 1.0):
         raise ValueError("beta and varsigma must lie in (0,1)")
@@ -104,22 +119,23 @@ def calibration_index(n: int, beta: float, varsigma: float) -> int:
         )
     p, level = 1.0 - beta, 1.0 - varsigma
     first, cdf = _binomial_cdf(n, p)
+    exact = n * p.as_integer_ratio()[1].bit_length() <= EXACT_TIE_BITS
 
     def reaches(k: int) -> bool:   # Bin(n, p) CDF at k-1 >= level
         i = k - 1 - first
         value = cdf[i] if 0 <= i < cdf.size else float(i >= 0)
-        if abs(value - level) > TIE_BAND:
-            return bool(value >= level)
-        return _bdtr_reaches(k - 1, n, p, level)
+        if exact and abs(value - level) <= TIE_BAND:
+            return _exact_reaches(k - 1, n, p, level)
+        return bool(value >= level)
 
-    lo, hi = 1, n
+    lo, hi = 1, n + 1   # hi = n + 1: no k reaches; each k is probed at most once
     while lo < hi:
         mid = (lo + hi) // 2
         if reaches(mid):
             hi = mid
         else:
             lo = mid + 1
-    if not reaches(lo):
+    if lo > n:
         raise NoValidIndexError(f"no k <= {n} reaches confidence {1 - varsigma}")
     return lo
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from v2xalloc import harness
 from v2xalloc.cli import MAX_GRID_POINTS, _parse_grid, main
 from v2xalloc.config import MAX_SAMPLE_COUNT, ConfigError
 
@@ -168,6 +169,25 @@ def test_negative_seed_exits_2_before_any_drop(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     assert main(["validate", "--seed", "-1"]) == 2
     assert capsys.readouterr().err.startswith("configuration error: --seed must be >= 0")
+
+
+def test_unwritable_output_exits_2_before_any_drop(tmp_path, capsys, monkeypatch):
+    def no_drops(*args, **kwargs):
+        raise AssertionError("a drop ran before the output was created")
+
+    monkeypatch.setattr(harness, "drop_rows", no_drops)
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for argv in (
+        ["run", "--out", str(taken), *FAST],
+        ["run", "--out", str(tmp_path / "missing" / "run.csv"), *FAST],
+        ["sweep", "--param", "speed", "--grid", "80", "--out", str(taken), *FAST],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("configuration error: "), argv
+        assert sum(line.startswith("configuration error") for line in err) == 1
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
 
 
 def test_validate_exits_zero():

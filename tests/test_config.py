@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from v2xalloc import selflearn
@@ -132,6 +133,30 @@ def test_invariants_rejected(field, value):
 def test_non_finite_float_rejected(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         ScenarioConfig(**{field: value})
+
+
+INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"]
+
+
+# num_cues=2.5 used to load and fail in a drop, sample_count=300.0 to raise
+# IndexError from k*
+@pytest.mark.parametrize("value", [2.5, 300.0, True, "300", None])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_int_field_rejects_a_float_bool_or_string(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        ScenarioConfig(**{field: value})
+
+
+def test_numpy_integers_stay_accepted():
+    cfg = ScenarioConfig(num_cues=np.int64(2), num_vues=np.int32(2), sample_count=np.int64(300))
+    assert cfg.k_star == 292
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None, np.bool_(True)])
+def test_bool_field_rejects_a_non_bool(value):
+    with pytest.raises(ConfigError, match="vue_pair_jitter must be a boolean"):
+        ScenarioConfig(vue_pair_jitter=value)
+    assert ScenarioConfig(vue_pair_jitter=True).vue_pair_jitter is True
 
 
 def test_path_loss_bound_is_600_db_at_the_floor_and_the_farthest_link():

@@ -285,3 +285,12 @@ def test_sweep_validates_every_grid_point_before_the_first_drop(small_cfg, monke
         run_sweep(spec, small_cfg)
     assert calls == []
 
+
+def test_run_sweep_creates_its_outputs_before_the_first_drop(tmp_path, monkeypatch, small_cfg):
+    out, raw = tmp_path / "sweep.csv", tmp_path / "taken"
+    raw.mkdir()
+    monkeypatch.setattr(harness, "drop_rows", lambda *args, **kwargs: pytest.fail("a drop ran"))
+    spec = SweepSpec(param="speed", grid=(80.0,), drops=1, methods=("opt",))
+    with pytest.raises(IsADirectoryError):
+        run_sweep(spec, small_cfg, out_path=out, raw_path=raw)
+    assert out.read_text() == ""

@@ -64,3 +64,13 @@ def test_bad_input_exits_2(script, argv, tmp_path, capsys):
 def test_unknown_sweep_param_exits_2(tmp_path, capsys):
     assert script_main("run_sweeps")(["--params", "speed,foo", "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("script", ["run_default_experiment", "run_sweeps"])
+def test_out_dir_that_is_a_file_exits_2(script, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "drop_rows", lambda *args, **kwargs: pytest.fail("a drop ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert script_main(script)(["--drops", "1", "--out-dir", str(taken), *TINY]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert taken.read_text() == ""

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -110,18 +110,23 @@ def test_calibration_index_of_every_repo_scenario(n, beta, varsigma):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 37, 100, 299, 1000, 3000, 10_000])
 def test_calibration_index_boundary_on_a_grid(n):
-    # beta = varsigma = 1/2 is left out: for odd n the CDF at (n-1)/2 is 1/2
-    # exactly, a tie that float evaluation cannot decide
     for beta in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
         for varsigma in (0.01, 0.05, 0.1, 0.2, 0.5):
             if beta == varsigma == 0.5:
-                continue
-            if (1.0 - beta) ** n > varsigma:
+                # for odd n the CDF at (n-1)/2 is 1/2 exactly, a float tie
+                assert calibration_index(n, beta, varsigma) == half_tie_k_star(n)
+            elif (1.0 - beta) ** n > varsigma:
                 with pytest.raises(NoValidIndexError):
                     calibration_index(n, beta, varsigma)
             else:
                 assert_calibration_boundary(n, beta, varsigma,
                                             calibration_index(n, beta, varsigma))
+
+
+def half_tie_k_star(n):
+    """k* of beta = varsigma = 1/2: by symmetry Pr{Bin(n, 1/2) <= t} >= 1/2 iff
+    t >= (n-1)/2, so k* = floor(n/2) + 1."""
+    return n // 2 + 1
 
 
 @settings(deadline=None, max_examples=150)
@@ -138,9 +143,9 @@ def test_calibration_index_equals_exact_oracle(n, beta, varsigma):
         assert calibration_index(n, beta, varsigma) == exact
 
 
-# The bisection on scipy.special.bdtr that k* used to run alone: the reference
-# calibration_index must equal, k for k and error for error.  scipy serves
-# only as a test reference here.
+# The bisection on scipy.special.bdtr that k* used to run alone: outside the
+# tie band, the reference calibration_index must equal it, k for k and error
+# for error.  scipy serves only as a test reference here.
 
 def bdtr_bisection(n, beta, varsigma):
     """k*, or the NoValidIndexError message, of the bisection on bdtr."""
@@ -158,11 +163,47 @@ def bdtr_bisection(n, beta, varsigma):
     return lo
 
 
+def exact_k_star_or_message(n, beta, varsigma):
+    """k*, or the NoValidIndexError message, of the rationals 1.0 - beta and
+    1.0 - varsigma, which calibration_index works on."""
+    if (1.0 - beta) ** n > varsigma:
+        return f"no k <= {n} reaches confidence {1 - varsigma}; increase the sample count"
+    if beta == varsigma == 0.5:
+        return half_tie_k_star(n)
+    try:
+        return oracles.calibration_index_exact(
+            n, 1 - Fraction(1.0 - beta), 1 - Fraction(1.0 - varsigma))
+    except ValueError:
+        return f"no k <= {n} reaches confidence {1 - varsigma}"
+
+
+def in_tie_band(n, beta, varsigma):
+    """Whether a CDF value of k*'s window lies within TIE_BAND of 1 - varsigma."""
+    first, cdf = selflearn._binomial_cdf(n, 1.0 - beta)
+    return bool(np.any(np.abs(cdf - (1.0 - varsigma)) <= selflearn.TIE_BAND))
+
+
+def under_the_cap(n, beta):
+    return n * (1.0 - beta).as_integer_ratio()[1].bit_length() <= selflearn.EXACT_TIE_BITS
+
+
 def k_star_or_message(n, beta, varsigma):
     try:
         return calibration_index(n, beta, varsigma)
     except NoValidIndexError as exc:
         return str(exc)
+
+
+def assert_k_star_parity(n, beta, varsigma):
+    """The bdtr bisection outside the tie band; the exact answer within it,
+    under the cap; within one of it above the cap, where floats decide."""
+    got = k_star_or_message(n, beta, varsigma)
+    if not in_tie_band(n, beta, varsigma):
+        assert got == bdtr_bisection(n, beta, varsigma), (n, beta, varsigma)
+    elif under_the_cap(n, beta):
+        assert got == exact_k_star_or_message(n, beta, varsigma), (n, beta, varsigma)
+    else:
+        assert abs(got - exact_k_star_or_message(n, beta, varsigma)) <= 1, (n, beta, varsigma)
 
 
 PARITY_NS = [*range(1, 401), *range(401, 10_001, 37), 10**5, 10**6]
@@ -174,28 +215,61 @@ PARITY_VARSIGMAS = (0.01, 0.05, 0.1, 0.2, 0.5)
 def test_calibration_index_equals_the_bdtr_bisection_on_a_grid(beta):
     for n in PARITY_NS:
         for varsigma in PARITY_VARSIGMAS:
-            assert k_star_or_message(n, beta, varsigma) == bdtr_bisection(n, beta, varsigma), \
-                (n, beta, varsigma)
+            assert_k_star_parity(n, beta, varsigma)
 
 
 @settings(deadline=None, max_examples=300)
 @given(st.integers(1, 20_000), st.floats(0.001, 0.999), st.floats(0.001, 0.999))
+@example(7, 0.5, 0.5)          # a tie under the cap
+@example(19_999, 0.5, 0.5)     # and above it
 def test_calibration_index_equals_the_bdtr_bisection(n, beta, varsigma):
-    assert k_star_or_message(n, beta, varsigma) == bdtr_bisection(n, beta, varsigma)
+    assert_k_star_parity(n, beta, varsigma)
 
 
-def test_bdtr_decides_only_within_the_tie_band(monkeypatch):
-    asked, decide = [], selflearn._bdtr_reaches
-    monkeypatch.setattr(selflearn, "_bdtr_reaches",
+def test_the_grid_reaches_the_band_under_the_cap():
+    # the parity grid's band cases: beta = varsigma = 1/2 at every odd n, and two more
+    band = {(n, beta, varsigma) for n in PARITY_NS for beta in PARITY_BETAS
+            for varsigma in PARITY_VARSIGMAS if in_tie_band(n, beta, varsigma)}
+    assert {(n, 0.5, 0.5) for n in PARITY_NS if n % 2} <= band
+    assert {(1, 0.9, 0.1), (2, 0.9, 0.01)} <= band
+    assert all(under_the_cap(n, beta) for n, beta, _ in band)
+
+
+def test_exact_sum_decides_only_within_the_tie_band(monkeypatch):
+    asked, decide = [], selflearn._exact_reaches
+    monkeypatch.setattr(selflearn, "_exact_reaches",
                         lambda *args: asked.append(args) or decide(*args))
     for n in range(1, 401):
         for beta in PARITY_BETAS:
             for varsigma in PARITY_VARSIGMAS:
                 k_star_or_message(n, beta, varsigma)
     assert (1, 3, 0.5, 0.5) in asked   # Bin(3, 1/2) has CDF exactly 1/2 at 1
-    for x, n, p, level in asked:       # bdtr was asked for the CDF at x
+    for x, n, p, level in asked:       # the exact sum was asked for the CDF at x
         first, cdf = selflearn._binomial_cdf(n, p)
         assert abs(cdf[x - first] - level) <= selflearn.TIE_BAND
+
+
+@pytest.mark.parametrize("p", [0.5, 0.25, 1.0 - 0.9, 1.0 - 0.05, 1.0 - 0.3])
+def test_exact_sum_equals_the_rational_cdf(p):
+    # levels at the rational CDF rounded to a double and one ulp either side
+    exact_p = Fraction(p)
+    for n in range(1, 25):
+        cdf = Fraction(0)
+        for x in range(n + 1):
+            cdf += math.comb(n, x) * exact_p**x * (1 - exact_p) ** (n - x)
+            near = float(cdf)
+            for level in (math.nextafter(near, 0.0), near, math.nextafter(near, 2.0)):
+                assert selflearn._exact_reaches(x, n, p, level) == (cdf >= Fraction(level))
+
+
+def test_a_band_probe_above_the_cap_skips_the_exact_sum(monkeypatch):
+    n = selflearn.EXACT_TIE_BITS // 2 + 1     # odd, and n * (2).bit_length() is over the cap
+    assert n % 2 and not under_the_cap(n, 0.5) and in_tie_band(n, 0.5, 0.5)
+    monkeypatch.setattr(selflearn, "_exact_reaches", None)   # a call would raise
+    start = time.perf_counter()
+    k = calibration_index(n, 0.5, 0.5)
+    assert time.perf_counter() - start < 0.1
+    assert k in (n // 2 + 1, n // 2 + 2)
 
 
 def test_calibration_index_of_a_huge_sample_set_is_cheap():

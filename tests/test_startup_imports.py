@@ -14,7 +14,7 @@ import v2xalloc
 
 SRC = Path(v2xalloc.__file__).resolve().parent.parent
 # mpmath serves only the oracles, yaml only a config file; scipy serves only
-# k*'s float-tie band (scipy.special.bdtr) and the tests, as their reference
+# the tests, as their reference
 SCIPY = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize")
 FORBIDDEN = SCIPY + ("mpmath", "yaml", "v2xalloc.oracles")
 
@@ -53,10 +53,16 @@ def test_validate_loads_the_oracles():
     assert "v2xalloc.oracles" in modules and not set(SCIPY) & set(modules)
 
 
-def test_a_float_tie_in_k_star_loads_scipy_special():
-    # Bin(3, 1/2) has CDF 1/2 at 1, exactly 1 - varsigma: scipy's bdtr decides
+def test_a_float_tie_in_k_star_loads_no_scipy():
+    # Bin(n, 1/2) has CDF 1/2, exactly 1 - varsigma, at (n-1)/2 for odd n:
+    # the in-package exact sum decides, and k* = (n+1)/2
     code = ("from v2xalloc.selflearn import calibration_index\n"
-            "assert calibration_index(300, 0.05, 0.05) == 292\n"
-            "import sys\nassert 'scipy' not in sys.modules\n"
-            "assert calibration_index(3, 0.5, 0.5) == 2")
-    assert loaded(code) == ["scipy", "scipy.special"]
+            "assert calibration_index(3, 0.5, 0.5) == 2\n"
+            "assert calibration_index(7, 0.5, 0.5) == 4\n"
+            "import v2xalloc.harness\n"
+            "from v2xalloc.config import ScenarioConfig\n"
+            "cfg = ScenarioConfig(num_cues=2, num_vues=2, sample_count=7, test_count=200,\n"
+            "                     outage_prob=0.5, confidence=0.5)\n"
+            "assert cfg.k_star == 4\n"
+            "v2xalloc.harness.run_drop(cfg, 0)")
+    assert loaded(code) == []
