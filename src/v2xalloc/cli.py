@@ -143,7 +143,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0 (it seeds numpy's SeedSequence)")
-    from . import validate  # its oracles pull in mpmath, which no other command needs
+    from . import validate  # it imports the oracles, which no other command needs
 
     ok = validate.run_validation(seed=args.seed)
     return 0 if ok else 1

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any
 
@@ -88,8 +88,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            # a bool would log as true, and a string, None or a triple crash later
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "tuple[float, float]" and not (
+                    isinstance(value, tuple) and len(value) == 2
+                    and not any(isinstance(x, bool) or not isinstance(x, Real) for x in value)):
+                raise ConfigError(f"{f.name} must be a pair of numbers, got {value!r}")
             # a float or bool count would fail mid-run, or index by a float
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
@@ -272,7 +279,7 @@ def _coerce_to(ftype: str, raw: Any) -> Any:
             raw = [p for p in raw.replace(",", " ").split() if p]
         if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise ValueError(f"expects two numbers, got {raw!r}")
-        return (float(raw[0]), float(raw[1]))
+        return (_coerce_to("float", raw[0]), _coerce_to("float", raw[1]))
     raise ValueError(f"unsupported field type {ftype}")
 
 

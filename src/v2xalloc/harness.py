@@ -299,7 +299,8 @@ def run_drop(
         pairs = _solve_pairs(cfg, link, name, learned)
         matrix = build_capacity_matrix(*pairs, link.g_c, cfg.p_max_cue_w, cfg.noise_power_w,
                                        cfg.bandwidth_hz)
-        solved[name] = matrix, hungarian_max_weight(matrix)
+        solved[name] = matrix, ReuseAssignment(hungarian_max_weight(matrix.capacity),
+                                               matrix.num_real)
     # solving and assigning read no random numbers: the held-out draws follow
     return DropResult(drop_index=drop_index, lam=link.lam,
                       methods=_evaluate(cfg, link, solved, rng))

@@ -147,15 +147,12 @@ def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def hungarian_max_weight(matrix: CapacityMatrix | np.ndarray) -> ReuseAssignment:
-    """Assignment maximizing the summed pair capacity (shortest augmenting path)."""
-    weights = matrix.capacity if isinstance(matrix, CapacityMatrix) else np.asarray(matrix, float)
+def hungarian_max_weight(weights: np.ndarray) -> np.ndarray:
+    """Column of each row in a max-weight assignment of a square nonnegative array."""
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise ValueError("expected a square capacity matrix (pad virtual columns first)")
     if not np.isfinite(weights).all():
         raise ValueError("matrix contains invalid numeric entries")
     if (weights < 0).any():
         raise ValueError("capacities must be nonnegative")
-    column_of_row = np.array(_shortest_augmenting_path((-weights).tolist()), dtype=int)
-    num_real = matrix.num_real if isinstance(matrix, CapacityMatrix) else weights.shape[1]
-    return ReuseAssignment(column_of_row=column_of_row, num_real=num_real)
+    return np.array(_shortest_augmenting_path((-weights).tolist()), dtype=int)

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the fast solvers.
 
-Everything here trades speed for transparency: high-precision series, exact
-rational arithmetic, exhaustive grids and permutation search.  The production
-solvers must agree with these within the documented tolerances; nothing in
-this module shares optimization logic with them.
+Everything here trades speed for transparency: exact rational series and sums,
+exhaustive grids and permutation search.  The production solvers must agree
+with these within the documented tolerances; nothing in this module shares
+optimization logic with them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 
@@ -20,24 +19,20 @@ import numpy as np
 # special functions, combinatorics and closed-form definitions
 # ---------------------------------------------------------------------------
 
-def j0_series_reference(x: float, dps: int = 60) -> float:
-    """J0 via its power series in high-precision arithmetic.
+def j0_series_reference(x: float) -> float:
+    """J0 by its power series sum_k (-1)^k (x^2/4)^k / (k!)^2, summed exactly.
 
-    sum_k (-1)^k (x/2)^(2k) / (k!)^2 converges for every finite x; evaluated
-    with ``dps`` decimal digits so cancellation at large |x| is harmless.
-    """
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        total = mp.mpf(0)
-        term = mp.mpf(1)
-        k = 0
-        while abs(term) > mp.mpf(10) ** (-dps + 10) or k < 8:
-            total += term
-            k += 1
-            term *= -((xm / 2) ** 2) / (k * k)
-            if k > 10000:
-                break
-        return float(total)
+    The terms are exact rationals of the double x, and ``float`` rounds the sum
+    once.  Past the peak (k > |x|/2) they alternate and fall, so the tail is
+    below the next term; the sum stops once that is below 1e-40 of the sum (an
+    absolute bound would not do: near a zero of J0, |J0| is about 1e-17)."""
+    q = Fraction(x) ** 2 / 4
+    total, term, k = Fraction(0), Fraction(1), 0
+    while k <= abs(x) / 2 or abs(term) * 10**40 >= abs(total):
+        total += term
+        k += 1
+        term *= -q / (k * k)
+    return float(total)
 
 
 def calibration_index_exact(n: int, beta: Fraction, varsigma: Fraction) -> int:

@@ -248,7 +248,7 @@ def test_criterion_8_hungarian_exactness():
     for _ in range(500):
         size = int(rng.integers(2, 8))
         weights = rng.uniform(0.0, 10.0, size=(size, size))
-        cols = hungarian_max_weight(weights).column_of_row
+        cols = hungarian_max_weight(weights)
         total = float(weights[np.arange(size), cols].sum())
         ref_total, _ = oracles.assignment_bruteforce(weights)
         worst = max(worst, abs(total - ref_total))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,33 @@ def test_j0_against_series_oracle(rng):
     xs = rng.uniform(0.0, 10.0, size=300)
     for x in xs:
         assert abs(channel.bessel_j0(float(x)) - j0_series_reference(float(x))) <= 1e-9
+
+
+def mpmath_j0_series(x: float, dps: int = 60) -> float:
+    """The J0 series summed in 60-digit mpmath arithmetic, stopped below 1e-50."""
+    with mpmath.workdps(dps):
+        xm = mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        term = mpmath.mpf(1)
+        k = 0
+        while abs(term) > mpmath.mpf(10) ** (-dps + 10) or k < 8:
+            total += term
+            k += 1
+            term *= -((xm / 2) ** 2) / (k * k)
+            if k > 10000:
+                break
+        return float(total)
+
+
+def test_exact_series_equals_the_60_digit_series():
+    # criterion 10's points, the ends of the range, and the doubles nearest
+    # the zeros of J0 below 50, where |J0| is about 1e-17 and a tail cut at an
+    # absolute 1e-30 would move the last bits
+    xs = np.random.default_rng(2026_10).uniform(0.0, 10.0, size=1000).tolist()
+    xs += [0.0, 1e-300, 49.9, 50.0]
+    xs += [float(mpmath.besseljzero(0, i)) for i in range(1, 17)]
+    mismatched = [x for x in xs if j0_series_reference(x) != mpmath_j0_series(x)]
+    assert mismatched == []
 
 
 def test_j0_domain_error():

@@ -190,10 +190,6 @@ def test_unwritable_output_exits_2_before_any_drop(tmp_path, capsys, monkeypatch
     assert [f.name for f in tmp_path.iterdir()] == ["taken"]
 
 
-def test_validate_exits_zero():
-    assert main(["validate"]) == 0
-
-
 def test_unusable_scenario_exit_code(tmp_path, capsys):
     assert main(["run", "--set", "vehicle_speed_kmh=500"]) == 2
     assert main(["run", "--set", "sample_count=10"]) == 2

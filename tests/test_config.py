@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -127,12 +128,49 @@ def test_invariants_rejected(field, value):
         ScenarioConfig(**{field: value})
 
 
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize(
-    "field", [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
 def test_non_finite_float_rejected(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         ScenarioConfig(**{field: value})
+
+
+# vehicle_speed_kmh=True used to build a 1 km/h scenario whose logged config
+# (`true`) load_config rejects; "30" and None raised TypeError from math.isfinite
+@pytest.mark.parametrize("value", [True, False, "30", None])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_float_field_rejects_a_bool_string_or_none(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a number"):
+        ScenarioConfig(**{field: value})
+
+
+# a three-element tuple used to raise ValueError from unpacking
+@pytest.mark.parametrize("value", [
+    (100.0, 150.0, 200.0), (100.0,), [100.0, 200.0], "100,200", None,
+    (100.0, "200"), (True, 200.0), (100.0, None),
+])
+def test_pair_field_rejects_anything_but_a_pair_of_numbers(value):
+    with pytest.raises(ConfigError, match="gnb_road_distance_m must be a pair of numbers"):
+        ScenarioConfig(gnb_road_distance_m=value)
+
+
+def test_a_bool_in_a_config_file_pair_is_rejected():
+    # [true, 200] used to load as (1.0, 200.0)
+    with pytest.raises(ConfigError, match="gnb_road_distance_m: expects a number, got True"):
+        config_from_mapping({"gnb_road_distance_m": [True, 200]})
+    assert config_from_mapping({"gnb_road_distance_m": [120, "180"]}).gnb_road_distance_m == (
+        120.0, 180.0)
+
+
+def test_ints_and_numpy_floats_stay_accepted_in_float_fields():
+    cfg = ScenarioConfig(vehicle_speed_kmh=np.float64(80.0), carrier_frequency_hz=2_000_000_000,
+                         gnb_road_distance_m=(100, np.float64(200)))
+    assert cfg == ScenarioConfig() == ScenarioConfig(p_max_cue_dbm=np.float32(30.0))
+    # the logged config loads back
+    assert config_from_mapping(json.loads(cfg.to_json())) == cfg
 
 
 INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"]

@@ -13,8 +13,8 @@ from pathlib import Path
 import v2xalloc
 
 SRC = Path(v2xalloc.__file__).resolve().parent.parent
-# mpmath serves only the oracles, yaml only a config file; scipy serves only
-# the tests, as their reference
+# yaml serves only a config file; scipy and mpmath serve only the tests, as
+# their references (the oracles need neither)
 SCIPY = ("scipy", "scipy.special", "scipy.stats", "scipy.optimize")
 FORBIDDEN = SCIPY + ("mpmath", "yaml", "v2xalloc.oracles")
 
@@ -30,7 +30,7 @@ v2xalloc.harness.run_drop(
 def loaded(code: str, cwd: Path | None = None) -> list[str]:
     """Which of FORBIDDEN a fresh interpreter has imported after ``code``."""
     report = ("\nimport json, sys\n"
-              f"print(json.dumps([m for m in {FORBIDDEN!r} if m in sys.modules]))")
+              f"print(json.dumps([m for m in {FORBIDDEN!r} if sys.modules.get(m)]))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code + report], cwd=cwd, check=True,
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
@@ -49,8 +49,22 @@ def test_a_config_file_loads_yaml(tmp_path):
 
 def test_validate_loads_the_oracles():
     code = "from v2xalloc.cli import main\nassert main(['validate']) == 0"
-    modules = loaded(code)
-    assert "v2xalloc.oracles" in modules and not set(SCIPY) & set(modules)
+    assert loaded(code) == ["v2xalloc.oracles"]
+
+
+def test_validate_runs_with_mpmath_blocked():
+    # a None entry in sys.modules makes `import mpmath` raise ImportError
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from v2xalloc import validate\n"
+            "from v2xalloc.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    assert main(['validate']) == 0\n"
+            "lines = out.getvalue().splitlines()\n"
+            "assert len(lines) == len(validate.CHECKS) == 7\n"
+            "assert all(line.startswith('[PASS] ') for line in lines), lines")
+    assert loaded(code) == ["v2xalloc.oracles"]
 
 
 def test_a_float_tie_in_k_star_loads_no_scipy():
