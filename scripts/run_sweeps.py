@@ -3,24 +3,25 @@
 
 Reproduces the standard experiment set (power budgets, vehicle speed and the
 two SINR thresholds) for all allocators.  Grids follow the usual plotting
-ranges; override drops for quicker exploratory runs.  Each sweep is one
-``v2xalloc sweep`` run, which logs its resolved configuration.
+ranges; override drops for quicker exploratory runs.  The configuration is
+resolved once; each sweep is one ``cli.sweep_rows`` call, which logs it.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from v2xalloc import cli
+from v2xalloc import cli, harness
 from v2xalloc.config import ConfigError
 
-# swept parameter -> its ``v2xalloc sweep --grid``
+POWERS_DBM = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+# swept parameter -> its grid
 SWEEPS = {
-    "p_max_cue": "0:5:40",
-    "p_max_vue": "0:5:40",
-    "speed": "40:20:160",
-    "gamma_min_cue": "1,2,5,10,20,40",
-    "gamma_min_vue": "0.5,1,2,5,10,20",
+    "p_max_cue": POWERS_DBM,
+    "p_max_vue": POWERS_DBM,
+    "speed": (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0),
+    "gamma_min_cue": (1.0, 2.0, 5.0, 10.0, 20.0, 40.0),
+    "gamma_min_vue": (0.5, 1.0, 2.0, 5.0, 10.0, 20.0),
 }
 
 
@@ -29,18 +30,11 @@ def sweep_all(args) -> int:
     unknown = set(params) - set(SWEEPS)
     if unknown:
         raise ConfigError(f"unknown sweep params {sorted(unknown)}; choose from {list(SWEEPS)}")
-    cli.resolve_config(args, drops=args.drops)  # a bad config fails before any file is made
+    cfg = cli.resolve_config(args, drops=args.drops)  # a bad config fails before any file is made
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    passed = [f"--drops={args.drops}", *(f"--set={item}" for item in args.overrides)]
-    if args.config is not None:
-        passed.append(f"--config={args.config}")
-    if args.raw:
-        passed.append("--raw")
     for param in params:
-        code = cli.main(["sweep", f"--param={param}", f"--grid={SWEEPS[param]}",
-                         f"--out={args.out_dir / f'sweep_{param}.csv'}", *passed])
-        if code:
-            return code
+        spec = harness.SweepSpec(param=param, grid=SWEEPS[param], drops=cfg.drops)
+        cli.sweep_rows(cfg, spec, args.out_dir / f"sweep_{param}.csv", args.raw)
     return 0
 
 

@@ -114,6 +114,17 @@ def run_rows(cfg: ScenarioConfig, methods: tuple[str, ...], out: Path | None) ->
     return rows
 
 
+def sweep_rows(cfg: ScenarioConfig, spec: harness.SweepSpec, out: Path, raw: bool) -> list[dict]:
+    """Log ``cfg``, sweep it over ``spec`` and write the summary rows to ``out``
+    (with ``raw``, the per-drop rows to ``<out stem>_raw<out suffix>``)."""
+    spec.point_configs(cfg)   # a grid point the model rejects: exit before writing
+    _log_config(cfg, out)
+    raw_path = out.with_name(out.stem + "_raw" + out.suffix) if raw else None
+    rows = harness.run_sweep(spec, cfg, out_path=out, raw_path=raw_path)
+    print(f"wrote {out}" + (f" and {raw_path}" if raw_path else ""))
+    return rows
+
+
 def _cmd_run(args) -> int:
     cfg = resolve_config(args, rng_seed=args.seed, drops=args.drops)
     rows = run_rows(cfg, _methods(args.methods), args.out)
@@ -130,13 +141,7 @@ def _cmd_sweep(args) -> int:
     cfg = resolve_config(args, rng_seed=args.seed, drops=args.drops)
     spec = harness.SweepSpec(param=args.param, grid=_parse_grid(args.grid), drops=cfg.drops,
                              methods=_methods(args.methods))
-    spec.point_configs(cfg)   # a grid point the model rejects: exit before writing
-    _log_config(cfg, args.out)
-    raw_path = None
-    if args.raw:
-        raw_path = args.out.with_name(args.out.stem + "_raw" + args.out.suffix)
-    harness.run_sweep(spec, cfg, out_path=args.out, raw_path=raw_path)
-    print(f"wrote {args.out}" + (f" and {raw_path}" if raw_path else ""))
+    sweep_rows(cfg, spec, args.out, args.raw)
     return 0
 
 

@@ -102,6 +102,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "bool" and not isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be a boolean, got {value!r}")
+            # kept as the declared Python type: a numpy scalar would not log as JSON
+            if f.type in ("int", "float", "tuple[float, float]"):
+                object.__setattr__(self, f.name, _coerce_to(f.type, value))
         lo, hi = self.gnb_road_distance_m
         checks = [
             (self.num_cues >= 1, "num_cues must be >= 1"),

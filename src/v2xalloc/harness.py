@@ -136,8 +136,8 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
 
 
 def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
-    """Per anchor mode: the (J, S) anchor powers (NaN where a pair has none)
-    and the shared radius r_d (None without identity-pair anchors).
+    """Per anchor mode: the (J, S) anchor powers and the shared radius r_d,
+    each NaN where there is none (r_d: without identity-pair anchors).
 
     Anchors must keep nearly all samples inside their half-space (a
     mean-tight anchor strands about half of them, collapsing the learned
@@ -159,7 +159,7 @@ def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
     learned = {}
     for mode, (p_c, p_d) in anchors.items():
         diag_c, diag_d = p_c[ident, ident], p_d[ident, ident]
-        r_d = None if np.isnan(diag_c).all() else selflearn.calibrate_radius(selflearn.map_samples(
+        r_d = np.nan if np.isnan(diag_c).all() else selflearn.calibrate_radius(selflearn.map_samples(
             sample_d, sample_x[:, ident, ident], diag_c, diag_d, cfg.sinr_min_vue), k_star)
         learned[mode] = p_c, p_d, r_d
     return learned
@@ -170,16 +170,14 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
 
     ``opt``, ``nrra`` and ``apra`` solve the known-gain corner, ``brra`` the
     moment-based bisection and ``slaa``/``slwa`` the learned closed form from
-    their entry of ``learned`` (``selflearn_calibration``).  Infeasible pairs,
-    and every pair of a drop that admits no learned region, carry zeros.
+    their entry of ``learned`` (``selflearn_calibration``).  Infeasible pairs
+    carry zeros.
     """
     out = np.zeros((3, cfg.num_cues, cfg.num_vues))
     sigma2, gamma_c, bw = cfg.noise_power_w, cfg.sinr_min_cue, cfg.bandwidth_hz
     p_max_c, p_max_d = cfg.p_max_cue_w, cfg.p_max_vue_w
     if method in SELF_LEARNING_MODES:
         anchor_c, anchor_d, r_d = learned[SELF_LEARNING_MODES[method]]
-        if r_d is None or r_d <= 0:
-            return out
     elif method != "brra":
         # Python floats: solve_corner runs faster on them than on numpy scalars
         g_d, g_x, g_c, g_b = (a.tolist() for a in (
@@ -193,8 +191,6 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
                 sol = bernstein.bisection_power_allocation(
                     bernstein_pair_params(cfg, link, j, s), cfg.bisection_xi_w)
             elif method in SELF_LEARNING_MODES:
-                if np.isnan(anchor_c[j, s]):
-                    continue
                 sol = selflearn.closed_form_power(
                     anchor_c[j, s], anchor_d[j, s], r_d,
                     link.g_c[j], link.g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)

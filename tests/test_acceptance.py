@@ -40,9 +40,12 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def default_mc():
-    """Per-drop results of the default scenario, all methods, 200 drops."""
+    """Per-drop results of the default scenario, all methods, 200 drops, and
+    the (drop, j, s, p_c, p_d) of each transmitting matched pair in the order
+    of its ``pair_outage``."""
     cfg = ScenarioConfig()
-    per_drop = {name: {"cap": [], "outage_pairs": [], "tests": 0} for name in METHODS}
+    per_drop = {name: {"cap": [], "outage_pairs": [], "pairs": [], "tests": 0}
+                for name in METHODS}
     for d in range(DROPS):
         result = harness.run_drop(cfg, d, METHODS)
         for name in METHODS:
@@ -50,6 +53,10 @@ def default_mc():
             per_drop[name]["cap"].append(stats.sum_capacity_bps)
             per_drop[name]["outage_pairs"].append(stats.pair_outage)
             per_drop[name]["tests"] += stats.pair_outage.size * cfg.test_count
+            per_drop[name]["pairs"] += [
+                (d, j, s, stats.matrix.p_c_w[j, s], stats.matrix.p_d_w[j, s])
+                for j, s in enumerate(stats.assignment.column_of_row)
+                if not stats.matrix.is_virtual(s) and stats.matrix.capacity[j, s] > 0.0]
     return cfg, per_drop
 
 
@@ -178,6 +185,71 @@ def test_selflearn_guarantee_under_the_sampling_model():
                f"mean {np.mean(pairs):.4f}, share of {pairs.size} pairs above beta "
                f"{share:.3f} <= {allowed:.3f}")
         assert ok
+
+
+def exact_pair_outage(cfg, link, j, s, p_c, p_d) -> float:
+    """Outage of pair (j, s) at powers (p_c, p_d) under the held-out model.
+
+    Each held-out gain is g = a + b E with E ~ Exp(1), a = omega lam^2 |h_hat|^2
+    and b = omega (1 - lam^2).  With A = p_d b_d, B = Gamma_d p_c b_x and
+    c = Gamma_d (sigma^2 + p_c a_x) - p_d a_d, the outage is Pr{A E_d < c + B E_x}.
+    """
+    lam2, gamma = link.lam**2, cfg.sinr_min_vue
+    omega_d, omega_x = link.omega_d[s], link.omega_cross[j, s]
+    big_a, big_b = p_d * omega_d * (1 - lam2), gamma * p_c * omega_x * (1 - lam2)
+    c = (gamma * (cfg.noise_power_w + p_c * omega_x * lam2 * link.h_hat_cross_sq[j, s])
+         - p_d * omega_d * lam2 * link.h_hat_d_sq[s])
+    if big_b == 0.0:
+        return 1.0 - math.exp(-c / big_a) if c > 0 else 0.0
+    if c >= 0:
+        return 1.0 - math.exp(-c / big_a) * big_a / (big_a + big_b)
+    return math.exp(c / big_b) * big_b / (big_a + big_b)
+
+
+@pytest.fixture(scope="module")
+def pair_outages(default_mc):
+    """Per method, the held-out and the exact outage of each pair of ``default_mc``."""
+    cfg, per_drop = default_mc
+    links = [channel.build_link_state(cfg, harness.drop_rng(cfg.rng_seed, d))
+             for d in range(DROPS)]
+    return {name: (np.concatenate(per_drop[name]["outage_pairs"]),
+                   np.array([exact_pair_outage(cfg, links[d], j, s, p_c, p_d)
+                             for d, j, s, p_c, p_d in per_drop[name]["pairs"]]))
+            for name in METHODS}
+
+
+def test_held_out_outage_matches_the_exact_per_pair_outage(default_mc, pair_outages):
+    """Each pair's held-out count of M draws passes a two-sided exact binomial
+    test against its exact outage, at 0.01 over the number of pairs."""
+    from scipy.stats import binomtest
+
+    cfg, _ = default_mc
+    m = cfg.test_count
+    tested = [(round(held * m), exact) for name in ("opt", "brra", "slaa", "nrra")
+              for held, exact in zip(*pair_outages[name])]
+    alpha = 0.01 / len(tested)
+    smallest = 1.0
+    for count, exact in tested:
+        if exact in (0.0, 1.0):   # a point mass: the count is certain
+            assert count == exact * m
+        else:
+            smallest = min(smallest, binomtest(count, m, exact).pvalue)
+    brra_exact = pair_outages["brra"][1]
+    ok = smallest >= alpha
+    report("per-pair held-out outage vs exact", ok,
+           f"smallest p-value {smallest:.2g} >= {alpha:.2g} over {len(tested)} pairs; "
+           f"brra pairs above beta {np.mean(brra_exact > cfg.outage_prob):.3f} "
+           f"(max {brra_exact.max():.4f})")
+    assert ok
+
+
+def test_selflearn_pairs_meet_the_chance_constraint_exactly(default_mc, pair_outages):
+    cfg, _ = default_mc
+    worst = {name: float(pair_outages[name][1].max()) for name in ("slaa", "slwa")}
+    ok = all(w <= cfg.outage_prob for w in worst.values())
+    report("self-learning per-pair exact outage", ok,
+           ", ".join(f"{n} max {w:.4f}" for n, w in worst.items()) + f" <= {cfg.outage_prob}")
+    assert ok
 
 
 # ---------------------------------------------------------------------------

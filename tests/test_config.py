@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from v2xalloc import selflearn
 from v2xalloc.config import (
@@ -173,6 +175,16 @@ def test_ints_and_numpy_floats_stay_accepted_in_float_fields():
     assert config_from_mapping(json.loads(cfg.to_json())) == cfg
 
 
+# a numpy integer or float32 used to be stored as given, and to_json raised
+# "Object of type int64 is not JSON serializable"
+@pytest.mark.parametrize("field,value", [("num_cues", np.int64(4)),
+                                         ("p_max_cue_dbm", np.float32(30.0))])
+def test_numpy_scalars_are_kept_as_python_numbers_and_log_as_json(field, value):
+    cfg = ScenarioConfig(**{field: value})
+    assert type(getattr(cfg, field)) is type(getattr(ScenarioConfig(), field))
+    assert config_from_mapping(json.loads(cfg.to_json())) == cfg == ScenarioConfig()
+
+
 INT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "int"]
 
 
@@ -241,6 +253,14 @@ def test_load_yaml_roundtrip(tmp_path):
     assert cfg.gnb_road_distance_m == (120.0, 180.0)
     # untouched fields keep defaults
     assert cfg.outage_prob == 0.05
+
+
+def test_example_config_is_the_default_scenario():
+    path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+    # every field is restated, so a new default cannot go missing from the file
+    assert set(yaml.safe_load(path.read_text())) == {
+        f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert load_config(path) == ScenarioConfig()
 
 
 def test_load_rejects_unknown_yaml_key(tmp_path):

@@ -131,6 +131,22 @@ def test_outage_is_exact_violation_fraction(small_cfg):
             assert abs(count - round(count)) < 1e-9
 
 
+def test_closed_form_decides_every_self_learning_pair(monkeypatch):
+    """Each of slaa and slwa hands all J x S candidate pairs to
+    ``closed_form_power``, also those with no anchor or no usable radius."""
+    from v2xalloc import selflearn
+
+    cfg = ScenarioConfig()
+    solve, calls = selflearn.closed_form_power, []
+    monkeypatch.setattr(selflearn, "closed_form_power",
+                        lambda *args: calls.append(args) or solve(*args))
+    for d in range(5):
+        run_drop(cfg, d, ("slaa", "slwa"))
+        assert len(calls) == 2 * cfg.num_cues * cfg.num_vues * (d + 1)
+    # the drops hold pairs that the closed form turns down for want of an anchor or radius
+    assert any(math.isnan(args[0]) or not args[2] > 0 for args in calls)
+
+
 # tracemalloc peaks of one J = S = 16 drop at the default N and M: at most
 # the one (pairs, N) sample array, no (M, J, S) block, and otherwise chunks
 # and the scored pairs' columns (full-array drop stages read 12.8 and 58 MiB)

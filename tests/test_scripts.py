@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from v2xalloc import harness
+from v2xalloc import cli, harness
 from v2xalloc.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -51,6 +51,18 @@ def test_sweeps_script_writes_what_cli_sweep_writes(tmp_path):
     assert (out_dir / "sweep_speed.csv").read_bytes() == ref.read_bytes()
     assert (out_dir / "sweep_speed_raw.csv").read_bytes() == (tmp_path / "ref_raw.csv").read_bytes()
     assert json.loads((out_dir / "sweep_speed.csv.config.json").read_text())["drops"] == 2
+
+
+def test_sweeps_script_resolves_its_configuration_once(tmp_path, monkeypatch):
+    resolve, calls = cli.resolve_config, []
+    monkeypatch.setattr(cli, "resolve_config",
+                        lambda *args, **fields: calls.append(fields) or resolve(*args, **fields))
+    assert script_main("run_sweeps")(
+        ["--params", "speed,gamma_min_vue", "--drops", "1", "--out-dir", str(tmp_path), *TINY,
+         "--set", "num_cues=2", "--set", "num_vues=2"]) == 0
+    assert len(calls) == 1
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "sweep_gamma_min_vue.csv", "sweep_speed.csv"]
 
 
 @pytest.mark.parametrize("script", ["run_default_experiment", "run_sweeps"])
