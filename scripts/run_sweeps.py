@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from v2xalloc import cli, harness
-from v2xalloc.config import ConfigError
 
 POWERS_DBM = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
 # swept parameter -> its grid
@@ -26,15 +25,15 @@ SWEEPS = {
 
 
 def sweep_all(args) -> int:
-    params = [p.strip() for p in args.params.split(",") if p.strip()]
-    unknown = set(params) - set(SWEEPS)
-    if unknown:
-        raise ConfigError(f"unknown sweep params {sorted(unknown)}; choose from {list(SWEEPS)}")
-    cfg = cli.resolve_config(args, drops=args.drops)  # a bad config fails before any file is made
+    cfg = cli.resolve_config(args, drops=args.drops)
+    # every name (SweepSpec's) and every grid point is checked before any file is made
+    specs = [harness.SweepSpec(param=p, grid=SWEEPS.get(p, ()), drops=cfg.drops)
+             for p in map(str.strip, args.params.split(",")) if p]
+    for spec in specs:
+        spec.point_configs(cfg)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    for param in params:
-        spec = harness.SweepSpec(param=param, grid=SWEEPS[param], drops=cfg.drops)
-        cli.sweep_rows(cfg, spec, args.out_dir / f"sweep_{param}.csv", args.raw)
+    for spec in specs:
+        cli.sweep_rows(cfg, spec, args.out_dir / f"sweep_{spec.param}.csv", args.raw)
     return 0
 
 

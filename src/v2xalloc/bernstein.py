@@ -121,11 +121,11 @@ def cue_power_floor(p_d_w: float, params: BernsteinParams) -> float:
 
 
 def _inner_terms(params: BernsteinParams) -> tuple[float, ...]:
-    """Constants of the inner step for one pair, in ``_inner_cue_power``'s
-    argument order: the VUE gain term g_bar_d + mu-*g_hat_d, the protection
-    weight times sigma_F, the slope g_bar_x + mu+*g_hat_x of the VUE-branch
-    root, the CUE-branch denominator, then the pair's own g_hat_d, Gamma_d,
-    sigma^2, Gamma_c, g_b and g_c."""
+    """Constants of the inner step for one pair, in the order that
+    ``_inner_cue_power`` unpacks them: the VUE gain term g_bar_d + mu-*g_hat_d,
+    the protection weight times sigma_F, the slope g_bar_x + mu+*g_hat_x of
+    the VUE-branch root, the CUE-branch denominator, then the pair's own
+    g_hat_d, Gamma_d, sigma^2, Gamma_c, g_b and g_c."""
     fam = params.family
     prot = protection_weight(params.beta) * fam.sigma
     slope = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
@@ -134,11 +134,11 @@ def _inner_terms(params: BernsteinParams) -> tuple[float, ...]:
             params.sigma2, params.gamma_min_c, params.g_b, params.g_c)
 
 
-def _inner_cue_power(p_d_w, gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2, gamma_c, g_b,
-                     g_c):
-    """The inner step on plain floats (``_inner_terms``): called once per
-    bisection step, so the min/max are spelled as the comparisons that
-    Python's builtins make, which cost less than the calls."""
+def _inner_cue_power(p_d_w, terms):
+    """The inner step on plain floats, with a pair's ``_inner_terms``: called
+    once per bisection step, so the min/max are spelled as the comparisons
+    that Python's builtins make, which cost less than the calls."""
+    gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2, gamma_c, g_b, g_c = terms
     base = p_d_w * gain_d / gd - sigma2
     # roots of the branches binding on the CUE and on the VUE deviation product
     upper = base / cue_den
@@ -160,7 +160,7 @@ def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None
     feasible region is p_c <= min(both roots).  Returns None when that upper
     bound falls below the QoS floor (or below zero).
     """
-    upper = _inner_cue_power(p_d_w, *_inner_terms(params))
+    upper = _inner_cue_power(p_d_w, _inner_terms(params))
     return None if upper is None else float(upper)
 
 
@@ -199,17 +199,14 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float) -> Bisectio
     if not 0.0 < xi_w < p_max_d:
         raise ValueError("termination threshold must lie in (0, p_max_d)")
     max_iter = math.ceil(math.log2(p_max_d / xi_w)) + 1
-    (gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2, gamma_c, g_b,
-     g_c) = terms = _inner_terms(params)
+    terms = _inner_terms(params)
     cap_lo, cap_hi, stop_d = p_max_c - xi_w, p_max_c + xi_w, p_max_d - xi_w
 
     lo, hi = 0.0, p_max_d
     # max_iter >= 2, so the loop runs and sets ``iterations``
     for iterations in range(1, max_iter + 1):
         p_d = 0.5 * (lo + hi)
-        # the terms spelled out: unpacking ``*terms`` on every step costs more
-        p_c = _inner_cue_power(p_d, gain_d, prot, slope, cue_den, g_hat_d, gd, sigma2,
-                               gamma_c, g_b, g_c)
+        p_c = _inner_cue_power(p_d, terms)
         if p_c is None or p_c < cap_lo:
             lo = p_d  # inner CUE power too small (or VUE margin unattainable)
         elif p_c > cap_hi:
@@ -224,10 +221,10 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float) -> Bisectio
     # response); in both cases the binding candidate is the smallest VUE power
     # known to support the capped CUE power, else the full VUE budget.
     if hi < p_max_d:
-        p_c = _inner_cue_power(hi, *terms)
+        p_c = _inner_cue_power(hi, terms)
         if p_c is not None and p_c >= p_max_c:
             return _finalize(p_max_c, hi, params, iterations)
-    p_c = _inner_cue_power(p_max_d, *terms)
+    p_c = _inner_cue_power(p_max_d, terms)
     if p_c is None:
         return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
     return _finalize(p_c, p_max_d, params, iterations)

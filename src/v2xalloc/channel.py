@@ -366,16 +366,14 @@ class LinkState:
     def h_hat_cross_sq(self) -> np.ndarray:
         return np.abs(self.h_hat_cross) ** 2
 
-    # conditional-mean vehicle-side gains given the estimates
+    # conditional-mean vehicle-side gains given the estimates: E|e|^2 = 1
     @cached_property
     def g_bar_d(self) -> np.ndarray:
-        lam2 = self.lam**2
-        return self.omega_d * (lam2 * self.h_hat_d_sq + (1.0 - lam2))
+        return v2v_true_gain(self.omega_d, self.h_hat_d_sq, self.lam, 1.0)
 
     @cached_property
     def g_bar_cross(self) -> np.ndarray:
-        lam2 = self.lam**2
-        return self.omega_cross * (lam2 * self.h_hat_cross_sq + (1.0 - lam2))
+        return v2v_true_gain(self.omega_cross, self.h_hat_cross_sq, self.lam, 1.0)
 
 
 def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import ctypes
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,7 @@ def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
     learned = {}
     for mode, (p_c, p_d) in anchors.items():
         diag_c, diag_d = p_c[ident, ident], p_d[ident, ident]
-        r_d = np.nan if np.isnan(diag_c).all() else selflearn.calibrate_radius(selflearn.map_samples(
+        r_d = selflearn.calibrate_radius(selflearn.map_samples(
             sample_d, sample_x[:, ident, ident], diag_c, diag_d, cfg.sinr_min_vue), k_star)
         learned[mode] = p_c, p_d, r_d
     return learned
@@ -327,14 +328,18 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.param not in SWEEP_PARAMS:
-            raise ConfigError(f"param must be one of {sorted(SWEEP_PARAMS)}")
+            raise ConfigError(f"unknown sweep param {self.param!r}, not in {sorted(SWEEP_PARAMS)}")
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in self.grid):
+            raise ConfigError(f"grid values must be numbers, got {self.grid!r}")
+        # Python floats, which the summary CSV writes as it writes the CLI's grid
+        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
         if len(self.grid) == 0:
             raise ConfigError("grid must be nonempty")
         diffs = np.diff(self.grid)
         if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
             raise ConfigError("grid must be monotone")
-        if self.drops < 1:
-            raise ConfigError("drops must be >= 1")
+        if isinstance(self.drops, bool) or not isinstance(self.drops, Integral) or self.drops < 1:
+            raise ConfigError(f"drops must be an integer >= 1, got {self.drops!r}")
         check_methods(self.methods)
 
     def point_configs(self, cfg: ScenarioConfig) -> list[ScenarioConfig]:

@@ -152,11 +152,11 @@ def map_samples(
     ``g_d`` and ``g_cross`` are the (N, S) sampled direct and crosstalk gains
     of the S designated pairs, ``anchor_c`` and ``anchor_d`` their (S,)
     anchor powers; pairs without an anchor (NaN) are left out of the min,
-    and at least one anchored pair is required.
+    and every sample maps to NaN when no pair is anchored.
     """
     cols = ~np.isnan(anchor_c)
     if not cols.any():
-        raise ValueError("no anchored pairs to calibrate against")
+        return np.full(g_d.shape[0], np.nan)
     return np.min(anchor_d[cols] * g_d[:, cols] / gamma_min_d
                   - anchor_c[cols] * g_cross[:, cols], axis=1)
 

@@ -254,6 +254,17 @@ def test_sweep_spec_validation():
         SweepSpec(param="speed", grid=(10.0, 5.0, 20.0), drops=1)
     with pytest.raises(ValueError):
         SweepSpec(param="speed", grid=(10.0,), drops=0)
+    # the counts and numbers ScenarioConfig takes, and no others
+    for drops in (True, 2.5, 2.0, "2"):
+        with pytest.raises(ConfigError, match="drops"):
+            SweepSpec(param="speed", grid=(10.0,), drops=drops)
+    for grid in (("80",), (True,), (80.0, None), (1j,)):
+        with pytest.raises(ConfigError, match="grid"):
+            SweepSpec(param="speed", grid=grid, drops=1)
+    with pytest.raises(ConfigError, match="'foo'"):
+        SweepSpec(param="foo", grid=(), drops=1)
+    spec = SweepSpec(param="speed", grid=(80, np.float64(100.0)), drops=np.int64(2))
+    assert spec.grid == (80.0, 100.0) and all(type(v) is float for v in spec.grid)
 
 
 def test_single_point_sweep_equals_standalone_drops(small_cfg):

@@ -78,6 +78,18 @@ def test_unknown_sweep_param_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+def test_sweeps_script_checks_every_grid_point_before_the_first_sweep(tmp_path, capsys,
+                                                                      monkeypatch):
+    # the p_max_cue grid is valid; at 140 km/h this feedback delay makes lambda < 0
+    monkeypatch.setattr(harness, "drop_rows", lambda *args, **kwargs: pytest.fail("a drop ran"))
+    out_dir = tmp_path / "out"
+    assert script_main("run_sweeps")(
+        ["--params", "p_max_cue,speed", "--set", "feedback_delay_s=1.5e-3",
+         "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("script", ["run_default_experiment", "run_sweeps"])
 def test_out_dir_that_is_a_file_exits_2(script, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "drop_rows", lambda *args, **kwargs: pytest.fail("a drop ran"))

@@ -353,8 +353,10 @@ def test_map_samples_skips_unanchored_pairs(rng):
     full = map_samples(g_d, g_x, ones, ones, 1.0)
     partial = map_samples(g_d, g_x, gap, gap, 1.0)
     assert np.all(partial >= full - 1e-15)
-    with pytest.raises(ValueError):
-        map_samples(g_d, g_x, np.full(3, np.nan), np.full(3, np.nan), 1.0)
+    # no anchored pair: every sample, and so the radius, is NaN
+    none = map_samples(g_d, g_x, np.full(3, np.nan), np.full(3, np.nan), 1.0)
+    assert none.shape == (50,) and np.isnan(none).all()
+    assert math.isnan(calibrate_radius(none, 10))
 
 
 def test_coverage_guarantee_on_synthetic_distribution(rng):

@@ -47,11 +47,6 @@ def test_a_config_file_loads_yaml(tmp_path):
     assert loaded(code, cwd=tmp_path) == ["yaml"]
 
 
-def test_validate_loads_the_oracles():
-    code = "from v2xalloc.cli import main\nassert main(['validate']) == 0"
-    assert loaded(code) == ["v2xalloc.oracles"]
-
-
 def test_validate_runs_with_mpmath_blocked():
     # a None entry in sys.modules makes `import mpmath` raise ImportError
     code = ("import contextlib, io, sys\n"
