@@ -177,10 +177,13 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
     out = np.zeros((3, cfg.num_cues, cfg.num_vues))
     sigma2, gamma_c, bw = cfg.noise_power_w, cfg.sinr_min_cue, cfg.bandwidth_hz
     p_max_c, p_max_d = cfg.p_max_cue_w, cfg.p_max_vue_w
+    # Python floats: solve_corner and closed_form_power run faster on them
+    # than on numpy scalars
     if method in SELF_LEARNING_MODES:
         anchor_c, anchor_d, r_d = learned[SELF_LEARNING_MODES[method]]
+        anchor_c, anchor_d = anchor_c.tolist(), anchor_d.tolist()
+        g_c, g_b = link.g_c.tolist(), link.g_b.tolist()
     elif method != "brra":
-        # Python floats: solve_corner runs faster on them than on numpy scalars
         g_d, g_x, g_c, g_b = (a.tolist() for a in (
             (link.g_bar_d, link.g_bar_cross, link.g_c, link.g_b) if method == "opt"
             else (link.omega_d, link.omega_cross, link.omega_c, link.omega_b)))
@@ -192,9 +195,8 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
                 sol = bernstein.bisection_power_allocation(
                     bernstein_pair_params(cfg, link, j, s), cfg.bisection_xi_w)
             elif method in SELF_LEARNING_MODES:
-                sol = selflearn.closed_form_power(
-                    anchor_c[j, s], anchor_d[j, s], r_d,
-                    link.g_c[j], link.g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
+                sol = selflearn.closed_form_power(anchor_c[j][s], anchor_d[j][s], r_d, g_c[j],
+                                                  g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
             else:
                 sol = baselines.solve_corner(g_d[s], g_x[j][s], g_c[j], g_b[s], gamma_c,
                                              gamma_d, sigma2, p_max_c, p_max_d, bw)

@@ -22,17 +22,21 @@ import numpy as np
 def j0_series_reference(x: float) -> float:
     """J0 by its power series sum_k (-1)^k (x^2/4)^k / (k!)^2, summed exactly.
 
-    The terms are exact rationals of the double x, and ``float`` rounds the sum
-    once.  Past the peak (k > |x|/2) they alternate and fall, so the tail is
-    below the next term; the sum stops once that is below 1e-40 of the sum (an
-    absolute bound would not do: near a zero of J0, |J0| is about 1e-17)."""
-    q = Fraction(x) ** 2 / 4
-    total, term, k = Fraction(0), Fraction(1), 0
+    The terms are exact rationals of the double x, and one integer division
+    rounds the sum once.  Past the peak (k > |x|/2) they alternate and fall,
+    so the tail is below the next term; the sum stops once that is below
+    1e-40 of the sum (an absolute bound would not do: near a zero of J0, |J0|
+    is about 1e-17).  With x^2/4 = a/b, term k is (-a)^k over b^k (k!)^2,
+    which each next term's denominator is a multiple of: the sum and the term
+    are kept as integer numerators over the current term's denominator, so
+    no addition reduces a fraction."""
+    a, b = (Fraction(x) ** 2 / 4).as_integer_ratio()
+    total, term, k = 0, 1, 0   # numerators over b^k (k!)^2
     while k <= abs(x) / 2 or abs(term) * 10**40 >= abs(total):
-        total += term
         k += 1
-        term *= -q / (k * k)
-    return float(total)
+        total = (total + term) * (b * k * k)
+        term *= -a
+    return total / (b ** k * math.factorial(k) ** 2)
 
 
 def calibration_index_exact(n: int, beta: Fraction, varsigma: Fraction) -> int:

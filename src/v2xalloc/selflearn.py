@@ -182,6 +182,64 @@ def calibrate_radius(mapped: np.ndarray, k_star: int) -> float:
 WORST = "worst"
 AVERAGE = "average"
 ANCHOR_BLOCK = 1 << 16   # floats per row block of the anchor search's (pairs, N) temporaries
+SETTLE_STEPS = 4         # one-ulp steps from the analytic root before a threshold is bisected
+
+
+@np.errstate(all="ignore")   # NaN and inf requirements fit under no cap
+def fit_thresholds(
+    gx: np.ndarray,
+    gd: np.ndarray,
+    need: np.ndarray,
+    gamma_min_d: float,
+    sigma2: float,
+    p_max_c: float,
+    p_max_d: float,
+) -> np.ndarray:
+    """Per row of the (m, w) gains, w >= 1, the largest double p in [0,
+    p_max_c] at which at least ``need[i]`` of the row's requirements
+    ``f(p) = gamma_min_d (sigma2 + p gx) / gd`` are within p_max_d: p_max_c
+    where need is 0 or less, -inf where no p in [0, p_max_c] is.
+
+    Each f is nondecreasing in p under IEEE rounding (see
+    ``initial_feasible``), so a sample fits exactly up to its own threshold,
+    the largest fitting bit pattern of a nonnegative double, which orders as
+    the double does.  The search starts at the analytic root ``(p_max_d gd /
+    gamma_min_d - sigma2) / gx`` clipped to [0, p_max_c] (0 for a NaN root)
+    and moves one ulp per step, checking f itself, until a fitting pattern
+    and a failing one are adjacent.  Roots that miss by more than
+    SETTLE_STEPS ulps, as when ``p_max_d gd / gamma_min_d`` nears sigma2, are
+    bisected on the bit patterns the steps left open.  The row's threshold
+    is then the need-th largest of its samples'; a NaN gain never fits.
+    """
+    def fits(bits, gx, gd):
+        return gamma_min_d * (sigma2 + bits.view(np.float64) * gx) / gd <= p_max_d
+
+    top = int(np.float64(p_max_c).view(np.int64))
+    root = np.fmax((p_max_d * gd / gamma_min_d - sigma2) / gx, 0.0)   # NaN -> 0
+    probe = np.clip(root.view(np.int64), 0, top)                       # -0.0 -> 0
+    fit = np.full(gx.shape, -1, np.int64)        # largest pattern known to fit, -1: none
+    fail = np.full(gx.shape, top + 1, np.int64)  # smallest known to fail, top + 1: none
+    for _ in range(SETTLE_STEPS):
+        open_ = fail - fit > 1
+        if not open_.any():
+            break
+        ok = fits(probe, gx, gd)
+        fit = np.where(open_ & ok, probe, fit)
+        fail = np.where(open_ & ~ok, probe, fail)
+        probe = np.where(ok, probe + 1, probe - 1)
+    left = np.nonzero(fail - fit > 1)
+    lo, hi, gx_l, gd_l = fit[left], fail[left], gx[left], gd[left]
+    while (open_ := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ok = fits(mid, gx_l, gd_l)
+        lo = np.where(open_ & ok, mid, lo)
+        hi = np.where(open_ & ~ok, mid, hi)
+    fit[left] = lo
+    tau = np.sort(np.where(fit >= 0, fit.view(np.float64), -np.inf), axis=1)
+    w = tau.shape[1]
+    pick = w - need                       # ascending position of the need-th largest
+    kth = np.take_along_axis(tau, np.clip(pick, 0, w - 1)[:, None], axis=1)[:, 0]
+    return np.where(pick >= w, p_max_c, np.where(pick < 0, -np.inf, kth))
 
 
 @np.errstate(all="ignore")   # inf and NaN requirements fit under no cap
@@ -234,11 +292,14 @@ def initial_feasible(
     fails (roots miss by up to ~1e3 ulps as ``P g_d / Gamma_d`` nears
     sigma^2) the bracket widens to [0, p_max_c], where it holds if the pair
     binds (n(p_max_c) < k) and can be covered (n(0) >= k).  All of this is
-    per pair, shared by the modes; the bisections of every mode and pair run
-    in lockstep as arrays, and the result equals, bit for bit, the
-    definition evaluated pair by pair.  The per-pair passes over the N
-    samples run in blocks of rows of about ANCHOR_BLOCK floats, so no
-    (pairs, N) temporary is formed beside the inputs.
+    per pair, shared by the modes.  By monotonicity a search's midpoint fits
+    iff it is at most the search's threshold tau, the smaller of eff's and
+    the need-th largest of the open samples' (``fit_thresholds``, exact to
+    the bit), so each bisection replays on ``mid <= tau`` in Python floats,
+    and the result equals, bit for bit, the definition evaluated pair by
+    pair.  The per-pair passes over the N samples run in blocks of rows of
+    about ANCHOR_BLOCK floats, so no (pairs, N) temporary is formed beside
+    the inputs.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
@@ -285,7 +346,8 @@ def initial_feasible(
         gx, gd = g_x[blk], g_d_floor[vue[blk]]
         top = sampled_req(p_max_c, gx, gd)
         pass_top = top <= p_max_d
-        free[blk] = np.count_nonzero(pass_top, axis=1) >= k
+        n_top = np.count_nonzero(pass_top, axis=1)
+        free[blk] = n_top >= k
         cap = np.flatnonzero(cap_fits[:, blk].any(axis=0) & free[blk])
         kth_cap[blk.start + cap] = np.partition(top[cap], k - 1, axis=1)[:, k - 1]
         bind = np.flatnonzero(~free[blk])
@@ -294,11 +356,13 @@ def initial_feasible(
         t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
         pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
         pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-        wide = (np.count_nonzero(pass_lo, axis=1) < k) | (np.count_nonzero(pass_hi, axis=1) >= k)
+        n_lo, n_hi = np.count_nonzero(pass_lo, axis=1), np.count_nonzero(pass_hi, axis=1)
+        wide = np.flatnonzero((n_lo < k) | (n_hi >= k))
         pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
         pass_hi[wide] = pass_top[bind[wide]]
-        covered[blk.start + bind] = np.count_nonzero(pass_lo, axis=1) >= k
-        need[blk.start + bind] = k - np.count_nonzero(pass_hi, axis=1)
+        n_lo[wide], n_hi[wide] = np.count_nonzero(pass_lo[wide], axis=1), n_top[bind[wide]]
+        covered[blk.start + bind] = n_lo >= k
+        need[blk.start + bind] = k - n_hi
         r, c = np.nonzero(pass_lo & ~pass_hi)
         open_rows.append(blk.start + bind[r])
         open_gx.append(gx_b[r, c])
@@ -306,7 +370,7 @@ def initial_feasible(
     r = np.concatenate(open_rows)              # ascending, one entry per open sample
     width = np.bincount(r, minlength=rows)
     col = np.arange(r.size) - np.repeat(np.cumsum(width) - width, width)
-    gx_open = np.full((rows, width.max(initial=0)), np.nan)
+    gx_open = np.full((rows, width.max(initial=1)), np.nan)
     gd_open = np.ones_like(gx_open)
     gx_open[r, col], gd_open[r, col] = np.concatenate(open_gx), np.concatenate(open_gd)
 
@@ -314,17 +378,24 @@ def initial_feasible(
     fits_0 = sampled_req(0.0, g_x_eff, g_d_eff) <= p_max_d
     search = np.flatnonzero(has_gain & ~at_cap & covered & fits_0)
 
-    # lockstep bisection over every (mode, pair) that searches
+    # each (mode, pair) that searches bisects on its threshold, the smaller
+    # of its effective requirement's and of the need-th largest of its pair's
     pair = search % rows
-    gx_e, gd_e = g_x_eff.ravel()[search], g_d_eff.ravel()[search]
-    gx_o, gd_o, need_o = gx_open[pair], gd_open[pair], need[pair]
-    lo, hi = np.zeros(search.size), np.full(search.size, p_max_c)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fits = ((sampled_req(mid, gx_e, gd_e) <= p_max_d)
-                & ((sampled_req(mid[:, None], gx_o, gd_o) <= p_max_d).sum(axis=1) >= need_o))
-        lo = np.where(fits, mid, lo)
-        hi = np.where(fits, hi, mid)
+    limits = gamma_min_d, sigma2, p_max_c, p_max_d
+    tau_open = fit_thresholds(gx_open, gd_open, need, *limits)
+    tau_eff = fit_thresholds(g_x_eff.ravel()[search, None], g_d_eff.ravel()[search, None],
+                             np.ones(search.size, int), *limits)
+    anchors = []
+    for t in np.minimum(tau_eff, tau_open[pair]).tolist():
+        lo, hi = 0.0, float(p_max_c)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if mid <= t:
+                lo = mid
+            else:
+                hi = mid
+        anchors.append(lo)
+    lo = np.array(anchors, float)
 
     p_c = np.where(at_cap, p_max_c, 0.0)
     p_c.ravel()[search] = lo
@@ -335,9 +406,12 @@ def initial_feasible(
     kth = np.empty(at.size)
     for a in range(0, at.size, step):
         found = at[a:a + step]
-        kth[a:a + step] = np.partition(
-            sampled_req(lo[found, None], g_x[pair[found]], g_d_floor[vue[pair[found]]]),
-            k - 1, axis=1)[:, k - 1]
+        # sampled_req in place, with the same roundings
+        req_n = g_x[pair[found]] * lo[found, None]
+        req_n += sigma2
+        req_n *= gamma_min_d
+        req_n /= g_d_floor[vue[pair[found]]]
+        kth[a:a + step] = np.partition(req_n, k - 1, axis=1)[:, k - 1]
     req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
     slack = p_c * np.repeat(g_c, num_s) / gamma_min_c - req * g_b[vue] - sigma2
     anchored = (p_c > 0) & ~(slack < 0)

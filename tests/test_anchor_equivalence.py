@@ -1,8 +1,9 @@
 """The array anchor search against the literal one, compared with exact ==.
 
 ``selflearn.initial_feasible`` solves every (mode, CUE j, VUE s) anchor of a
-drop at once: it brackets each pair's coverage threshold, bisects all pairs
-in lockstep and skips the QoS grid that cannot succeed with positive noise.
+drop at once: it brackets each pair's coverage threshold, finds each search's
+exact float threshold (``selflearn.fit_thresholds``), replays the bisection
+on it and skips the QoS grid that cannot succeed with positive noise.
 ``oracles.initial_feasible_reference`` evaluates the definition literally,
 one pair and one mode at a time.  The two must agree bit for bit, not within
 a tolerance.

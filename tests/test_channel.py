@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -63,6 +64,26 @@ def test_exact_series_equals_the_60_digit_series():
     xs += [float(mpmath.besseljzero(0, i)) for i in range(1, 17)]
     mismatched = [x for x in xs if j0_series_reference(x) != mpmath_j0_series(x)]
     assert mismatched == []
+
+
+def fraction_j0_series(x: float) -> float:
+    """The J0 series summed term by term in reduced ``Fraction``s, with the
+    oracle's stopping rule."""
+    q = Fraction(x) ** 2 / 4
+    total, term, k = Fraction(0), Fraction(1), 0
+    while k <= abs(x) / 2 or abs(term) * 10**40 >= abs(total):
+        total += term
+        k += 1
+        term *= -q / (k * k)
+    return float(total)
+
+
+def test_integer_numerators_give_the_fraction_sums():
+    # criterion 10's points and the ends of the range: the oracle's integer
+    # numerators over a common denominator round to the same doubles
+    xs = np.random.default_rng(2026_10).uniform(0.0, 10.0, size=1000).tolist()
+    xs += [0.0, 1e-300, 49.9, 50.0, -3.0]
+    assert [j0_series_reference(x) for x in xs] == [fraction_j0_series(x) for x in xs]
 
 
 def test_j0_domain_error():
