@@ -4,7 +4,8 @@
 Reproduces the standard experiment set (power budgets, vehicle speed and the
 two SINR thresholds) for all allocators.  Grids follow the usual plotting
 ranges; override drops for quicker exploratory runs.  The configuration is
-resolved once; each sweep is one ``cli.sweep_rows`` call, which logs it.
+resolved once, and one ``cli.sweep_rows`` call checks every grid point of
+every sweep, then runs and logs each.
 """
 
 import argparse
@@ -26,14 +27,12 @@ SWEEPS = {
 
 def sweep_all(args) -> int:
     cfg = cli.resolve_config(args, drops=args.drops)
-    # every name (SweepSpec's) and every grid point is checked before any file is made
+    # every name (SweepSpec's) is checked here, every grid point in sweep_rows,
+    # both before any file is made
     specs = [harness.SweepSpec(param=p, grid=SWEEPS.get(p, ()), drops=cfg.drops)
              for p in map(str.strip, args.params.split(",")) if p]
-    for spec in specs:
-        spec.point_configs(cfg)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        cli.sweep_rows(cfg, spec, args.out_dir / f"sweep_{spec.param}.csv", args.raw)
+    cli.sweep_rows(cfg, [(s, args.out_dir / f"sweep_{s.param}.csv") for s in specs], args.raw,
+                   make_dir=args.out_dir)
     return 0
 
 

@@ -114,15 +114,21 @@ def run_rows(cfg: ScenarioConfig, methods: tuple[str, ...], out: Path | None) ->
     return rows
 
 
-def sweep_rows(cfg: ScenarioConfig, spec: harness.SweepSpec, out: Path, raw: bool) -> list[dict]:
-    """Log ``cfg``, sweep it over ``spec`` and write the summary rows to ``out``
-    (with ``raw``, the per-drop rows to ``<out stem>_raw<out suffix>``)."""
-    spec.point_configs(cfg)   # a grid point the model rejects: exit before writing
-    _log_config(cfg, out)
-    raw_path = out.with_name(out.stem + "_raw" + out.suffix) if raw else None
-    rows = harness.run_sweep(spec, cfg, out_path=out, raw_path=raw_path)
-    print(f"wrote {out}" + (f" and {raw_path}" if raw_path else ""))
-    return rows
+def sweep_rows(cfg: ScenarioConfig, sweeps: list[tuple[harness.SweepSpec, Path]],
+               raw: bool, make_dir: Path | None = None) -> None:
+    """Check every grid point of every ``(spec, out)`` of ``sweeps``, then make
+    ``make_dir`` (if given) and, for each, log ``cfg``, sweep it over ``spec``
+    and write the summary rows to ``out`` (with ``raw``, the per-drop rows to
+    ``<out stem>_raw<out suffix>``)."""
+    for spec, _ in sweeps:
+        spec.point_configs(cfg)   # a point the model rejects: exit before writing
+    if make_dir is not None:
+        make_dir.mkdir(parents=True, exist_ok=True)
+    for spec, out in sweeps:
+        _log_config(cfg, out)
+        raw_path = out.with_name(out.stem + "_raw" + out.suffix) if raw else None
+        harness.run_sweep(spec, cfg, out_path=out, raw_path=raw_path)
+        print(f"wrote {out}" + (f" and {raw_path}" if raw_path else ""))
 
 
 def _cmd_run(args) -> int:
@@ -141,7 +147,7 @@ def _cmd_sweep(args) -> int:
     cfg = resolve_config(args, rng_seed=args.seed, drops=args.drops)
     spec = harness.SweepSpec(param=args.param, grid=_parse_grid(args.grid), drops=cfg.drops,
                              methods=_methods(args.methods))
-    sweep_rows(cfg, spec, args.out, args.raw)
+    sweep_rows(cfg, [(spec, args.out)], args.raw)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Randomized solver instances for validation and oracle cross-checks.
 
-Normalized units (power caps of 1 W, O(1) gains) keep the grid oracles well
-conditioned while still exercising every branch of the solvers: noise spans
-two decades, crosstalk sits one to two decades under the direct link, and
-deviation half-widths reach almost half the nominal gain.
+Normalized units (power caps of 1 W, O(1) gains) keep the oracles' vertices
+well conditioned while still exercising every branch of the solvers: noise
+spans two decades, crosstalk sits one to two decades under the direct link,
+and deviation half-widths reach almost half the nominal gain.
 """
 
 from __future__ import annotations

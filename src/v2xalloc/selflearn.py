@@ -275,10 +275,11 @@ def initial_feasible(
     full CUE power if the VUE cap P allows, else the largest CUE power a
     60-step bisection finds within P, and none if that corner breaks the
     CUE QoS slack ``p g_c / Gamma_c - r g_b - sigma^2 >= 0`` (r the VUE
-    power).  The definition (``oracles.initial_feasible_reference``) then
-    tries a 64-point grid below the corner, in vain while sigma^2 > 0: each
-    slack is affine in p and at most -sigma^2 at p = 0, which rounding could
-    undo only past a CUE SNR of some 130 dB.  So ``sigma2 <= 0`` is rejected.
+    power).  The definition (``initial_feasible_reference`` in
+    ``tests/test_anchor_equivalence.py``) then tries a 64-point grid below
+    the corner, in vain while sigma^2 > 0: each slack is affine in p and at
+    most -sigma^2 at p = 0, which rounding could undo only past a CUE SNR of
+    some 130 dB.  So ``sigma2 <= 0`` is rejected.
 
     f_n and eff only multiply, add and divide nonnegative numbers and IEEE
     rounding is monotone, so both are nondecreasing in p, exactly; with n(p)

@@ -1,5 +1,5 @@
 """Test-only references: the per-pair solvers as they were written before
-their per-call overhead was cut, kept verbatim.
+their per-call overhead was cut, kept verbatim, and the capacity-gap measure.
 
 ``bisection_power_allocation`` reads each constant from ``params`` on every
 step and ``solve_corner`` defines its QoS check and result builder per call.
@@ -10,6 +10,8 @@ equal them field for field with ``==`` (``tests/test_solver_equivalence.py``).
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from v2xalloc.baselines import CornerSolution
 from v2xalloc.bernstein import BernsteinParams, BisectionResult, protection_weight
@@ -157,3 +159,17 @@ def solve_corner(
     if qos_c_ok(p_c_line, p_max_d):
         return finish(p_c_line, p_max_d)
     return infeasible
+
+
+def measure_gaps(
+    c_opt: np.ndarray, c_bernstein: np.ndarray, c_selflearn: np.ndarray,
+    tol: float = 1e-9,
+) -> tuple[float, float]:
+    """Mean capacity reductions vs the optimum of the moment-robust (d1) and
+    the self-learning (d2) method; robust methods never beat the optimum."""
+    c_opt = np.asarray(c_opt, float)
+    d1 = c_opt - np.asarray(c_bernstein, float)
+    d2 = c_opt - np.asarray(c_selflearn, float)
+    if np.any(d1 < -tol) or np.any(d2 < -tol):
+        raise AssertionError("a robust method exceeded the perfect-CSI optimum")
+    return float(np.mean(d1)), float(np.mean(d2))

@@ -11,7 +11,7 @@ from scipy import special
 
 from v2xalloc import channel
 from v2xalloc.config import ScenarioConfig
-from v2xalloc.oracles import j0_series_reference, sinr_cue
+from v2xalloc.oracles import j0_series_reference
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -283,19 +283,11 @@ def test_sinr_vue_definition_point():
     assert math.isclose(channel.sinr_vue(0.0, 1.0, s2, 0.0, s2), 1.0, rel_tol=1e-12)
 
 
-def test_sinr_cue_interference_free():
-    assert math.isclose(sinr_cue(2.0, 0.0, 3.0, 1.0, 0.5), 12.0, rel_tol=1e-12)
-    assert sinr_cue(0.0, 1.0, 3.0, 1.0, 0.5) == 0.0
-
-
 def test_sinr_matches_direct_formula(rng):
     for _ in range(50):
-        p_c, p_d, g_d, g_x, g_c, g_b, s2 = rng.uniform(0.01, 2.0, size=7)
+        p_c, p_d, g_d, g_x, s2 = rng.uniform(0.01, 2.0, size=5)
         assert math.isclose(
             channel.sinr_vue(p_c, p_d, g_d, g_x, s2), p_d * g_d / (s2 + p_c * g_x),
-            rel_tol=1e-12)
-        assert math.isclose(
-            sinr_cue(p_c, p_d, g_c, g_b, s2), p_c * g_c / (s2 + p_d * g_b),
             rel_tol=1e-12)
 
 

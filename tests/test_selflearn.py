@@ -27,6 +27,19 @@ from v2xalloc.selflearn import (
 # calibration index
 # ---------------------------------------------------------------------------
 
+def calibration_index_exact(n: int, beta: Fraction, varsigma: Fraction) -> int:
+    """Smallest k with Pr{Bin(n, 1-beta) <= k-1} >= 1-varsigma, exactly."""
+    target = 1 - Fraction(varsigma)
+    p = 1 - Fraction(beta)
+    q = Fraction(beta)
+    running = Fraction(0)
+    for k in range(1, n + 1):
+        running += Fraction(math.comb(n, k - 1)) * p ** (k - 1) * q ** (n - k + 1)
+        if running >= target:
+            return k
+    raise ValueError("no index k <= n satisfies the confidence bound")
+
+
 def test_calibration_index_single_sample():
     # n=1, beta=0.5, varsigma=0.5: the single-draw tail sum is exactly 0.5
     assert calibration_index(1, 0.5, 0.5) == 1
@@ -35,13 +48,13 @@ def test_calibration_index_single_sample():
 def test_calibration_index_reference_scenario_vs_exact_oracle():
     k = calibration_index(3000, 0.05, 0.05)
     assert k == 2870
-    assert k == oracles.calibration_index_exact(3000, Fraction(1, 20), Fraction(1, 20))
+    assert k == calibration_index_exact(3000, Fraction(1, 20), Fraction(1, 20))
 
 
 @pytest.mark.parametrize("n,beta", [(50, 0.1), (500, 0.05), (37, 0.3)])
 def test_calibration_index_matches_exact_arithmetic(n, beta):
     k = calibration_index(n, beta, 0.1)
-    assert k == oracles.calibration_index_exact(
+    assert k == calibration_index_exact(
         n, Fraction(beta).limit_denominator(1000), Fraction(1, 10))
 
 
@@ -134,7 +147,7 @@ def half_tie_k_star(n):
        st.sampled_from([0.01, 0.05, 0.1, 0.2]))
 def test_calibration_index_equals_exact_oracle(n, beta, varsigma):
     try:
-        exact = oracles.calibration_index_exact(
+        exact = calibration_index_exact(
             n, Fraction(str(beta)), Fraction(str(varsigma)))
     except ValueError:
         with pytest.raises(NoValidIndexError):
@@ -171,7 +184,7 @@ def exact_k_star_or_message(n, beta, varsigma):
     if beta == varsigma == 0.5:
         return half_tie_k_star(n)
     try:
-        return oracles.calibration_index_exact(
+        return calibration_index_exact(
             n, 1 - Fraction(1.0 - beta), 1 - Fraction(1.0 - varsigma))
     except ValueError:
         return f"no k <= {n} reaches confidence {1 - varsigma}"
@@ -580,18 +593,19 @@ def test_closed_form_branch3_power_decreases_with_radius():
 
 
 def test_closed_form_against_z_grid_oracle(rng):
+    # the exact optimum over the learned set, the vertex oracle
     from v2xalloc.instances import random_selflearn_instance
 
     compared = 0
     for _ in range(200):
         inst = random_selflearn_instance(rng)
         sol = closed_form_power(**inst)
-        ref = oracles.selflearn_z_grid_oracle(**inst, n=100_001)
-        if sol.feasible and ref is not None:
+        ref = oracles.selflearn_vertex_oracle(**inst)
+        assert sol.feasible == (ref is not None)
+        if sol.feasible:
             compared += 1
-            assert abs(sol.capacity_bps - ref[3]) <= 1e-3 * max(ref[3], 1e-9)
-        elif sol.feasible != (ref is not None):
-            assert ref is None or ref[3] <= 1e-3
+            assert math.isclose(sol.capacity_bps, ref[2], rel_tol=1e-9)
+            assert sol.capacity_bps <= ref[2] * (1 + 1e-12)
     assert compared > 100
 
 
