@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import cue_capacity_bps
+from .channel import cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin, vue_power_needed
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,10 @@ def solve_corner(
 ) -> CornerSolution:
     """Maximize the CUE rate subject to both QoS lines and the power box.
 
-    Candidate corners: (p_max_c, VUE line) then (largest line-compatible p_c,
-    p_max_d).  The CUE QoS check only needs to pass at the chosen corner:
+    Candidate corners, with the ``channel`` rules the anchor search shares:
+    (p_max_c, ``vue_power_needed`` at p_max_c), then (``cue_power_at_vue_cap``
+    capped at p_max_c, p_max_d).  The CUE QoS check, ``cue_qos_margin`` >=
+    sigma^2 less 1e-12 relative, only needs to pass at the chosen corner:
     every other feasible point has smaller p_c and/or larger p_d, so a failing
     corner means an empty feasible set.
     """
@@ -59,19 +61,19 @@ def solve_corner(
         return _INFEASIBLE
 
     # corner 1: CUE at full power, VUE just meeting its QoS line
-    p_d = gamma_min_d * (sigma2 + p_max_c * g_x) / g_d
+    p_d = vue_power_needed(p_max_c, g_x, g_d, gamma_min_d, sigma2)
     if p_d <= p_max_d:
         p_c = p_max_c
     else:
         # corner 2: VUE at full power, CUE as large as the VUE line tolerates
         if g_x <= 0:
             return _INFEASIBLE  # line cannot be met even without crosstalk
-        p_c = (p_max_d * g_d / gamma_min_d - sigma2) / g_x
+        p_c = cue_power_at_vue_cap(p_max_d, g_d, g_x, gamma_min_d, sigma2)
         if p_c <= 0:
             return _INFEASIBLE
         p_c, p_d = min(p_c, p_max_c), p_max_d
     # the CUE QoS line, checked once, at the chosen corner
-    if p_c * g_c / gamma_min_c - p_d * g_b >= sigma2 * (1.0 - 1e-12):
+    if cue_qos_margin(p_c, p_d, g_c, g_b, gamma_min_c) >= sigma2 * (1.0 - 1e-12):
         return CornerSolution(True, p_c, p_d,
                               cue_capacity_bps(p_c, p_d, g_c, g_b, sigma2, bandwidth_hz))
     return _INFEASIBLE

@@ -419,3 +419,21 @@ def cue_capacity_bps(
     """CUE rate B*log2(1 + SINR) of one (CUE, VUE) power pair: the objective of
     every per-pair solver and of the virtual (no-VUE) matrix columns."""
     return bandwidth_hz * math.log2(1.0 + p_c_w * g_c / (noise_w + p_d_w * g_b))
+
+
+# The per-pair QoS rules of the corner and the anchor search, on floats or
+# arrays in one operation order, so that both round alike.
+def vue_power_needed(p_c, g_x, g_d, gamma_min_d, sigma2):
+    """VUE power meeting Gamma_d under CUE power p_c; inf or NaN, which fits
+    no cap, where g_d is zero or NaN."""
+    return gamma_min_d * (sigma2 + p_c * g_x) / g_d
+
+
+def cue_power_at_vue_cap(p_max_d, g_d, g_x, gamma_min_d, sigma2):
+    """CUE power at which ``vue_power_needed`` is p_max_d."""
+    return (p_max_d * g_d / gamma_min_d - sigma2) / g_x
+
+
+def cue_qos_margin(p_c, p_d, g_c, g_b, gamma_min_c):
+    """The CUE SINR meets Gamma_c iff this is at least sigma^2."""
+    return p_c * g_c / gamma_min_c - p_d * g_b

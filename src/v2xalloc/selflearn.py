@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cue_capacity_bps
+from .channel import cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin, vue_power_needed
 
 
 class NoValidIndexError(ValueError):
@@ -197,14 +197,14 @@ def fit_thresholds(
 ) -> np.ndarray:
     """Per row of the (m, w) gains, w >= 1, the largest double p in [0,
     p_max_c] at which at least ``need[i]`` of the row's requirements
-    ``f(p) = gamma_min_d (sigma2 + p gx) / gd`` are within p_max_d: p_max_c
+    ``f(p) = vue_power_needed(p, gx, gd)`` are within p_max_d: p_max_c
     where need is 0 or less, -inf where no p in [0, p_max_c] is.
 
     Each f is nondecreasing in p under IEEE rounding (see
     ``initial_feasible``), so a sample fits exactly up to its own threshold,
     the largest fitting bit pattern of a nonnegative double, which orders as
-    the double does.  The search starts at the analytic root ``(p_max_d gd /
-    gamma_min_d - sigma2) / gx`` clipped to [0, p_max_c] (0 for a NaN root)
+    the double does.  The search starts at the analytic root
+    ``cue_power_at_vue_cap`` clipped to [0, p_max_c] (0 for a NaN root)
     and moves one ulp per step, checking f itself, until a fitting pattern
     and a failing one are adjacent.  Roots that miss by more than
     SETTLE_STEPS ulps, as when ``p_max_d gd / gamma_min_d`` nears sigma2, are
@@ -212,10 +212,10 @@ def fit_thresholds(
     is then the need-th largest of its samples'; a NaN gain never fits.
     """
     def fits(bits, gx, gd):
-        return gamma_min_d * (sigma2 + bits.view(np.float64) * gx) / gd <= p_max_d
+        return vue_power_needed(bits.view(np.float64), gx, gd, gamma_min_d, sigma2) <= p_max_d
 
     top = int(np.float64(p_max_c).view(np.int64))
-    root = np.fmax((p_max_d * gd / gamma_min_d - sigma2) / gx, 0.0)   # NaN -> 0
+    root = np.fmax(cue_power_at_vue_cap(p_max_d, gd, gx, gamma_min_d, sigma2), 0.0)   # NaN -> 0
     probe = np.clip(root.view(np.int64), 0, top)                       # -0.0 -> 0
     fit = np.full(gx.shape, -1, np.int64)        # largest pattern known to fit, -1: none
     fail = np.full(gx.shape, top + 1, np.int64)  # smallest known to fail, top + 1: none
@@ -270,16 +270,16 @@ def initial_feasible(
     degenerates.
 
     At CUE power p the anchor needs VUE power ``max(eff(p), k-th smallest
-    f_n(p))``, with ``eff(p) = Gamma_d (sigma^2 + p g_x_eff) / g_d_eff`` and
-    ``f_n(p) = Gamma_d (sigma^2 + p g_x[n]) / max(g_d[n], 1e-300)``.  It takes
-    full CUE power if the VUE cap P allows, else the largest CUE power a
-    60-step bisection finds within P, and none if that corner breaks the
-    CUE QoS slack ``p g_c / Gamma_c - r g_b - sigma^2 >= 0`` (r the VUE
-    power).  The definition (``initial_feasible_reference`` in
-    ``tests/test_anchor_equivalence.py``) then tries a 64-point grid below
-    the corner, in vain while sigma^2 > 0: each slack is affine in p and at
-    most -sigma^2 at p = 0, which rounding could undo only past a CUE SNR of
-    some 130 dB.  So ``sigma2 <= 0`` is rejected.
+    f_n(p))``, the ``channel.vue_power_needed`` of the effective gains and of
+    sample n (its g_d floored at 1e-300).  It takes full CUE power if the VUE
+    cap P allows, else the largest CUE power a 60-step bisection finds
+    within P, and none if that corner breaks the CUE QoS slack
+    ``cue_qos_margin - sigma^2 >= 0``.  The definition
+    (``initial_feasible_reference`` in ``tests/test_anchor_equivalence.py``)
+    then tries a 64-point grid below the corner, in vain while sigma^2 > 0:
+    each slack is affine in p and at most -sigma^2 at p = 0, which rounding
+    could undo only past a CUE SNR of some 130 dB.  So ``sigma2 <= 0`` is
+    rejected.
 
     f_n and eff only multiply, add and divide nonnegative numbers and IEEE
     rounding is monotone, so both are nondecreasing in p, exactly; with n(p)
@@ -288,19 +288,21 @@ def initial_feasible(
     #{open n: f_n(p) <= P} >= k for every p, the open samples being those
     that fit at L but not at U (those fitting at U fit below U, those
     failing at L fail from L on).  L and U lie 1e-9 either side of the k-th
-    largest root ``(P g_d / Gamma_d - sigma^2) / g_x``, clipped to [0,
-    p_max_c], and the condition is checked with the exact f_n.  Where it
-    fails (roots miss by up to ~1e3 ulps as ``P g_d / Gamma_d`` nears
-    sigma^2) the bracket widens to [0, p_max_c], where it holds if the pair
-    binds (n(p_max_c) < k) and can be covered (n(0) >= k).  All of this is
-    per pair, shared by the modes.  By monotonicity a search's midpoint fits
-    iff it is at most the search's threshold tau, the smaller of eff's and
-    the need-th largest of the open samples' (``fit_thresholds``, exact to
-    the bit), so each bisection replays on ``mid <= tau`` in Python floats,
-    and the result equals, bit for bit, the definition evaluated pair by
-    pair.  The per-pair passes over the N samples run in blocks of rows of
-    about ANCHOR_BLOCK floats, so no (pairs, N) temporary is formed beside
-    the inputs.
+    largest root ``cue_power_at_vue_cap``, clipped to [0, p_max_c], and the
+    condition is checked with the exact f_n.  Where it fails (roots miss by
+    up to ~1e3 ulps as ``P g_d / Gamma_d`` nears sigma^2) the bracket widens
+    to [0, p_max_c], where it holds if the pair binds (n(p_max_c) < k) and
+    can be covered (n(0) >= k).  All of this is per pair, shared by the
+    modes.  Each (mode, pair) has one threshold tau_eff, the largest p in
+    [0, p_max_c] where eff fits (``fit_thresholds``, exact to the bit): the
+    cap fits iff tau_eff = p_max_c, and only tau_eff >= 0 may search (a zero
+    or NaN g_d_eff fits nowhere).  By monotonicity a midpoint fits iff it is
+    at most tau, the smaller of tau_eff and the open samples' need-th
+    largest threshold, so each bisection replays on ``mid <= tau`` in Python
+    floats, and the result equals, bit for bit, the definition evaluated
+    pair by pair.  The per-pair passes over the N samples run in blocks of
+    rows of about ANCHOR_BLOCK floats, so no (pairs, N) temporary is formed
+    beside the inputs.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
@@ -317,7 +319,7 @@ def initial_feasible(
     blocks = [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
     def sampled_req(p, gx, gd):
-        return gamma_min_d * (sigma2 + p * gx) / gd
+        return vue_power_needed(p, gx, gd, gamma_min_d, sigma2)
 
     g_d_eff, g_x_eff = np.empty((2, len(modes), rows))
     for m, mode in enumerate(modes):
@@ -330,8 +332,11 @@ def initial_feasible(
             g_d_eff[m], g_x_eff[m] = g_d.mean(axis=1)[vue], g_x.mean(axis=1)
         else:
             raise ValueError(f"unknown anchor mode {mode!r}")
-    has_gain = g_d_eff > 0
-    cap_fits = has_gain & (sampled_req(p_max_c, g_x_eff, g_d_eff) <= p_max_d)
+    # the largest CUE power each (mode, pair)'s effective requirement fits at
+    limits = gamma_min_d, sigma2, p_max_c, p_max_d
+    tau_eff = fit_thresholds(g_x_eff.reshape(-1, 1), g_d_eff.reshape(-1, 1),
+                             np.ones(g_x_eff.size, int), *limits).reshape(g_x_eff.shape)
+    cap_fits = tau_eff >= p_max_c
 
     # sample side, per pair: ``free`` pairs never bind, ``covered`` ones can
     # fit k samples at all; ``need`` of a pair's open samples, packed left
@@ -353,7 +358,7 @@ def initial_feasible(
         kth_cap[blk.start + cap] = np.partition(top[cap], k - 1, axis=1)[:, k - 1]
         bind = np.flatnonzero(~free[blk])
         gx_b, gd_b = gx[bind], gd[bind]
-        roots = (p_max_d * gd_b / gamma_min_d - sigma2) / gx_b   # checked below
+        roots = cue_power_at_vue_cap(p_max_d, gd_b, gx_b, gamma_min_d, sigma2)   # checked below
         t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
         pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
         pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
@@ -376,18 +381,14 @@ def initial_feasible(
     gx_open[r, col], gd_open[r, col] = np.concatenate(open_gx), np.concatenate(open_gd)
 
     at_cap = cap_fits & free
-    fits_0 = sampled_req(0.0, g_x_eff, g_d_eff) <= p_max_d
-    search = np.flatnonzero(has_gain & ~at_cap & covered & fits_0)
+    search = np.flatnonzero(~at_cap & covered & (tau_eff >= 0))
 
     # each (mode, pair) that searches bisects on its threshold, the smaller
     # of its effective requirement's and of the need-th largest of its pair's
     pair = search % rows
-    limits = gamma_min_d, sigma2, p_max_c, p_max_d
     tau_open = fit_thresholds(gx_open, gd_open, need, *limits)
-    tau_eff = fit_thresholds(g_x_eff.ravel()[search, None], g_d_eff.ravel()[search, None],
-                             np.ones(search.size, int), *limits)
     anchors = []
-    for t in np.minimum(tau_eff, tau_open[pair]).tolist():
+    for t in np.minimum(tau_eff.ravel()[search], tau_open[pair]).tolist():
         lo, hi = 0.0, float(p_max_c)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -407,14 +408,10 @@ def initial_feasible(
     kth = np.empty(at.size)
     for a in range(0, at.size, step):
         found = at[a:a + step]
-        # sampled_req in place, with the same roundings
-        req_n = g_x[pair[found]] * lo[found, None]
-        req_n += sigma2
-        req_n *= gamma_min_d
-        req_n /= g_d_floor[vue[pair[found]]]
+        req_n = sampled_req(lo[found, None], g_x[pair[found]], g_d_floor[vue[pair[found]]])
         kth[a:a + step] = np.partition(req_n, k - 1, axis=1)[:, k - 1]
     req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
-    slack = p_c * np.repeat(g_c, num_s) / gamma_min_c - req * g_b[vue] - sigma2
+    slack = cue_qos_margin(p_c, req, np.repeat(g_c, num_s), g_b[vue], gamma_min_c) - sigma2
     anchored = (p_c > 0) & ~(slack < 0)
     p_c = np.where(anchored, p_c, np.nan).reshape(len(modes), num_j, num_s)
     p_d = np.where(anchored, np.minimum(req, p_max_d), np.nan).reshape(len(modes), num_j, num_s)

@@ -411,3 +411,42 @@ def test_draws_equal_the_scaled_distribution_calls(size):
     im = old.normal(0.0, np.sqrt(0.5), size=size)
     assert np.array_equal(fading.real, re) and np.array_equal(fading.imag, im)
     assert new.bit_generator.state == old.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# per-pair QoS rules
+# ---------------------------------------------------------------------------
+
+GAINS = st.one_of(st.just(0.0), st.just(math.nan), st.floats(1e-12, 1e3))
+POWERS = st.floats(0.0, 10.0)
+LEVELS = st.floats(1e-3, 1e2)   # SINR thresholds and noise power
+RULE_ARGS = {
+    "vue_power_needed": (POWERS, GAINS, GAINS, LEVELS, LEVELS),
+    "cue_power_at_vue_cap": (POWERS, GAINS, GAINS, LEVELS, LEVELS),
+    "cue_qos_margin": (POWERS, POWERS, GAINS, GAINS, LEVELS),
+}
+
+
+@pytest.mark.parametrize("name", RULE_ARGS)
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_qos_rules_agree_on_floats_and_arrays(name, data):
+    """Each rule gives the same double on Python floats as, elementwise, on
+    float64 arrays.  A zero gain that divides raises on floats and gives inf
+    or NaN on arrays; a zero or NaN direct gain gives a VUE requirement that
+    fits under no cap, which the anchor search relies on."""
+    rule = getattr(channel, name)
+    rows = data.draw(st.lists(st.tuples(*RULE_ARGS[name]), min_size=1, max_size=8))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        array = rule(*(np.array(col, dtype=np.float64) for col in zip(*rows)))
+    assert array.dtype == np.float64 and array.shape == (len(rows),)
+    for args, value in zip(rows, array.tolist()):
+        if name == "vue_power_needed" and not args[2] > 0.0:
+            assert not value < math.inf
+        try:
+            scalar = rule(*args)
+        except ZeroDivisionError:
+            assert not math.isfinite(value)
+            continue
+        assert type(scalar) is float
+        assert scalar == value or (math.isnan(scalar) and math.isnan(value))
