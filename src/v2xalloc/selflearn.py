@@ -189,57 +189,59 @@ SETTLE_STEPS = 4         # one-ulp steps from the analytic root before a thresho
 def fit_thresholds(
     gx: np.ndarray,
     gd: np.ndarray,
-    need: np.ndarray,
+    need: int,
     gamma_min_d: float,
     sigma2: float,
     p_max_c: float,
     p_max_d: float,
 ) -> np.ndarray:
-    """Per row of the (m, w) gains, w >= 1, the largest double p in [0,
-    p_max_c] at which at least ``need[i]`` of the row's requirements
-    ``f(p) = vue_power_needed(p, gx, gd)`` are within p_max_d: p_max_c
-    where need is 0 or less, -inf where no p in [0, p_max_c] is.
+    """Per row of the (m, w) gains, the largest double p in [0, p_max_c] at
+    which at least ``need`` (1..w) of the row's requirements
+    ``vue_power_needed(p, gx, gd)`` are within p_max_d; -inf where fewer
+    than ``need`` fit at p = 0.  A NaN gain never fits.
 
-    Each f is nondecreasing in p under IEEE rounding (see
-    ``initial_feasible``), so a sample fits exactly up to its own threshold,
-    the largest fitting bit pattern of a nonnegative double, which orders as
-    the double does.  The search starts at the analytic root
-    ``cue_power_at_vue_cap`` clipped to [0, p_max_c] (0 for a NaN root)
-    and moves one ulp per step, checking f itself, until a fitting pattern
-    and a failing one are adjacent.  Roots that miss by more than
-    SETTLE_STEPS ulps, as when ``p_max_d gd / gamma_min_d`` nears sigma2, are
-    bisected on the bit patterns the steps left open.  The row's threshold
-    is then the need-th largest of its samples'; a NaN gain never fits.
+    Each requirement is nondecreasing in p under IEEE rounding (see
+    ``initial_feasible``), so the row's count of fitting samples is
+    nonincreasing in p and in the bit pattern of a nonnegative double, which
+    orders as the double does.  The search starts at the need-th largest
+    analytic root ``cue_power_at_vue_cap``, clipped to [0, p_max_c] (0 for a
+    NaN root), and moves each row still open one ulp per step, counting with
+    the requirement itself, until a pattern where ``need`` fit and one where
+    they do not are adjacent.  Rows whose start misses by more than
+    SETTLE_STEPS ulps, as when ``p_max_d gd / gamma_min_d`` nears sigma2,
+    are bisected on the bit patterns the steps left open.
     """
-    def fits(bits, gx, gd):
-        return vue_power_needed(bits.view(np.float64), gx, gd, gamma_min_d, sigma2) <= p_max_d
+    m, w = gx.shape
+    if not 1 <= need <= w:
+        raise ValueError(f"need must lie in 1..{w}")
+
+    def reaches(bits, rows):
+        req = vue_power_needed(bits.view(np.float64)[:, None], gx[rows], gd[rows],
+                               gamma_min_d, sigma2)
+        return np.count_nonzero(req <= p_max_d, axis=1) >= need
 
     top = int(np.float64(p_max_c).view(np.int64))
-    root = np.fmax(cue_power_at_vue_cap(p_max_d, gd, gx, gamma_min_d, sigma2), 0.0)   # NaN -> 0
-    probe = np.clip(root.view(np.int64), 0, top)                       # -0.0 -> 0
-    fit = np.full(gx.shape, -1, np.int64)        # largest pattern known to fit, -1: none
-    fail = np.full(gx.shape, top + 1, np.int64)  # smallest known to fail, top + 1: none
+    roots = np.fmax(cue_power_at_vue_cap(p_max_d, gd, gx, gamma_min_d, sigma2), 0.0)  # NaN -> 0
+    start = np.partition(roots, w - need, axis=1)[:, w - need]
+    probe = np.clip(start.view(np.int64), 0, top)                        # -0.0 -> 0
+    fit = np.full(m, -1, np.int64)        # largest pattern known to reach need, -1: none
+    fail = np.full(m, top + 1, np.int64)  # smallest known not to, top + 1: none
+    rows = np.arange(m)                   # the rows still open
     for _ in range(SETTLE_STEPS):
-        open_ = fail - fit > 1
-        if not open_.any():
+        if not rows.size:
             break
-        ok = fits(probe, gx, gd)
-        fit = np.where(open_ & ok, probe, fit)
-        fail = np.where(open_ & ~ok, probe, fail)
-        probe = np.where(ok, probe + 1, probe - 1)
-    left = np.nonzero(fail - fit > 1)
-    lo, hi, gx_l, gd_l = fit[left], fail[left], gx[left], gd[left]
+        ok = reaches(probe, rows)
+        fit[rows[ok]], fail[rows[~ok]] = probe[ok], probe[~ok]
+        keep = fail[rows] - fit[rows] > 1
+        rows, probe = rows[keep], np.where(ok, probe + 1, probe - 1)[keep]
+    lo, hi = fit[rows], fail[rows]
     while (open_ := hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        ok = fits(mid, gx_l, gd_l)
+        mid = lo + (hi - lo) // 2   # lo + hi overflows int64 from p = 2.0 on
+        ok = reaches(mid, rows)
         lo = np.where(open_ & ok, mid, lo)
         hi = np.where(open_ & ~ok, mid, hi)
-    fit[left] = lo
-    tau = np.sort(np.where(fit >= 0, fit.view(np.float64), -np.inf), axis=1)
-    w = tau.shape[1]
-    pick = w - need                       # ascending position of the need-th largest
-    kth = np.take_along_axis(tau, np.clip(pick, 0, w - 1)[:, None], axis=1)[:, 0]
-    return np.where(pick >= w, p_max_c, np.where(pick < 0, -np.inf, kth))
+    fit[rows] = lo
+    return np.where(fit >= 0, fit.view(np.float64), -np.inf)
 
 
 @np.errstate(all="ignore")   # inf and NaN requirements fit under no cap
@@ -282,27 +284,18 @@ def initial_feasible(
     rejected.
 
     f_n and eff only multiply, add and divide nonnegative numbers and IEEE
-    rounding is monotone, so both are nondecreasing in p, exactly; with n(p)
-    = #{n: f_n(p) <= P}, the need fits iff eff(p) <= P and n(p) >= k.
-    Bracket lemma: if L <= U and n(L) >= k > n(U), then n(p) >= k iff n(U) +
-    #{open n: f_n(p) <= P} >= k for every p, the open samples being those
-    that fit at L but not at U (those fitting at U fit below U, those
-    failing at L fail from L on).  L and U lie 1e-9 either side of the k-th
-    largest root ``cue_power_at_vue_cap``, clipped to [0, p_max_c], and the
-    condition is checked with the exact f_n.  Where it fails (roots miss by
-    up to ~1e3 ulps as ``P g_d / Gamma_d`` nears sigma^2) the bracket widens
-    to [0, p_max_c], where it holds if the pair binds (n(p_max_c) < k) and
-    can be covered (n(0) >= k).  All of this is per pair, shared by the
-    modes.  Each (mode, pair) has one threshold tau_eff, the largest p in
-    [0, p_max_c] where eff fits (``fit_thresholds``, exact to the bit): the
-    cap fits iff tau_eff = p_max_c, and only tau_eff >= 0 may search (a zero
-    or NaN g_d_eff fits nowhere).  By monotonicity a midpoint fits iff it is
-    at most tau, the smaller of tau_eff and the open samples' need-th
-    largest threshold, so each bisection replays on ``mid <= tau`` in Python
-    floats, and the result equals, bit for bit, the definition evaluated
-    pair by pair.  The per-pair passes over the N samples run in blocks of
-    rows of about ANCHOR_BLOCK floats, so no (pairs, N) temporary is formed
-    beside the inputs.
+    rounding is monotone, so both are nondecreasing in p, exactly: the need
+    fits at p iff eff(p) <= P and at least k of the f_n(p) are.  So it fits
+    exactly up to tau, the smaller of two thresholds found to the bit by
+    ``fit_thresholds``: tau_eff, the largest p in [0, p_max_c] where eff
+    fits, per (mode, pair), and the largest where k samples do, per pair
+    (shared by the modes); either is -inf where nothing fits at 0, as for a
+    zero or NaN g_d_eff.  The cap fits iff tau = p_max_c, only tau >= 0 may
+    search, and a midpoint fits iff it is at most tau, so each bisection
+    replays on ``mid <= tau`` in Python floats, and the result equals, bit
+    for bit, the definition evaluated pair by pair.  The per-pair passes
+    over the N samples run in blocks of rows of about ANCHOR_BLOCK floats,
+    so no (pairs, N) temporary is formed beside the inputs.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
@@ -332,63 +325,21 @@ def initial_feasible(
             g_d_eff[m], g_x_eff[m] = g_d.mean(axis=1)[vue], g_x.mean(axis=1)
         else:
             raise ValueError(f"unknown anchor mode {mode!r}")
-    # the largest CUE power each (mode, pair)'s effective requirement fits at
+    # the largest CUE power at which each (mode, pair)'s effective
+    # requirement fits, and at which k of each pair's samples do
     limits = gamma_min_d, sigma2, p_max_c, p_max_d
-    tau_eff = fit_thresholds(g_x_eff.reshape(-1, 1), g_d_eff.reshape(-1, 1),
-                             np.ones(g_x_eff.size, int), *limits).reshape(g_x_eff.shape)
-    cap_fits = tau_eff >= p_max_c
-
-    # sample side, per pair: ``free`` pairs never bind, ``covered`` ones can
-    # fit k samples at all; ``need`` of a pair's open samples, packed left
-    # into a NaN-padded array, must fit; ``kth_cap`` is the k-th smallest
-    # requirement at full CUE power of the pairs that may anchor there
     k = min(max(coverage_count, 1), n)
-    free = np.empty(rows, bool)
-    covered = np.ones(rows, bool)
-    need = np.zeros(rows, int)
-    kth_cap = np.full(rows, np.nan)
-    open_rows, open_gx, open_gd = [], [], []
+    tau_eff = fit_thresholds(g_x_eff.reshape(-1, 1), g_d_eff.reshape(-1, 1), 1,
+                             *limits).reshape(g_x_eff.shape)
+    tau_smp = np.empty(rows)
     for blk in blocks:
-        gx, gd = g_x[blk], g_d_floor[vue[blk]]
-        top = sampled_req(p_max_c, gx, gd)
-        pass_top = top <= p_max_d
-        n_top = np.count_nonzero(pass_top, axis=1)
-        free[blk] = n_top >= k
-        cap = np.flatnonzero(cap_fits[:, blk].any(axis=0) & free[blk])
-        kth_cap[blk.start + cap] = np.partition(top[cap], k - 1, axis=1)[:, k - 1]
-        bind = np.flatnonzero(~free[blk])
-        gx_b, gd_b = gx[bind], gd[bind]
-        roots = cue_power_at_vue_cap(p_max_d, gd_b, gx_b, gamma_min_d, sigma2)   # checked below
-        t_k = np.partition(roots, n - k, axis=1)[:, n - k, None]
-        pass_lo = sampled_req(np.clip(t_k * (1 - 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-        pass_hi = sampled_req(np.clip(t_k * (1 + 1e-9), 0.0, p_max_c), gx_b, gd_b) <= p_max_d
-        n_lo, n_hi = np.count_nonzero(pass_lo, axis=1), np.count_nonzero(pass_hi, axis=1)
-        wide = np.flatnonzero((n_lo < k) | (n_hi >= k))
-        pass_lo[wide] = sampled_req(0.0, gx_b[wide], gd_b[wide]) <= p_max_d
-        pass_hi[wide] = pass_top[bind[wide]]
-        n_lo[wide], n_hi[wide] = np.count_nonzero(pass_lo[wide], axis=1), n_top[bind[wide]]
-        covered[blk.start + bind] = n_lo >= k
-        need[blk.start + bind] = k - n_hi
-        r, c = np.nonzero(pass_lo & ~pass_hi)
-        open_rows.append(blk.start + bind[r])
-        open_gx.append(gx_b[r, c])
-        open_gd.append(gd_b[r, c])
-    r = np.concatenate(open_rows)              # ascending, one entry per open sample
-    width = np.bincount(r, minlength=rows)
-    col = np.arange(r.size) - np.repeat(np.cumsum(width) - width, width)
-    gx_open = np.full((rows, width.max(initial=1)), np.nan)
-    gd_open = np.ones_like(gx_open)
-    gx_open[r, col], gd_open[r, col] = np.concatenate(open_gx), np.concatenate(open_gd)
+        tau_smp[blk] = fit_thresholds(g_x[blk], g_d_floor[vue[blk]], k, *limits)
+    tau = np.minimum(tau_eff, tau_smp)
+    at_cap = tau >= p_max_c
+    search = np.flatnonzero(~at_cap & (tau >= 0))
 
-    at_cap = cap_fits & free
-    search = np.flatnonzero(~at_cap & covered & (tau_eff >= 0))
-
-    # each (mode, pair) that searches bisects on its threshold, the smaller
-    # of its effective requirement's and of the need-th largest of its pair's
-    pair = search % rows
-    tau_open = fit_thresholds(gx_open, gd_open, need, *limits)
     anchors = []
-    for t in np.minimum(tau_eff.ravel()[search], tau_open[pair]).tolist():
+    for t in tau.ravel()[search].tolist():
         lo, hi = 0.0, float(p_max_c)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -397,20 +348,17 @@ def initial_feasible(
             else:
                 hi = mid
         anchors.append(lo)
-    lo = np.array(anchors, float)
 
     p_c = np.where(at_cap, p_max_c, 0.0)
-    p_c.ravel()[search] = lo
-    # max with the k-th smallest sampled requirement
+    p_c.ravel()[search] = anchors
+    # max with the k-th smallest sampled requirement wherever p_c > 0
     req = sampled_req(p_c, g_x_eff, g_d_eff)
-    req = np.where(at_cap, np.maximum(req, kth_cap), req)
-    at = np.flatnonzero(lo > 0)   # searches that found an anchor
-    kth = np.empty(at.size)
+    at = np.flatnonzero(p_c > 0)
     for a in range(0, at.size, step):
-        found = at[a:a + step]
-        req_n = sampled_req(lo[found, None], g_x[pair[found]], g_d_floor[vue[pair[found]]])
-        kth[a:a + step] = np.partition(req_n, k - 1, axis=1)[:, k - 1]
-    req.ravel()[search[at]] = np.maximum(req.ravel()[search[at]], kth)
+        i = at[a:a + step]
+        pair = i % rows
+        req_n = sampled_req(p_c.ravel()[i, None], g_x[pair], g_d_floor[vue[pair]])
+        req.ravel()[i] = np.maximum(req.ravel()[i], np.partition(req_n, k - 1, axis=1)[:, k - 1])
     slack = cue_qos_margin(p_c, req, np.repeat(g_c, num_s), g_b[vue], gamma_min_c) - sigma2
     anchored = (p_c > 0) & ~(slack < 0)
     p_c = np.where(anchored, p_c, np.nan).reshape(len(modes), num_j, num_s)

@@ -1,14 +1,17 @@
 """The array anchor search against the literal one, compared with exact ==.
 
 ``selflearn.initial_feasible`` solves every (mode, CUE j, VUE s) anchor of a
-drop at once: it brackets each pair's coverage threshold, finds each search's
-exact float threshold (``selflearn.fit_thresholds``), replays the bisection
-on it and skips the QoS grid that cannot succeed with positive noise.
+drop at once: it finds, exact to the bit, the largest CUE power at which
+each (mode, pair)'s effective requirement fits and at which each pair keeps
+k samples (``selflearn.fit_thresholds``, one row search per pair), replays
+the bisection on the smaller one and skips the QoS grid that cannot succeed
+with positive noise.
 ``initial_feasible_reference`` below evaluates the definition literally,
 one pair and one mode at a time.  The two must agree bit for bit, not within
 a tolerance.
 """
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from v2xalloc import harness, selflearn
-from v2xalloc.selflearn import AVERAGE, WORST, initial_feasible
+from v2xalloc.selflearn import AVERAGE, SETTLE_STEPS, WORST, initial_feasible
 
 TIED = (0.0, 0.25, 1.0, 2.5)   # few distinct values: ties, and g_d = 0 hits the 1e-300 floor
 MODES = (WORST, AVERAGE)
@@ -114,22 +117,43 @@ def assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
     return branches
 
 
-def bracket_widens(g_d, g_x, gamma_min_d, sigma2, p_max_c, p_max_d, coverage_count, **_):
-    """Whether one pair binds, can cover its k samples, and still fails the
-    analytic bracket's check, so that its search takes the [0, p_max_c]
-    bracket (the definition in ``initial_feasible``'s docstring)."""
+def sample_search_bisects(g_d, g_x, gamma_min_d, sigma2, p_max_c, p_max_d, coverage_count,
+                          **_):
+    """Whether the row search for one pair's k-sample threshold is still
+    open after SETTLE_STEPS one-ulp steps, so that ``fit_thresholds``
+    bisects it.
+
+    The steps are replayed on one pair: they start at the k-th largest
+    analytic root, clipped to [0, p_max_c] as a bit pattern, step up from a
+    pattern where k samples fit and down from one where they do not, and
+    close once a fitting and a failing pattern are adjacent.
+    """
     k = min(max(coverage_count, 1), g_d.size)
     g_d = np.maximum(g_d, 1e-300)
+    top = int(np.float64(p_max_c).view(np.int64))
 
-    def fitting(p):
-        return np.count_nonzero(gamma_min_d * (sigma2 + p * g_x) / g_d <= p_max_d)
+    def fits(b):
+        p = float(np.int64(b).view(np.float64))
+        return np.count_nonzero(gamma_min_d * (sigma2 + p * g_x) / g_d <= p_max_d) >= k
 
-    if not fitting(p_max_c) < k <= fitting(0.0):
-        return False
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_k = np.sort((p_max_d * g_d / gamma_min_d - sigma2) / g_x)[g_d.size - k]
-    lower, upper = (np.clip(t_k * (1 + e), 0.0, p_max_c) for e in (-1e-9, 1e-9))
-    return not fitting(lower) >= k > fitting(upper)
+        root = np.fmax((p_max_d * g_d / gamma_min_d - sigma2) / g_x, 0.0)
+    probe = min(max(int(np.sort(root)[g_d.size - k].view(np.int64)), 0), top)
+    fit, fail = -1, top + 1
+    for _ in range(SETTLE_STEPS):
+        if fail - fit <= 1:
+            break
+        if fits(probe):
+            fit, probe = probe, probe + 1
+        else:
+            fail, probe = probe, probe - 1
+    return fail - fit > 1
+
+
+def count_bisects(sample_g_d, sample_g_x, **kwargs):
+    """The pairs of one drop whose k-sample threshold is bisected."""
+    return sum(sample_search_bisects(sample_g_d[:, s], sample_g_x[:, j, s], **kwargs)
+               for j, s in np.ndindex(sample_g_x.shape[1:]))
 
 
 @st.composite
@@ -232,8 +256,8 @@ def random_case(rng, sigma_sign=1.0):
 
 
 def test_every_branch_reached_and_matched():
-    """Randomized instances reach every branch of the search, and the
-    widened bracket.
+    """Randomized instances reach every branch of the search, and pairs
+    whose k-sample threshold is bisected, all matched exactly.
 
     With positive noise the QoS grid can never find a feasible point: each
     sample's slack is affine in the CUE power and negative at zero, so a
@@ -243,7 +267,7 @@ def test_every_branch_reached_and_matched():
     """
     rng = np.random.default_rng(20260810)
     branches = Counter()
-    widened = 0
+    bisected = 0
     for i in range(1500):
         g_d, g_x, g_c, g_b, kwargs = random_case(rng, sigma_sign=-1.0 if i % 5 == 0 else 1.0)
         if kwargs["sigma2"] < 0:
@@ -251,13 +275,23 @@ def test_every_branch_reached_and_matched():
                 initial_feasible(MODES, g_d, g_x, g_c, g_b, **kwargs)
             continue
         branches += assert_matches_reference(MODES, g_d, g_x, g_c, g_b, **kwargs)
-        widened += sum(bracket_widens(g_d[:, s], g_x[:, j, s], **kwargs)
-                       for j, s in np.ndindex(g_x.shape[1:]))
+        bisected += count_bisects(g_d, g_x, **kwargs)
     for branch in ("no_gain", "uncoverable", "cap", "bisection",
                    "cap+grid-none", "bisection+grid-none"):
         assert branches[branch] >= 10, branches
     assert branches["cap+grid"] == branches["bisection+grid"] == 0
-    assert widened >= 10
+    assert bisected >= 10
+
+
+def test_sample_fitting_at_every_power_anchors_at_a_two_watt_cap():
+    """One sample meets Gamma_d at every CUE power with no VUE power to
+    spare (g_x = 0), the others never do; the search bisects its way up to
+    p_max_c = 2.0, where the bit patterns' int64 sum overflows."""
+    g_d, g_x = np.array([[0.0], [0.0], [0.0], [0.25]]), np.zeros((4, 1, 1))
+    branches = assert_matches_reference(
+        MODES, g_d, g_x, np.ones(1), np.zeros(1), gamma_min_c=1.0, gamma_min_d=1.0,
+        sigma2=0.25, p_max_c=2.0, p_max_d=1.0, coverage_count=1, trim_count=3)
+    assert branches["cap"] >= 1, branches
 
 
 def test_unknown_mode_rejected():
@@ -266,17 +300,27 @@ def test_unknown_mode_rejected():
                          np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0, 3, 0)
 
 
-@pytest.mark.parametrize("speed", [40.0, 80.0, 160.0])
-def test_anchor_matches_reference_on_real_drops(small_cfg, speed, monkeypatch):
+@pytest.mark.parametrize("overrides, min_bisected", [
+    *(pytest.param(dict(vehicle_speed_kmh=v), 0, id=str(v)) for v in (40.0, 80.0, 160.0)),
+    # a weak VUE cap puts P g_d / Gamma_d near sigma^2 for some pairs, where
+    # the analytic roots miss by several ulps
+    pytest.param(dict(p_max_vue_dbm=5.0), 1, id="p_max_vue_dbm=5"),
+    pytest.param(dict(p_max_vue_dbm=7.0), 1, id="p_max_vue_dbm=7"),
+])
+def test_anchor_matches_reference_on_real_drops(small_cfg, overrides, min_bisected, monkeypatch):
     fast = selflearn.initial_feasible
     branches = Counter()
+    bisected = 0
 
-    def checked(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
-        branches.update(assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs))
-        return fast(modes, g_d, g_x, g_c, g_b, *args, **kwargs)
+    def checked(*args, **kwargs):
+        nonlocal bisected
+        branches.update(assert_matches_reference(*args, **kwargs))
+        bisected += count_bisects(**inspect.signature(fast).bind(*args, **kwargs).arguments)
+        return fast(*args, **kwargs)
 
     monkeypatch.setattr(selflearn, "initial_feasible", checked)
-    cfg = small_cfg.replace(vehicle_speed_kmh=speed)
+    cfg = small_cfg.replace(**overrides)
     for d in range(3):
         harness.run_drop(cfg, d, ("slaa", "slwa"))
     assert sum(branches.values()) > 0
+    assert bisected >= min_bisected
