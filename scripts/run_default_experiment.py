@@ -9,13 +9,15 @@ per-pair outage to CSV.
 """
 
 import argparse
-import csv
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from v2xalloc import cli, harness
+
+CDF_COLUMNS = ("pair_outage", "cumulative_fraction")
 
 
 def report(args) -> int:
@@ -34,7 +36,8 @@ def report(args) -> int:
           f"{'vue_sinr':>10} {'feasible':>9}")
     for name, stats in summary.items():
         cap = stats["mean_cue_capacity_bps"]
-        print(f"{name:>8} {cap:>14.5g} {100 * (1 - cap / c_opt):>7.1f}% "
+        vs_opt = 100 * (1 - cap / c_opt) if c_opt else math.nan
+        print(f"{name:>8} {cap:>14.5g} {vs_opt:>7.1f}% "
               f"{stats['outage_prob']:>8.4f} {stats['mean_vue_sinr']:>10.4g} "
               f"{stats['feasibility_rate']:>9.3f}")
 
@@ -43,10 +46,9 @@ def report(args) -> int:
             pair_outage = np.concatenate([r["pair_outage"] for r in sel])
             if not pair_outage.size:
                 continue
-            with open(args.out_dir / f"outage_cdf_{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["pair_outage", "cumulative_fraction"])
-                writer.writerows(harness.empirical_cdf(pair_outage).tolist())
+            cdf = harness.empirical_cdf(pair_outage).tolist()
+            cli.write_csv(args.out_dir / f"outage_cdf_{name}.csv", CDF_COLUMNS,
+                          [dict(zip(CDF_COLUMNS, row)) for row in cdf])
         print(f"wrote per-drop rows and outage CDFs to {args.out_dir}")
     return 0
 

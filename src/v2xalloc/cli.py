@@ -14,14 +14,27 @@ so results can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import harness
 from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
 
 MAX_GRID_POINTS = 10_000   # a START:STEP:END grid asking for more is rejected
+
+SWEEP_COLUMNS = (
+    "sweep_param", "value", "method", "mean_cue_capacity_bps", "mean_vue_sinr",
+    "outage_prob", "feasibility_rate", "drops", "seed",
+)
+
+RAW_COLUMNS = (
+    "sweep_param", "value", "method", "drop", "sum_capacity_bps", "outage",
+    "mean_vue_sinr", "feasibility_rate",
+)
 
 
 def config_arguments() -> argparse.ArgumentParser:
@@ -90,16 +103,29 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         return values
     if step <= 0 or end < start:
         raise ConfigError("--grid requires step > 0 and end >= start")
-    steps = (end - start) / step + 1e-9   # never past END; may overflow to inf
+    steps = (end - start) / step + 1e-9   # whole steps to END; may overflow to inf
     if steps >= MAX_GRID_POINTS:
         raise ConfigError(f"--grid asks for more than {MAX_GRID_POINTS} points")
     return tuple(start + i * step for i in range(math.floor(steps) + 1))
 
 
-def _log_config(cfg: ScenarioConfig, out: Path | None) -> None:
-    """Log ``cfg`` and create ``out``, so an unwritable path fails before any drop."""
+def write_csv(path: Path, columns, rows) -> None:
+    """Write the ``columns`` of each dict in ``rows`` to ``path`` under a
+    header line; floats as ``repr(float(v))``, which reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(float(row[k])) if isinstance(row[k], (float, np.floating))
+                             else row[k] for k in columns})
+
+
+def _log_config(cfg: ScenarioConfig, out: Path | None, raw: Path | None = None) -> None:
+    """Log ``cfg`` and create every output: ``out``, ``raw`` if given and
+    ``<out>.config.json``, so an unwritable path fails before any drop."""
     if out is not None:
-        open(out, "a").close()
+        for path in filter(None, (out, raw)):
+            open(path, "a").close()
         out.with_suffix(out.suffix + ".config.json").write_text(cfg.to_json() + "\n")
     print("# resolved configuration:", file=sys.stderr)
     print(cfg.to_json(), file=sys.stderr)
@@ -110,7 +136,7 @@ def run_rows(cfg: ScenarioConfig, methods: tuple[str, ...], out: Path | None) ->
     _log_config(cfg, out)
     rows = harness.drop_rows(cfg, methods, cfg.drops, sweep_param="none", value=0.0)
     if out is not None:
-        harness._write_csv(out, harness.RAW_COLUMNS, rows)
+        write_csv(out, RAW_COLUMNS, rows)
     return rows
 
 
@@ -125,9 +151,12 @@ def sweep_rows(cfg: ScenarioConfig, sweeps: list[tuple[harness.SweepSpec, Path]]
     if make_dir is not None:
         make_dir.mkdir(parents=True, exist_ok=True)
     for spec, out in sweeps:
-        _log_config(cfg, out)
         raw_path = out.with_name(out.stem + "_raw" + out.suffix) if raw else None
-        harness.run_sweep(spec, cfg, out_path=out, raw_path=raw_path)
+        _log_config(cfg, out, raw_path)
+        rows, raw_rows = harness.run_sweep(spec, cfg)
+        write_csv(out, SWEEP_COLUMNS, rows)
+        if raw_path is not None:
+            write_csv(raw_path, RAW_COLUMNS, raw_rows)
         print(f"wrote {out}" + (f" and {raw_path}" if raw_path else ""))
 
 

@@ -26,11 +26,9 @@ Method identifiers:
 
 from __future__ import annotations
 
-import csv
 import ctypes
 from dataclasses import dataclass
 from numbers import Integral, Real
-from pathlib import Path
 
 import numpy as np
 
@@ -137,8 +135,9 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
 
 
 def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
-    """Per anchor mode: the (J, S) anchor powers and the shared radius r_d,
-    each NaN where there is none (r_d: without identity-pair anchors).
+    """Per anchor mode, from the (S, N) direct and (J, S, N) crosstalk
+    samples: the (J, S) anchor powers and the shared radius r_d, each NaN
+    where there is none (r_d: without identity-pair anchors).
 
     Anchors must keep nearly all samples inside their half-space (a
     mean-tight anchor strands about half of them, collapsing the learned
@@ -150,7 +149,7 @@ def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
     identity pairing (VUE s with CUE s: the anchor arrays' diagonal) and
     reused for every candidate pair.
     """
-    n, k_star = sample_d.shape[0], cfg.k_star
+    n, k_star = sample_d.shape[1], cfg.k_star
     budget = max(1, (n - k_star) // cfg.num_vues)
     anchors = selflearn.initial_feasible(
         modes, sample_d, sample_x, link.g_c, link.g_b, cfg.sinr_min_cue, cfg.sinr_min_vue,
@@ -161,7 +160,7 @@ def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
     for mode, (p_c, p_d) in anchors.items():
         diag_c, diag_d = p_c[ident, ident], p_d[ident, ident]
         r_d = selflearn.calibrate_radius(selflearn.map_samples(
-            sample_d, sample_x[:, ident, ident], diag_c, diag_d, cfg.sinr_min_vue), k_star)
+            sample_d, sample_x[ident, ident], diag_c, diag_d, cfg.sinr_min_vue), k_star)
         learned[mode] = p_c, p_d, r_d
     return learned
 
@@ -280,13 +279,11 @@ def run_drop(
     modes = tuple(mode for name, mode in SELF_LEARNING_MODES.items() if name in methods)
     if modes:
         # learning samples: amplitude-composed around the block estimate, so
-        # the sampled gains carry the full estimate-error interaction; drawn
-        # pair-major, handed over as sample-major views
+        # the sampled gains carry the full estimate-error interaction; pair-major
         sample_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
         sample_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n,
                                              rng)
-        learned = selflearn_calibration(cfg, link, modes, sample_d.T,
-                                        sample_x.T.reshape(n, j, s))
+        learned = selflearn_calibration(cfg, link, modes, sample_d, sample_x.reshape(j, s, n))
     else:
         # no method reads the samples: skip their draws, keeping the stream
         channel.discard_fading(rng, (n, s))
@@ -382,31 +379,13 @@ def drop_rows(cfg: ScenarioConfig, methods, drops: int, **tags) -> list[dict]:
     return rows
 
 
-SWEEP_COLUMNS = (
-    "sweep_param", "value", "method", "mean_cue_capacity_bps", "mean_vue_sinr",
-    "outage_prob", "feasibility_rate", "drops", "seed",
-)
+def run_sweep(spec: SweepSpec, cfg: ScenarioConfig) -> tuple[list[dict], list[dict]]:
+    """(summary rows, raw rows) of every grid point: per point and method the
+    ``summarize_method`` row, and the ``drop_rows`` of every drop.
 
-RAW_COLUMNS = (
-    "sweep_param", "value", "method", "drop", "sum_capacity_bps", "outage",
-    "mean_vue_sinr", "feasibility_rate",
-)
-
-
-def run_sweep(
-    spec: SweepSpec,
-    cfg: ScenarioConfig,
-    out_path: str | Path | None = None,
-    raw_path: str | Path | None = None,
-) -> list[dict]:
-    """Aggregate every grid point; optionally emit the summary / raw CSV files.
-
-    Every grid point's configuration is built, and so validated, and every
-    output file created before the first drop runs."""
+    Every grid point's configuration is built, and so validated, before the
+    first drop runs."""
     point_cfgs = spec.point_configs(cfg)
-    for path in (out_path, raw_path):
-        if path is not None:
-            open(path, "a").close()
     rows: list[dict] = []
     raw_rows: list[dict] = []
     for value, point_cfg in zip(spec.grid, point_cfgs):
@@ -419,22 +398,4 @@ def run_sweep(
                 "drops": spec.drops, "seed": cfg.rng_seed,
             })
         raw_rows += point_rows
-    if out_path is not None:
-        _write_csv(out_path, SWEEP_COLUMNS, rows)
-    if raw_path is not None:
-        _write_csv(raw_path, RAW_COLUMNS, raw_rows)
-    return rows
-
-
-def _write_csv(path: str | Path, columns, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in columns})
-
-
-def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return value
+    return rows, raw_rows

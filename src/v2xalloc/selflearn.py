@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin, vue_power_needed
+from .channel import (DRAW_CHUNK, cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin,
+                      vue_power_needed)
 
 
 class NoValidIndexError(ValueError):
@@ -149,16 +150,17 @@ def map_samples(
 ) -> np.ndarray:
     """Map each joint sample to min_s (anchor_d*g_d/Gamma_d - anchor_c*g_x).
 
-    ``g_d`` and ``g_cross`` are the (N, S) sampled direct and crosstalk gains
-    of the S designated pairs, ``anchor_c`` and ``anchor_d`` their (S,)
-    anchor powers; pairs without an anchor (NaN) are left out of the min,
-    and every sample maps to NaN when no pair is anchored.
+    ``g_d`` and ``g_cross`` are the (S, N) sampled direct and crosstalk gains
+    of the S designated pairs, one row per pair, ``anchor_c`` and
+    ``anchor_d`` their (S,) anchor powers; pairs without an anchor (NaN) are
+    left out of the min, and every sample maps to NaN when no pair is
+    anchored.
     """
-    cols = ~np.isnan(anchor_c)
-    if not cols.any():
-        return np.full(g_d.shape[0], np.nan)
-    return np.min(anchor_d[cols] * g_d[:, cols] / gamma_min_d
-                  - anchor_c[cols] * g_cross[:, cols], axis=1)
+    rows = ~np.isnan(anchor_c)
+    if not rows.any():
+        return np.full(g_d.shape[1], np.nan)
+    return np.min(anchor_d[rows, None] * g_d[rows] / gamma_min_d
+                  - anchor_c[rows, None] * g_cross[rows], axis=0)
 
 
 def calibrate_radius(mapped: np.ndarray, k_star: int) -> float:
@@ -181,7 +183,6 @@ def calibrate_radius(mapped: np.ndarray, k_star: int) -> float:
 
 WORST = "worst"
 AVERAGE = "average"
-ANCHOR_BLOCK = 1 << 16   # floats per row block of the anchor search's (pairs, N) temporaries
 SETTLE_STEPS = 4         # one-ulp steps from the analytic root before a threshold is bisected
 
 
@@ -261,8 +262,8 @@ def initial_feasible(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Anchor power pairs of every candidate pair (CUE j, VUE s), per mode.
 
-    Takes the (N, S) sampled direct and (N, J, S) crosstalk gains and the
-    (J,) CUE and (S,) VUE-to-gNB gains; returns, per mode in ``modes``, the
+    Takes the (S, N) sampled direct and (J, S, N) crosstalk gains, pair-major,
+    and the (J,) CUE and (S,) VUE-to-gNB gains; returns, per mode in ``modes``, the
     (J, S) CUE and VUE anchor powers, NaN where there is no anchor.
     ``worst`` anchors at the per-link worst samples (min direct gain, max
     crosstalk) less the ``trim_count`` most extreme per tail, which would
@@ -294,21 +295,21 @@ def initial_feasible(
     search, and a midpoint fits iff it is at most tau, so each bisection
     replays on ``mid <= tau`` in Python floats, and the result equals, bit
     for bit, the definition evaluated pair by pair.  The per-pair passes
-    over the N samples run in blocks of rows of about ANCHOR_BLOCK floats,
+    over the N samples run in blocks of rows of about DRAW_CHUNK floats,
     so no (pairs, N) temporary is formed beside the inputs.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
-    n, num_j, num_s = sample_g_x.shape
+    num_j, num_s, n = sample_g_x.shape
     rows = num_j * num_s                       # one row per pair, j-major
     vue = np.tile(np.arange(num_s), num_j)
     # contiguous per-pair samples: a strided layout slows every operation
-    # below, and a column-wise mean over it rounds differently
-    g_d = np.ascontiguousarray(sample_g_d.T)
-    g_x = np.ascontiguousarray(sample_g_x.reshape(n, rows).T)
+    # below, and a mean over it rounds differently
+    g_d = np.ascontiguousarray(sample_g_d)
+    g_x = np.ascontiguousarray(sample_g_x.reshape(rows, n))
     g_d_floor = np.maximum(g_d, 1e-300)
     # every (pairs, N) temporary is formed per block of rows
-    step = max(1, ANCHOR_BLOCK // n)
+    step = max(1, DRAW_CHUNK // n)
     blocks = [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
     def sampled_req(p, gx, gd):

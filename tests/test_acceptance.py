@@ -78,7 +78,7 @@ def sweep_tables():
     tables = {}
     for param, grid in grids.items():
         spec = harness.SweepSpec(param=param, grid=grid, drops=SWEEP_DROPS, methods=methods)
-        rows = harness.run_sweep(spec, cfg)
+        rows, _ = harness.run_sweep(spec, cfg)
         tables[param] = {
             m: [r for r in rows if r["method"] == m] for m in methods
         }

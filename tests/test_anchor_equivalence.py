@@ -110,7 +110,7 @@ def assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
         p_c, p_d = got[mode]
         for j, s in np.ndindex(p_c.shape):
             expected, branch = initial_feasible_reference(
-                mode, g_d[:, s], g_x[:, j, s], g_c[j], g_b[s], *args, **kwargs)
+                mode, g_d[s], g_x[j, s], g_c[j], g_b[s], *args, **kwargs)
             anchor = None if np.isnan(p_c[j, s]) else (p_c[j, s], p_d[j, s])
             assert anchor == expected, (mode, j, s, kwargs)
             branches[branch] += 1
@@ -152,8 +152,13 @@ def sample_search_bisects(g_d, g_x, gamma_min_d, sigma2, p_max_c, p_max_d, cover
 
 def count_bisects(sample_g_d, sample_g_x, **kwargs):
     """The pairs of one drop whose k-sample threshold is bisected."""
-    return sum(sample_search_bisects(sample_g_d[:, s], sample_g_x[:, j, s], **kwargs)
-               for j, s in np.ndindex(sample_g_x.shape[1:]))
+    return sum(sample_search_bisects(sample_g_d[s], sample_g_x[j, s], **kwargs)
+               for j, s in np.ndindex(sample_g_x.shape[:2]))
+
+
+def pair_major(g_d, g_x):
+    """The (S, N) and (J, S, N) views of (N, S) and (N, J, S) sample arrays."""
+    return g_d.T, np.moveaxis(g_x, 0, -1)
 
 
 @st.composite
@@ -176,7 +181,7 @@ def single_pair_cases(draw):
     )
     g_c = np.array([draw(st.floats(0.05, 3.0))])
     g_b = np.array([draw(st.floats(0.0, 1.5))])
-    return draw(st.sampled_from(MODES)), g_d[:, None], g_x[:, None, None], g_c, g_b, kwargs
+    return draw(st.sampled_from(MODES)), g_d[None], g_x[None, None], g_c, g_b, kwargs
 
 
 @settings(deadline=None, max_examples=300)
@@ -219,7 +224,7 @@ def drop_cases(draw):
         g_x = draw(arrays(float, (n, num_j, num_s), elements=st.floats(0.0, 4.0)))
     g_c = draw(arrays(float, num_j, elements=st.floats(0.05, 3.0)))
     g_b = draw(arrays(float, num_s, elements=st.floats(0.0, 1.5)))
-    return g_d, g_x, g_c, g_b, kwargs
+    return *pair_major(g_d, g_x), g_c, g_b, kwargs
 
 
 @settings(deadline=None, max_examples=200)
@@ -252,7 +257,7 @@ def random_case(rng, sigma_sign=1.0):
         g_d = rng.exponential(1.0, (n, num_s)) * rng.uniform(0.2, 3.0)
         g_x = rng.exponential(1.0, (n, num_j, num_s)) * rng.uniform(0.01, 3.0)
     g_c, g_b = rng.uniform(0.1, 3.0, num_j), rng.uniform(0.0, 1.5, num_s)
-    return g_d, g_x, g_c, g_b, kwargs
+    return *pair_major(g_d, g_x), g_c, g_b, kwargs
 
 
 def test_every_branch_reached_and_matched():
@@ -287,7 +292,7 @@ def test_sample_fitting_at_every_power_anchors_at_a_two_watt_cap():
     """One sample meets Gamma_d at every CUE power with no VUE power to
     spare (g_x = 0), the others never do; the search bisects its way up to
     p_max_c = 2.0, where the bit patterns' int64 sum overflows."""
-    g_d, g_x = np.array([[0.0], [0.0], [0.0], [0.25]]), np.zeros((4, 1, 1))
+    g_d, g_x = np.array([[0.0, 0.0, 0.0, 0.25]]), np.zeros((1, 1, 4))
     branches = assert_matches_reference(
         MODES, g_d, g_x, np.ones(1), np.zeros(1), gamma_min_c=1.0, gamma_min_d=1.0,
         sigma2=0.25, p_max_c=2.0, p_max_d=1.0, coverage_count=1, trim_count=3)
@@ -296,7 +301,7 @@ def test_sample_fitting_at_every_power_anchors_at_a_two_watt_cap():
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        initial_feasible(("best",), np.ones((3, 1)), np.ones((3, 1, 1)), np.ones(1),
+        initial_feasible(("best",), np.ones((1, 3)), np.ones((1, 1, 3)), np.ones(1),
                          np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0, 3, 0)
 
 

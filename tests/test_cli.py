@@ -10,6 +10,8 @@ FAST = [
     "--set", "sample_count=300", "--set", "test_count=400",
     "--set", "num_cues=2", "--set", "num_vues=2",
 ]
+# the unit tests' trimmed scenario (conftest's small_cfg) at its default size
+SMALL = ["--set", "sample_count=400", "--set", "test_count=500"]
 
 
 def test_validate_prints_one_pass_line_per_check(capsys):
@@ -71,6 +73,31 @@ def test_sweep_raw_flag(tmp_path):
     assert raw.exists()
     assert len(raw.read_text().splitlines()) == 1 + 2 * 2
     assert json.loads(out.with_name("s.csv.config.json").read_text())["drops"] == 2
+
+
+def test_sweep_csv_contract(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "p_max_cue", "--grid", "20,25,30", "--drops", "2",
+                 "--methods", "opt,nrra", "--raw", "--out", str(out), *SMALL]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("sweep_param,value,method,mean_cue_capacity_bps,mean_vue_sinr,"
+                        "outage_prob,feasibility_rate,drops,seed")
+    assert len(lines) == 1 + 3 * 2   # grid points x methods
+    raw_lines = out.with_name("sweep_raw.csv").read_text().splitlines()
+    assert raw_lines[0] == ("sweep_param,value,method,drop,sum_capacity_bps,outage,"
+                            "mean_vue_sinr,feasibility_rate")
+    assert len(raw_lines) == 1 + 3 * 2 * 2   # grid points x methods x drops
+    # grid order preserved
+    values = [line.split(",")[1] for line in lines[1:]]
+    assert values == sorted(values, key=float)
+
+
+def test_sweep_output_reproducible(tmp_path):
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (out1, out2):
+        assert main(["sweep", "--param", "speed", "--grid", "60,80", "--drops", "2",
+                     "--methods", "opt,brra", "--out", str(out), *SMALL]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -178,16 +205,22 @@ def test_unwritable_output_exits_2_before_any_drop(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(harness, "drop_rows", no_drops)
     taken = tmp_path / "taken"
     taken.mkdir()
+    # the raw file of a sweep into s.csv is s_raw.csv: here a directory
+    (tmp_path / "s_raw.csv").mkdir()
     for argv in (
         ["run", "--out", str(taken), *FAST],
         ["run", "--out", str(tmp_path / "missing" / "run.csv"), *FAST],
         ["sweep", "--param", "speed", "--grid", "80", "--out", str(taken), *FAST],
+        ["sweep", "--param", "speed", "--grid", "80", "--raw", "--out", str(tmp_path / "s.csv"),
+         *FAST],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("configuration error: "), argv
         assert sum(line.startswith("configuration error") for line in err) == 1
-    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
+    # the summary, created before the raw file, is left empty
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.csv", "s_raw.csv", "taken"]
+    assert (tmp_path / "s.csv").read_text() == ""
 
 
 def test_unusable_scenario_exit_code(tmp_path, capsys):

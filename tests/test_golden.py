@@ -2,14 +2,16 @@
 
 The drop digest is a sha256 over ``repr(float)`` of every method's summary
 statistics and matched power pairs for the first drops of ``small_cfg``; the
-sweep fixture is the summary CSV of a small fixed-seed speed sweep.  When a
-change is meant to move the output, regenerate both and say why.
+sweep fixtures are the summary CSV of a small fixed-seed speed sweep and the
+summary and raw CSVs of a p_max_cue sweep from 0 dBm, each written by
+``cli.write_csv``.  When a change is meant to move the output, regenerate them
+and say why.
 """
 
 import hashlib
 from pathlib import Path
 
-from v2xalloc import harness
+from v2xalloc import cli, harness
 
 GOLDEN_DROPS = range(4)
 GOLDEN_DROP_SHA256 = "fb12b0108c759bd1de34c8d287e6ff82c9fea38ce48363d876b1440c25abed88"
@@ -30,6 +32,7 @@ GOLDEN_LEARNING_DENSE_DROP_SHA256 = (
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_SWEEP = harness.SweepSpec(param="speed", grid=(40.0, 100.0, 160.0), drops=3)
+GOLDEN_POWER_SWEEP = harness.SweepSpec(param="p_max_cue", grid=(0.0, 10.0, 20.0), drops=3)
 
 
 def drop_digest(cfg, drops, methods=harness.ALL_METHODS) -> str:
@@ -75,5 +78,13 @@ def test_run_drop_golden_digest_self_learning_dense_fast(small_cfg):
 
 def test_sweep_summary_matches_stored_csv(tmp_path, small_cfg):
     out = tmp_path / "sweep.csv"
-    harness.run_sweep(GOLDEN_SWEEP, small_cfg, out_path=out)
+    cli.write_csv(out, cli.SWEEP_COLUMNS, harness.run_sweep(GOLDEN_SWEEP, small_cfg)[0])
     assert out.read_bytes() == (DATA / "golden_sweep_speed.csv").read_bytes()
+
+
+def test_power_sweep_summary_and_raw_rows_match_stored_csvs(tmp_path, small_cfg):
+    rows, raw_rows = harness.run_sweep(GOLDEN_POWER_SWEEP, small_cfg)
+    for name, columns, got in (("golden_sweep_p_max_cue.csv", cli.SWEEP_COLUMNS, rows),
+                               ("golden_sweep_p_max_cue_raw.csv", cli.RAW_COLUMNS, raw_rows)):
+        cli.write_csv(tmp_path / name, columns, got)
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

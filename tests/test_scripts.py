@@ -37,6 +37,16 @@ def test_default_experiment_writes_the_run_format(tmp_path, capsys):
         f"outage_cdf_{m}.csv" for m in with_pairs)
 
 
+def test_default_experiment_without_opt_capacity_prints_nan_reduction(capsys):
+    # at -30 dBm no pair meets the CUE QoS: opt's mean capacity is 0
+    assert script_main("run_default_experiment")(
+        ["--drops", "1", "--set", "p_max_cue_dbm=-30", *TINY]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0] in harness.ALL_METHODS]
+    assert [row[0] for row in rows] == list(harness.ALL_METHODS)
+    assert all(row[1] == "0" and row[2] == "nan%" for row in rows)
+
+
 def test_sweeps_script_writes_what_cli_sweep_writes(tmp_path):
     scenario = tmp_path / "tiny.yaml"
     scenario.write_text("sample_count: 300\n")

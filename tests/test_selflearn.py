@@ -361,7 +361,7 @@ def test_radius_rejects_bad_index():
 
 
 def test_map_samples_skips_unanchored_pairs(rng):
-    g_d, g_x = rng.uniform(1, 2, (50, 3)), rng.uniform(0, 1, (50, 3))
+    g_d, g_x = rng.uniform(1, 2, (50, 3)).T, rng.uniform(0, 1, (50, 3)).T
     ones, gap = np.ones(3), np.array([1.0, np.nan, 1.0])
     full = map_samples(g_d, g_x, ones, ones, 1.0)
     partial = map_samples(g_d, g_x, gap, gap, 1.0)
@@ -396,7 +396,7 @@ def anchor_of(mode, g_d, g_x, coverage_count, trim_count=0):
     """Anchor of the single pair of (n,) samples: a (p_c, p_d) tuple or None."""
     args = dict(ANCHOR_ARGS, g_c=np.array([ANCHOR_ARGS["g_c"]]),
                 g_b=np.array([ANCHOR_ARGS["g_b"]]))
-    p_c, p_d = initial_feasible((mode,), g_d[:, None], g_x[:, None, None], **args,
+    p_c, p_d = initial_feasible((mode,), g_d[None], g_x[None, None], **args,
                                 coverage_count=coverage_count, trim_count=trim_count)[mode]
     return None if np.isnan(p_c[0, 0]) else (p_c[0, 0], p_d[0, 0])
 
@@ -457,9 +457,9 @@ def test_anchor_infeasible_when_uncoverable():
 
 
 def anchors_in_blocks(block, modes, *args, **kwargs):
-    """initial_feasible's anchors with ANCHOR_BLOCK set to ``block`` floats."""
+    """initial_feasible's anchors with its block size DRAW_CHUNK set to ``block`` floats."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(selflearn, "ANCHOR_BLOCK", block)
+        mp.setattr(selflearn, "DRAW_CHUNK", block)
         return initial_feasible(modes, *args, **kwargs)
 
 
@@ -490,7 +490,9 @@ def drop_cases(draw):
         coverage_count=draw(st.one_of(st.just(n), st.integers(-2, n + 2))),
         trim_count=draw(st.integers(0, n + 1)),
     )
-    return g_d.reshape(n, num_s), g_x.reshape(n, num_j, num_s), g_c, g_b, kwargs
+    # drawn sample-major, handed over pair-major
+    return (g_d.reshape(n, num_s).T, np.moveaxis(g_x.reshape(n, num_j, num_s), 0, -1),
+            g_c, g_b, kwargs)
 
 
 @settings(deadline=None, max_examples=200)
@@ -512,14 +514,14 @@ def test_anchor_search_blocks_on_a_dense_drop(speed):
     rng = np.random.default_rng(2027)
     link = channel.build_link_state(cfg, rng)
     n = cfg.sample_count
-    g_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng).T
-    g_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n, rng).T
-    args = (g_d, g_x.reshape(n, 16, 16), link.g_c, link.g_b, cfg.sinr_min_cue,
+    g_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
+    g_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n, rng)
+    args = (g_d, g_x.reshape(16, 16, n), link.g_c, link.g_b, cfg.sinr_min_cue,
             cfg.sinr_min_vue, cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w)
     budget = max(1, (n - calibration_index(n, cfg.outage_prob, cfg.varsigma)) // 16)
     kwargs = dict(coverage_count=n - budget, trim_count=2 * budget)
     modes = (WORST, AVERAGE)
-    assert selflearn.ANCHOR_BLOCK // n < 256
+    assert channel.DRAW_CHUNK // n < 256
     expected = anchors_in_blocks(256 * n, modes, *args, **kwargs)
     got = initial_feasible(modes, *args, **kwargs)
     assert any(not np.isnan(p_c).all() for p_c, _ in got.values())
