@@ -205,22 +205,16 @@ def test_unwritable_output_exits_2_before_any_drop(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(harness, "drop_rows", no_drops)
     taken = tmp_path / "taken"
     taken.mkdir()
-    # the raw file of a sweep into s.csv is s_raw.csv: here a directory
-    (tmp_path / "s_raw.csv").mkdir()
     for argv in (
         ["run", "--out", str(taken), *FAST],
         ["run", "--out", str(tmp_path / "missing" / "run.csv"), *FAST],
         ["sweep", "--param", "speed", "--grid", "80", "--out", str(taken), *FAST],
-        ["sweep", "--param", "speed", "--grid", "80", "--raw", "--out", str(tmp_path / "s.csv"),
-         *FAST],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("configuration error: "), argv
         assert sum(line.startswith("configuration error") for line in err) == 1
-    # the summary, created before the raw file, is left empty
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.csv", "s_raw.csv", "taken"]
-    assert (tmp_path / "s.csv").read_text() == ""
+    assert [f.name for f in tmp_path.iterdir()] == ["taken"]
 
 
 def test_unusable_scenario_exit_code(tmp_path, capsys):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from v2xalloc import channel, harness
+from v2xalloc import channel, cli, harness
 from v2xalloc.config import ConfigError, ScenarioConfig
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
 
@@ -276,6 +276,20 @@ def test_single_point_sweep_equals_standalone_drops(small_cfg):
         ref = direct[row["method"]]
         assert math.isclose(row["mean_cue_capacity_bps"], ref["mean_cue_capacity_bps"], rel_tol=1e-12)
         assert math.isclose(row["outage_prob"], ref["outage_prob"], rel_tol=1e-12)
+
+
+def test_run_sweep_creates_its_outputs_before_the_first_drop(tmp_path, monkeypatch, capsys):
+    """A sweep's output files are created before run_sweep runs a drop: a raw
+    path that cannot be created (a directory there) stops the sweep, exit 2,
+    with no drop run and the summary, created first, left empty."""
+    out = tmp_path / "sweep.csv"
+    out.with_name("sweep_raw.csv").mkdir()
+    monkeypatch.setattr(harness, "drop_rows", lambda *args, **kwargs: pytest.fail("a drop ran"))
+    assert cli.main(["sweep", "--param", "speed", "--grid", "80", "--drops", "1",
+                     "--methods", "opt", "--raw", "--out", str(out),
+                     "--set", "sample_count=400", "--set", "test_count=500"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("configuration error: ")
+    assert out.read_text() == ""
 
 
 def test_sweep_validates_every_grid_point_before_the_first_drop(small_cfg, monkeypatch):
