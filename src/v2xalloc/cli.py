@@ -122,11 +122,21 @@ def write_csv(path: Path, columns, rows) -> None:
 
 def _log_config(cfg: ScenarioConfig, out: Path | None, raw: Path | None = None) -> None:
     """Log ``cfg`` and create every output: ``out``, ``raw`` if given and
-    ``<out>.config.json``, so an unwritable path fails before any drop."""
+    ``<out>.config.json``, so an unwritable path fails before any drop and
+    leaves none of the files this call created behind."""
     if out is not None:
-        for path in filter(None, (out, raw)):
-            open(path, "a").close()
-        out.with_suffix(out.suffix + ".config.json").write_text(cfg.to_json() + "\n")
+        config = out.with_suffix(out.suffix + ".config.json")
+        created = []
+        try:
+            for path in filter(None, (out, raw, config)):
+                if not path.exists():
+                    created.append(path)
+                open(path, "a").close()
+            config.write_text(cfg.to_json() + "\n")
+        except OSError:
+            for path in created:
+                path.unlink(missing_ok=True)
+            raise
     print("# resolved configuration:", file=sys.stderr)
     print(cfg.to_json(), file=sys.stderr)
 

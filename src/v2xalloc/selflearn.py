@@ -184,6 +184,7 @@ def calibrate_radius(mapped: np.ndarray, k_star: int) -> float:
 WORST = "worst"
 AVERAGE = "average"
 SETTLE_STEPS = 4         # one-ulp steps from the analytic root before a threshold is bisected
+RULE_OUT = 1e-12         # relative margin of the CUE QoS bound that rules an anchor out
 
 
 @np.errstate(all="ignore")   # NaN and inf requirements fit under no cap
@@ -263,8 +264,9 @@ def initial_feasible(
     """Anchor power pairs of every candidate pair (CUE j, VUE s), per mode.
 
     Takes the (S, N) sampled direct and (J, S, N) crosstalk gains, pair-major,
-    and the (J,) CUE and (S,) VUE-to-gNB gains; returns, per mode in ``modes``, the
-    (J, S) CUE and VUE anchor powers, NaN where there is no anchor.
+    and the (J,) CUE and (S,) VUE-to-gNB gains, all nonnegative; returns, per
+    mode in ``modes``, the (J, S) CUE and VUE anchor powers, NaN where there
+    is no anchor.
     ``worst`` anchors at the per-link worst samples (min direct gain, max
     crosstalk) less the ``trim_count`` most extreme per tail, which would
     protect beyond the level the calibration certifies; ``average`` anchors
@@ -284,19 +286,36 @@ def initial_feasible(
     could undo only past a CUE SNR of some 130 dB.  So ``sigma2 <= 0`` is
     rejected.
 
+    The same argument rules a (mode, pair) out before any pass over its
+    samples.  Let h(p) be the slack with eff(p) alone.  In exact arithmetic
+    h is affine in p and below -sigma^2 at 0, so h(p_max_c) < 0 puts all of
+    h below zero on [0, p_max_c]; the anchor's own requirement is at least
+    eff(p), which only lowers its slack, and IEEE rounding is monotone.  A
+    computed h(p_max_c) below -RULE_OUT times the sum of its terms' sizes
+    and sigma^2 leaves room for the few-ulp rounding of either slack, under
+    the same 130 dB caveat, so such a (mode, pair) gets no anchor; a NaN or
+    inf term compares false and leaves it searched.  A pair ruled out in
+    every mode gets no sample pass at all.
+
     f_n and eff only multiply, add and divide nonnegative numbers and IEEE
     rounding is monotone, so both are nondecreasing in p, exactly: the need
     fits at p iff eff(p) <= P and at least k of the f_n(p) are.  So it fits
-    exactly up to tau, the smaller of two thresholds found to the bit by
-    ``fit_thresholds``: tau_eff, the largest p in [0, p_max_c] where eff
-    fits, per (mode, pair), and the largest where k samples do, per pair
-    (shared by the modes); either is -inf where nothing fits at 0, as for a
-    zero or NaN g_d_eff.  The cap fits iff tau = p_max_c, only tau >= 0 may
-    search, and a midpoint fits iff it is at most tau, so each bisection
-    replays on ``mid <= tau`` in Python floats, and the result equals, bit
-    for bit, the definition evaluated pair by pair.  The per-pair passes
-    over the N samples run in blocks of rows of about DRAW_CHUNK floats,
-    so no (pairs, N) temporary is formed beside the inputs.
+    exactly up to tau, the smaller of two thresholds: the largest p in
+    [0, p_max_c] where k samples fit, per pair (shared by the modes), and
+    tau_eff, the largest where eff fits, per (mode, pair); either is -inf
+    where nothing fits at 0, as for a zero or NaN g_d_eff.  One pass at the
+    cap gives each pair q, the k-th smallest f_n(p_max_c): k samples fit at
+    the cap iff q <= P, and q is the sampled term of every mode anchored
+    there.  ``fit_thresholds`` finds the sample threshold to the bit only
+    for pairs that do not fit at the cap, and tau_eff only where eff does
+    not fit at the sample threshold (elsewhere tau_eff is no smaller).  The
+    cap fits iff tau = p_max_c, only tau >= 0 may search, and a midpoint
+    fits iff it is at most tau, so each bisection replays on ``mid <= tau``
+    in Python floats, and one k-th pass per search in (0, p_max_c) gives its
+    sampled term.  The result equals, bit for bit, the definition evaluated
+    pair by pair.  The per-pair passes over the N samples run in blocks of
+    rows of about DRAW_CHUNK floats, so no (pairs, N) temporary is formed
+    beside the inputs.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
@@ -308,34 +327,57 @@ def initial_feasible(
     g_d = np.ascontiguousarray(sample_g_d)
     g_x = np.ascontiguousarray(sample_g_x.reshape(rows, n))
     g_d_floor = np.maximum(g_d, 1e-300)
-    # every (pairs, N) temporary is formed per block of rows
-    step = max(1, DRAW_CHUNK // n)
-    blocks = [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+    k = min(max(coverage_count, 1), n)
+    limits = gamma_min_d, sigma2, p_max_c, p_max_d
+    step = max(1, DRAW_CHUNK // n)             # rows per block of every (pairs, N) temporary
 
     def sampled_req(p, gx, gd):
         return vue_power_needed(p, gx, gd, gamma_min_d, sigma2)
+
+    def kth_req(p, pairs):
+        """The k-th smallest sampled requirement of each of ``pairs`` at its CUE power in p."""
+        kth = np.empty(pairs.size)
+        for a in range(0, pairs.size, step):
+            i = pairs[a:a + step]
+            req_n = sampled_req(p[a:a + step, None], g_x[i], g_d_floor[vue[i]])
+            kth[a:a + step] = np.partition(req_n, k - 1, axis=1)[:, k - 1]
+        return kth
 
     g_d_eff, g_x_eff = np.empty((2, len(modes), rows))
     for m, mode in enumerate(modes):
         if mode == WORST:
             t = min(max(trim_count, 0), n - 1)
             g_d_eff[m] = np.partition(g_d, t, axis=1)[vue, t]
-            for blk in blocks:
+            for a in range(0, rows, step):
+                blk = slice(a, a + step)
                 g_x_eff[m, blk] = np.partition(g_x[blk], n - 1 - t, axis=1)[:, n - 1 - t]
         elif mode == AVERAGE:
             g_d_eff[m], g_x_eff[m] = g_d.mean(axis=1)[vue], g_x.mean(axis=1)
         else:
             raise ValueError(f"unknown anchor mode {mode!r}")
-    # the largest CUE power at which each (mode, pair)'s effective
-    # requirement fits, and at which k of each pair's samples do
-    limits = gamma_min_d, sigma2, p_max_c, p_max_d
-    k = min(max(coverage_count, 1), n)
-    tau_eff = fit_thresholds(g_x_eff.reshape(-1, 1), g_d_eff.reshape(-1, 1), 1,
-                             *limits).reshape(g_x_eff.shape)
-    tau_smp = np.empty(rows)
-    for blk in blocks:
-        tau_smp[blk] = fit_thresholds(g_x[blk], g_d_floor[vue[blk]], k, *limits)
-    tau = np.minimum(tau_eff, tau_smp)
+    g_c_row, g_b_row = np.repeat(g_c, num_s), g_b[vue]
+    # rule out every (mode, pair) whose slack with eff at the cap bounds its
+    # anchor's slack below zero
+    eff_cap = sampled_req(p_max_c, g_x_eff, g_d_eff)
+    bound = cue_qos_margin(p_max_c, eff_cap, g_c_row, g_b_row, gamma_min_c) - sigma2
+    ruled_out = bound < -RULE_OUT * (p_max_c * g_c_row / gamma_min_c + eff_cap * g_b_row + sigma2)
+    # the sample threshold of each pair left open: p_max_c where q fits, a
+    # row search elsewhere
+    live = np.flatnonzero(~ruled_out.all(axis=0))
+    q = np.full(rows, np.nan)
+    q[live] = kth_req(np.full(live.size, p_max_c), live)
+    fits_cap = q <= p_max_d
+    tau_smp = np.where(fits_cap, p_max_c, -np.inf)
+    short = live[~fits_cap[live]]
+    for a in range(0, short.size, step):
+        i = short[a:a + step]
+        tau_smp[i] = fit_thresholds(g_x[i], g_d_floor[vue[i]], k, *limits)
+    # tau = min(tau_eff, tau_smp), with tau_eff searched only where eff
+    # does not fit at tau_smp
+    tau = np.where(ruled_out, -np.inf, tau_smp)
+    redo = (tau >= 0) & ~(sampled_req(tau, g_x_eff, g_d_eff) <= p_max_d)
+    if redo.any():
+        tau[redo] = fit_thresholds(g_x_eff[redo, None], g_d_eff[redo, None], 1, *limits)
     at_cap = tau >= p_max_c
     search = np.flatnonzero(~at_cap & (tau >= 0))
 
@@ -352,15 +394,12 @@ def initial_feasible(
 
     p_c = np.where(at_cap, p_max_c, 0.0)
     p_c.ravel()[search] = anchors
-    # max with the k-th smallest sampled requirement wherever p_c > 0
-    req = sampled_req(p_c, g_x_eff, g_d_eff)
-    at = np.flatnonzero(p_c > 0)
-    for a in range(0, at.size, step):
-        i = at[a:a + step]
-        pair = i % rows
-        req_n = sampled_req(p_c.ravel()[i, None], g_x[pair], g_d_floor[vue[pair]])
-        req.ravel()[i] = np.maximum(req.ravel()[i], np.partition(req_n, k - 1, axis=1)[:, k - 1])
-    slack = cue_qos_margin(p_c, req, np.repeat(g_c, num_s), g_b[vue], gamma_min_c) - sigma2
+    # max with the k-th smallest sampled requirement wherever p_c > 0: q
+    # at the cap, one pass per searched anchor
+    req = np.maximum(sampled_req(p_c, g_x_eff, g_d_eff), np.where(at_cap, q, -np.inf))
+    i = search[p_c.ravel()[search] > 0]
+    req.ravel()[i] = np.maximum(req.ravel()[i], kth_req(p_c.ravel()[i], i % rows))
+    slack = cue_qos_margin(p_c, req, g_c_row, g_b_row, gamma_min_c) - sigma2
     anchored = (p_c > 0) & ~(slack < 0)
     p_c = np.where(anchored, p_c, np.nan).reshape(len(modes), num_j, num_s)
     p_d = np.where(anchored, np.minimum(req, p_max_d), np.nan).reshape(len(modes), num_j, num_s)

@@ -52,15 +52,7 @@ def initial_feasible_reference(
     the QoS grid was searched (with ``"-none"`` appended when it found nothing).
     """
     n = sample_g_d.shape[0]
-    if mode == "worst":
-        t = min(max(trim_count, 0), n - 1)
-        g_d_eff = float(np.partition(sample_g_d, t)[t])
-        g_x_eff = float(np.partition(sample_g_x, n - 1 - t)[n - 1 - t])
-    elif mode == "average":
-        g_d_eff = float(np.mean(sample_g_d))
-        g_x_eff = float(np.mean(sample_g_x))
-    else:
-        raise ValueError(f"unknown anchor mode {mode!r}")
+    g_d_eff, g_x_eff = effective_gains(mode, sample_g_d, sample_g_x, trim_count)
     if g_d_eff <= 0:
         return None, "no_gain"
 
@@ -199,6 +191,10 @@ def drop_cases(draw):
     trillion of sigma^2, where the analytic roots lose their accuracy; ``tied`` draws
     the gains from four values, so thresholds tie at the k-th; large direct
     gains put the threshold at or past p_max_c, tiny ones at or below 0.
+    ``near_qos`` picks each CUE's g_c so that the CUE QoS slack of one
+    (mode, VUE) at the cap, with the effective requirement, lies within
+    parts per billion or per trillion of zero: pairs fall on both sides of
+    the margin below which the search rules an anchor out.
     """
     n, num_j, num_s = draw(st.integers(1, 30)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     kwargs = dict(
@@ -208,7 +204,7 @@ def drop_cases(draw):
         coverage_count=draw(st.one_of(st.just(1), st.just(n), st.integers(-2, n + 2))),
         trim_count=draw(st.integers(0, n + 1)),
     )
-    kind = draw(st.sampled_from(("near_noise", "tied", "spread")))
+    kind = draw(st.sampled_from(("near_noise", "tied", "spread", "near_qos")))
     if kind == "near_noise":
         edge = kwargs["sigma2"] * kwargs["gamma_min_d"] / kwargs["p_max_d"]
         offset = st.one_of(st.floats(-2e-12, 8e-12), st.floats(-2e-6, 8e-6))
@@ -218,13 +214,43 @@ def drop_cases(draw):
     elif kind == "tied":
         g_d = draw(arrays(float, (n, num_s), elements=st.sampled_from(TIED)))
         g_x = draw(arrays(float, (n, num_j, num_s), elements=st.sampled_from(TIED)))
+    elif kind == "near_qos":
+        g_d = draw(arrays(float, (n, num_s), elements=st.floats(0.1, 4.0)))
+        g_x = draw(arrays(float, (n, num_j, num_s), elements=st.floats(0.0, 0.5)))
     else:
         scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
         g_d = scale * draw(arrays(float, (n, num_s), elements=st.floats(0.0, 4.0)))
         g_x = draw(arrays(float, (n, num_j, num_s), elements=st.floats(0.0, 4.0)))
     g_c = draw(arrays(float, num_j, elements=st.floats(0.05, 3.0)))
     g_b = draw(arrays(float, num_s, elements=st.floats(0.0, 1.5)))
+    if kind == "near_qos":
+        offset = st.one_of(st.floats(-2e-9, 2e-9), st.floats(-4e-12, 4e-12))
+        for j in range(num_j):
+            s, mode = draw(st.integers(0, num_s - 1)), draw(st.sampled_from(MODES))
+            g_c[j] = at_cap_qos_edge(mode, g_d[:, s], g_x[:, j, s], g_b[s], **kwargs) * (
+                1.0 + draw(offset))
     return *pair_major(g_d, g_x), g_c, g_b, kwargs
+
+
+def effective_gains(mode, sample_g_d, sample_g_x, trim_count):
+    """The (g_d, g_x) an anchor of ``mode`` plans with, as the reference forms them."""
+    n = sample_g_d.shape[0]
+    if mode == "worst":
+        t = min(max(trim_count, 0), n - 1)
+        return (float(np.partition(sample_g_d, t)[t]),
+                float(np.partition(sample_g_x, n - 1 - t)[n - 1 - t]))
+    if mode == "average":
+        return float(np.mean(sample_g_d)), float(np.mean(sample_g_x))
+    raise ValueError(f"unknown anchor mode {mode!r}")
+
+
+def at_cap_qos_edge(mode, sample_g_d, sample_g_x, g_b, gamma_min_c, gamma_min_d, sigma2,
+                    p_max_c, trim_count, **_):
+    """The g_c at which the CUE QoS slack at p_max_c with the effective
+    requirement alone is zero, in exact arithmetic."""
+    g_d_eff, g_x_eff = effective_gains(mode, sample_g_d, sample_g_x, trim_count)
+    need = gamma_min_d * (sigma2 + p_max_c * g_x_eff) / g_d_eff
+    return gamma_min_c * (sigma2 + need * g_b) / p_max_c
 
 
 @settings(deadline=None, max_examples=200)
@@ -305,25 +331,49 @@ def test_unknown_mode_rejected():
                          np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0, 3, 0)
 
 
-@pytest.mark.parametrize("overrides, min_bisected", [
-    *(pytest.param(dict(vehicle_speed_kmh=v), 0, id=str(v)) for v in (40.0, 80.0, 160.0)),
+@pytest.mark.parametrize("overrides, min_bisected, row_check", [
+    *(pytest.param(dict(vehicle_speed_kmh=v), 0, None, id=str(v)) for v in (40.0, 80.0)),
+    # the CUE QoS rules pairs out and the cap pass settles others, so fewer
+    # than J*S pairs reach the k-sample row search
+    pytest.param(dict(vehicle_speed_kmh=160.0), 0, lambda rows, pairs: rows < pairs,
+                 id="160.0"),
+    # every pair the CUE QoS leaves open fits k samples at full CUE power
+    pytest.param(dict(p_max_cue_dbm=0.0), 0, lambda rows, pairs: rows == 0,
+                 id="p_max_cue_dbm=0"),
     # a weak VUE cap puts P g_d / Gamma_d near sigma^2 for some pairs, where
     # the analytic roots miss by several ulps
-    pytest.param(dict(p_max_vue_dbm=5.0), 1, id="p_max_vue_dbm=5"),
-    pytest.param(dict(p_max_vue_dbm=7.0), 1, id="p_max_vue_dbm=7"),
+    pytest.param(dict(p_max_vue_dbm=5.0), 1, None, id="p_max_vue_dbm=5"),
+    pytest.param(dict(p_max_vue_dbm=7.0), 1, None, id="p_max_vue_dbm=7"),
 ])
-def test_anchor_matches_reference_on_real_drops(small_cfg, overrides, min_bisected, monkeypatch):
-    fast = selflearn.initial_feasible
+def test_anchor_matches_reference_on_real_drops(small_cfg, overrides, min_bisected, row_check,
+                                                monkeypatch):
+    """Anchors of real drops match the reference, and ``row_check(rows,
+    pairs)`` holds for the sample rows that reach ``fit_thresholds`` in
+    each call of J*S pairs."""
+    fast, fit = selflearn.initial_feasible, selflearn.fit_thresholds
     branches = Counter()
     bisected = 0
+    searched = []   # the (rows, width) of each fit_thresholds call
 
     def checked(*args, **kwargs):
         nonlocal bisected
+        call = inspect.signature(fast).bind(*args, **kwargs).arguments
         branches.update(assert_matches_reference(*args, **kwargs))
-        bisected += count_bisects(**inspect.signature(fast).bind(*args, **kwargs).arguments)
-        return fast(*args, **kwargs)
+        bisected += count_bisects(**call)
+        searched.clear()
+        anchors = fast(*args, **kwargs)
+        if row_check is not None:
+            num_j, num_s, n = call["sample_g_x"].shape
+            rows = sum(m for m, w in searched if w == n)
+            assert row_check(rows, num_j * num_s), (rows, num_j * num_s)
+        return anchors
+
+    def recorded(gx, *args, **kwargs):
+        searched.append(gx.shape)
+        return fit(gx, *args, **kwargs)
 
     monkeypatch.setattr(selflearn, "initial_feasible", checked)
+    monkeypatch.setattr(selflearn, "fit_thresholds", recorded)
     cfg = small_cfg.replace(**overrides)
     for d in range(3):
         harness.run_drop(cfg, d, ("slaa", "slwa"))

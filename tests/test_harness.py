@@ -281,7 +281,7 @@ def test_single_point_sweep_equals_standalone_drops(small_cfg):
 def test_run_sweep_creates_its_outputs_before_the_first_drop(tmp_path, monkeypatch, capsys):
     """A sweep's output files are created before run_sweep runs a drop: a raw
     path that cannot be created (a directory there) stops the sweep, exit 2,
-    with no drop run and the summary, created first, left empty."""
+    with no drop run and the summary, created first, removed again."""
     out = tmp_path / "sweep.csv"
     out.with_name("sweep_raw.csv").mkdir()
     monkeypatch.setattr(harness, "drop_rows", lambda *args, **kwargs: pytest.fail("a drop ran"))
@@ -289,7 +289,8 @@ def test_run_sweep_creates_its_outputs_before_the_first_drop(tmp_path, monkeypat
                      "--methods", "opt", "--raw", "--out", str(out),
                      "--set", "sample_count=400", "--set", "test_count=500"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("configuration error: ")
-    assert out.read_text() == ""
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_raw.csv"]
 
 
 def test_sweep_validates_every_grid_point_before_the_first_drop(small_cfg, monkeypatch):
