@@ -27,10 +27,10 @@ assignment read no random numbers, so the held-out powers are drawn after
 them.  Draws that no enabled method reads are not formed: ``discard_fading``
 advances the stream past the samples when no self-learning allocator runs, and
 ``error_power_columns`` keeps the held-out crosstalk powers of the scored
-pairs only.  Large draws run in chunks of about DRAW_CHUNK floats: the samples
-go straight into one pair-major array (``sample_pair_gains``) and the held-out
-block is drawn in runs of whole realizations.  The values that are formed are
-the same bit for bit either way.
+pairs only.  Large draws run in ``row_blocks`` of whole rows (samples,
+realizations) of about DRAW_CHUNK floats: the samples go straight into one
+pair-major array (``sample_pair_gains``).  The values that are formed are the
+same bit for bit at any block size.
 """
 
 from __future__ import annotations
@@ -222,20 +222,23 @@ def rayleigh_fading(
     return e
 
 
+def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of ``count`` rows of ``width`` floats: as
+    many whole rows as fit in DRAW_CHUNK floats, at least one.  Every chunked
+    draw and every per-pair pass of the anchor search runs in these blocks."""
+    step = max(1, DRAW_CHUNK // max(width, 1))
+    return [(a, min(a + step, count)) for a in range(0, count, step)]
+
+
 def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> None:
     """Advance ``rng`` exactly as ``rayleigh_fading(rng, size)`` would, without
-    forming the draws.
+    keeping the draws.
 
     ``rayleigh_fading`` scales two blocks of standard normals, so the same
-    count of standard normals is drawn here into one reused buffer of at most
-    DRAW_CHUNK floats.
+    count of standard normals is drawn here, in ``row_blocks`` of one float.
     """
-    left = 2 * int(np.prod(size))
-    buf = np.empty(min(left, DRAW_CHUNK))
-    while left > 0:
-        step = min(left, DRAW_CHUNK)
-        rng.standard_normal(out=buf[:step])
-        left -= step
+    for a, b in row_blocks(2 * int(np.prod(size)), 1):
+        rng.standard_normal(b - a)
 
 
 def sample_true_channel(
@@ -263,22 +266,19 @@ def sample_pair_gains(
     The values and the stream are those of ``np.abs(sample_true_channel(
     np.broadcast_to(h_hat, (count,) + h_hat.shape), lam, rng)) ** 2 * omega``,
     transposed: all real parts are drawn, then all imaginary parts, each in
-    chunks of whole samples of about DRAW_CHUNK floats.  The real chunks are
-    written into the output; the imaginary pass forms each chunk's
-    coefficients with ``sample_true_channel`` from those real parts and
-    overwrites the chunk with its gains, so only one (h_hat.size, count)
-    array is formed.
+    ``row_blocks`` of whole samples.  The real blocks are written into the
+    output; the imaginary pass forms each block's coefficients with
+    ``sample_true_channel`` from those real parts and overwrites the block
+    with its gains, so only one (h_hat.size, count) array is formed.
     """
     h_hat, omega = h_hat.ravel(), np.ravel(omega)
     out = np.empty((h_hat.size, count))
-    step = max(1, DRAW_CHUNK // max(h_hat.size, 1))
-    chunks = [(a, min(a + step, count)) for a in range(0, count, step)]
-    buf = np.empty((min(step, count), h_hat.size))
-    for a, b in chunks:
-        np.multiply(rng.standard_normal(out=buf[:b - a]), np.sqrt(0.5), out=out[:, a:b].T)
-    for a, b in chunks:
+    blocks = row_blocks(count, h_hat.size)
+    for a, b in blocks:
+        np.multiply(rng.standard_normal((b - a, h_hat.size)), np.sqrt(0.5), out=out[:, a:b].T)
+    for a, b in blocks:
         h = sample_true_channel(h_hat, lam, rng, re=out[:, a:b].T)
-        # np.abs of the complex chunk, as the full-array formula takes it:
+        # np.abs of the complex block, as the full-array formula takes it:
         # np.hypot of the parts rounds differently
         g = np.abs(h)
         g **= 2
@@ -286,28 +286,21 @@ def sample_pair_gains(
     return out
 
 
-def error_power(
-    rng: np.random.Generator, size: int | tuple[int, ...], out: np.ndarray | None = None,
-) -> np.ndarray:
-    """|e|^2 draws for e ~ CN(0,1): unit-mean exponential, written into
-    ``out`` (of shape ``size``) if given."""
-    return rng.standard_exponential(size, out=out)
+def error_power(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """|e|^2 draws for e ~ CN(0,1): unit-mean exponential."""
+    return rng.standard_exponential(size)
 
 
 def error_power_columns(
     rng: np.random.Generator, count: int, shape: tuple[int, ...], columns,
 ) -> np.ndarray:
     """The flat ``columns`` of ``error_power(rng, (count,) + shape)`` as a
-    (count, len(columns)) array, drawn in chunks of whole realizations of
-    about DRAW_CHUNK floats into one reused buffer: the same values, leaving
-    the stream in the same state."""
+    (count, len(columns)) array, drawn in ``row_blocks`` of whole
+    realizations: the same values, leaving the stream in the same state."""
     width = math.prod(shape)
-    step = max(1, DRAW_CHUNK // max(width, 1))
     out = np.empty((count, len(columns)))
-    buf = np.empty((min(step, count), width))
-    for a in range(0, count, step):
-        b = min(a + step, count)
-        out[a:b] = error_power(rng, (b - a, width), out=buf[:b - a])[:, columns]
+    for a, b in row_blocks(count, width):
+        out[a:b] = error_power(rng, (b - a, width))[:, columns]
     return out
 
 

@@ -37,8 +37,8 @@ from .config import ConfigError, ScenarioConfig
 from .matching import CapacityMatrix, ReuseAssignment, build_capacity_matrix, hungarian_max_weight
 
 # glibc gives the free top of its heap back to the kernel once it passes a
-# threshold that follows the largest block freed so far.  Default drops
-# (temporaries peak at 3.8 MB) outgrow that threshold, so each drop gave its
+# threshold that follows the largest block freed so far.  Default drops (a
+# 2.0 MiB peak of temporaries) outgrow that threshold, so each drop gave its
 # heap back and faulted it in again: about 1,250 minor faults and 2-3 ms of
 # system time in an 11 ms drop, and 2,400 faults at J = S = 8.  keep_freed_heap
 # keeps HEAP_KEEP_BYTES of freed top mapped and serves blocks below that size
@@ -211,14 +211,14 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
 def _evaluate(cfg, link, solved, rng) -> dict[str, MethodDropStats]:
     """Score the transmitting matched pairs of every method in ``solved``
     (name -> matrix, assignment) on M held-out draws from ``rng``: the (M, S)
-    direct error powers, then the (M, J, S) crosstalk ones in chunks over M,
+    direct error powers, then the (M, J, S) crosstalk ones in row blocks over M,
     of which only the scored pairs' columns are kept.  Each pair's gains are
     formed once, for all methods that score it, and dropped before the next
     pair's."""
     scorers = {}
     for name, (matrix, assignment) in solved.items():
-        for j, s in enumerate(assignment.column_of_row):
-            if not matrix.is_virtual(s) and matrix.capacity[j, s] > 0.0:
+        for j, s in assignment.real_pairs():
+            if matrix.capacity[j, s] > 0.0:
                 scorers.setdefault((j, s), []).append(name)
     err_d = channel.error_power(rng, (cfg.test_count, cfg.num_vues))
     err_x = channel.error_power_columns(rng, cfg.test_count, link.omega_cross.shape,
@@ -286,8 +286,7 @@ def run_drop(
         learned = selflearn_calibration(cfg, link, modes, sample_d, sample_x.reshape(j, s, n))
     else:
         # no method reads the samples: skip their draws, keeping the stream
-        channel.discard_fading(rng, (n, s))
-        channel.discard_fading(rng, (n, j, s))
+        channel.discard_fading(rng, (n, link.h_hat_d.size + link.h_hat_cross.size))
         learned = None
 
     solved = {}

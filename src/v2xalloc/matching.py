@@ -44,9 +44,6 @@ class CapacityMatrix:
     p_d_w: np.ndarray         # (J, J)
     num_real: int             # S
 
-    def is_virtual(self, s: int) -> bool:
-        return s >= self.num_real
-
 
 @dataclass(frozen=True)
 class ReuseAssignment:

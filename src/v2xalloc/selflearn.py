@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (DRAW_CHUNK, cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin,
+from .channel import (cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin, row_blocks,
                       vue_power_needed)
 
 
@@ -313,8 +313,8 @@ def initial_feasible(
     fits iff it is at most tau, so each bisection replays on ``mid <= tau``
     in Python floats, and one k-th pass per search in (0, p_max_c) gives its
     sampled term.  The result equals, bit for bit, the definition evaluated
-    pair by pair.  The per-pair passes over the N samples run in blocks of
-    rows of about DRAW_CHUNK floats, so no (pairs, N) temporary is formed
+    pair by pair.  The per-pair passes over the N samples run in
+    ``channel.row_blocks`` of pairs, so no (pairs, N) temporary is formed
     beside the inputs.
     """
     if sigma2 <= 0:
@@ -329,7 +329,6 @@ def initial_feasible(
     g_d_floor = np.maximum(g_d, 1e-300)
     k = min(max(coverage_count, 1), n)
     limits = gamma_min_d, sigma2, p_max_c, p_max_d
-    step = max(1, DRAW_CHUNK // n)             # rows per block of every (pairs, N) temporary
 
     def sampled_req(p, gx, gd):
         return vue_power_needed(p, gx, gd, gamma_min_d, sigma2)
@@ -337,10 +336,10 @@ def initial_feasible(
     def kth_req(p, pairs):
         """The k-th smallest sampled requirement of each of ``pairs`` at its CUE power in p."""
         kth = np.empty(pairs.size)
-        for a in range(0, pairs.size, step):
-            i = pairs[a:a + step]
-            req_n = sampled_req(p[a:a + step, None], g_x[i], g_d_floor[vue[i]])
-            kth[a:a + step] = np.partition(req_n, k - 1, axis=1)[:, k - 1]
+        for a, b in row_blocks(pairs.size, n):
+            i = pairs[a:b]
+            req_n = sampled_req(p[a:b, None], g_x[i], g_d_floor[vue[i]])
+            kth[a:b] = np.partition(req_n, k - 1, axis=1)[:, k - 1]
         return kth
 
     g_d_eff, g_x_eff = np.empty((2, len(modes), rows))
@@ -348,9 +347,8 @@ def initial_feasible(
         if mode == WORST:
             t = min(max(trim_count, 0), n - 1)
             g_d_eff[m] = np.partition(g_d, t, axis=1)[vue, t]
-            for a in range(0, rows, step):
-                blk = slice(a, a + step)
-                g_x_eff[m, blk] = np.partition(g_x[blk], n - 1 - t, axis=1)[:, n - 1 - t]
+            for a, b in row_blocks(rows, n):
+                g_x_eff[m, a:b] = np.partition(g_x[a:b], n - 1 - t, axis=1)[:, n - 1 - t]
         elif mode == AVERAGE:
             g_d_eff[m], g_x_eff[m] = g_d.mean(axis=1)[vue], g_x.mean(axis=1)
         else:
@@ -369,8 +367,8 @@ def initial_feasible(
     fits_cap = q <= p_max_d
     tau_smp = np.where(fits_cap, p_max_c, -np.inf)
     short = live[~fits_cap[live]]
-    for a in range(0, short.size, step):
-        i = short[a:a + step]
+    for a, b in row_blocks(short.size, n):
+        i = short[a:b]
         tau_smp[i] = fit_thresholds(g_x[i], g_d_floor[vue[i]], k, *limits)
     # tau = min(tau_eff, tau_smp), with tau_eff searched only where eff
     # does not fit at tau_smp
@@ -410,6 +408,10 @@ def initial_feasible(
 # closed-form allocation
 # ---------------------------------------------------------------------------
 
+# frozen, so every infeasible pair can share one result
+_INFEASIBLE = SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0)
+
+
 def closed_form_power(
     anchor_c_w: float,
     anchor_d_w: float,
@@ -431,12 +433,11 @@ def closed_form_power(
     capacity.  (Branch 2 guards its CUE QoS with the ray floor: the printed
     cap-side bound cannot certify a point that sits below the CUE cap.)
     """
-    infeasible = SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0)
     # "not (x > 0 ...)": a NaN argument makes the pair infeasible
     if not (r_d > 0 and anchor_c_w > 0 and anchor_d_w > 0 and g_c > 0 and g_b >= 0
             and gamma_min_c > 0 and sigma2 > 0 and p_max_c > 0 and p_max_d > 0
             and bandwidth_hz > 0):
-        return infeasible
+        return _INFEASIBLE
     ac, ad = anchor_c_w, anchor_d_w
     # bounds of the scale z: the CUE QoS floor along the anchor ray (+inf when
     # a nonpositive denominator means the ray never meets the CUE QoS line),
@@ -458,7 +459,7 @@ def closed_form_power(
     if lambda_c <= delta <= min(omega, lambda_d):
         candidates.append((3, delta, p_max_c, sigma2 * ad / r_d))
     if not candidates:
-        return infeasible
+        return _INFEASIBLE
 
     best = None
     for branch, z, p_c, p_d in candidates:

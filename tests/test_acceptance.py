@@ -56,8 +56,7 @@ def default_mc():
             per_drop[name]["tests"] += stats.pair_outage.size * cfg.test_count
             per_drop[name]["pairs"] += [
                 (d, j, s, stats.matrix.p_c_w[j, s], stats.matrix.p_d_w[j, s])
-                for j, s in enumerate(stats.assignment.column_of_row)
-                if not stats.matrix.is_virtual(s) and stats.matrix.capacity[j, s] > 0.0]
+                for j, s in stats.assignment.real_pairs() if stats.matrix.capacity[j, s] > 0.0]
     return cfg, per_drop
 
 
@@ -203,8 +202,8 @@ def sampling_model_pairs():
                                         SAMPLING_DRAWS, rng).reshape(num_j, num_s, SAMPLING_DRAWS)
         for name, found in pairs.items():
             stats = result.methods[name]
-            for j, s in enumerate(stats.assignment.column_of_row):
-                if stats.matrix.is_virtual(s) or stats.matrix.capacity[j, s] <= 0.0:
+            for j, s in stats.assignment.real_pairs():
+                if stats.matrix.capacity[j, s] <= 0.0:
                     continue
                 p_c, p_d = stats.matrix.p_c_w[j, s], stats.matrix.p_d_w[j, s]
                 sinr = channel.sinr_vue(p_c, p_d, g_d[s], g_x[j, s], cfg.noise_power_w)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference_drop import assert_same_drop
 from v2xalloc import channel, cli, harness
 from v2xalloc.config import ConfigError, ScenarioConfig
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
@@ -17,24 +18,10 @@ def aggregate_drops(cfg, methods, drops):
             for name in methods}
 
 
-def drops_equal(a, b) -> bool:
-    if a.lam != b.lam or set(a.methods) != set(b.methods):
-        return False
-    for name in a.methods:
-        sa, sb = a.methods[name], b.methods[name]
-        if sa.sum_capacity_bps != sb.sum_capacity_bps:
-            return False
-        if not np.array_equal(sa.pair_outage, sb.pair_outage):
-            return False
-        if not np.array_equal(sa.assignment.column_of_row, sb.assignment.column_of_row):
-            return False
-    return True
-
-
 def test_run_drop_deterministic(small_cfg):
     a = run_drop(small_cfg, 3)
     b = run_drop(small_cfg, 3)
-    assert drops_equal(a, b)
+    assert_same_drop(a, b)
 
 
 def test_run_drop_streams_independent_of_order(small_cfg):
@@ -42,13 +29,14 @@ def test_run_drop_streams_independent_of_order(small_cfg):
     forward = [run_drop(small_cfg, d) for d in range(3)]
     backward = [run_drop(small_cfg, d) for d in (2, 1, 0)][::-1]
     for a, b in zip(forward, backward):
-        assert drops_equal(a, b)
+        assert_same_drop(a, b)
 
 
 def test_run_drop_seed_changes_results(small_cfg):
     a = run_drop(small_cfg, 0)
     b = run_drop(small_cfg.replace(rng_seed=small_cfg.rng_seed + 1), 0)
-    assert not drops_equal(a, b)
+    with pytest.raises(AssertionError):
+        assert_same_drop(a, b)
 
 
 def test_run_drop_method_isolation(small_cfg):
@@ -68,10 +56,7 @@ def test_method_results_do_not_depend_on_the_other_methods(small_cfg, methods):
         full = run_drop(cfg, d)
         full = harness.DropResult(full.drop_index, full.lam,
                                   {name: full.methods[name] for name in methods})
-        assert drops_equal(alone, full)
-        for name in methods:
-            assert np.array_equal(alone.methods[name].mean_vue_sinr,
-                                  full.methods[name].mean_vue_sinr, equal_nan=True)
+        assert_same_drop(alone, full)
 
 
 def test_lambda_and_k_star_are_derived_once_per_config(small_cfg, monkeypatch):
@@ -90,7 +75,7 @@ def test_lambda_and_k_star_are_derived_once_per_config(small_cfg, monkeypatch):
     monkeypatch.setattr(selflearn, "calibration_index", refuse)
     monkeypatch.setattr(channel, "doppler_coefficient", refuse)
     for d, want in enumerate(expected):
-        assert drops_equal(run_drop(cfg, d), want)
+        assert_same_drop(run_drop(cfg, d), want)
     # a copy with other fields derives its own values, each once
     calls = []
     for module, name in ((selflearn, "calibration_index"), (channel, "doppler_coefficient")):
@@ -166,6 +151,23 @@ def test_dense_drop_memory_peak(methods):
     assert peak < DENSE_PEAK_MIB[methods] * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("shape, methods", [
+    ({}, harness.ALL_METHODS),
+    ({"num_cues": 6, "num_vues": 3}, harness.ALL_METHODS),
+    ({"num_cues": 8, "num_vues": 8}, ("opt", "brra", "nrra", "apra")),
+], ids=["all_methods", "6x3", "8x8_no_learning"])
+def test_drop_is_the_same_at_any_block_size(small_cfg, monkeypatch, shape, methods):
+    """Blocks of 7, 64 and 4,099 floats split the sampler, the sample skip,
+    the anchor passes and the held-out draw at other rows than the default
+    does; every field of every method must stay as it is."""
+    cfg = small_cfg.replace(**shape)
+    expected = [run_drop(cfg, d, methods) for d in range(2)]
+    for block in (7, 64, 4099):
+        monkeypatch.setattr(channel, "DRAW_CHUNK", block)
+        for d, drop in enumerate(expected):
+            assert_same_drop(run_drop(cfg, d, methods), drop, (block, d))
+
+
 def test_virtual_columns_used_when_more_cues(small_cfg):
     cfg = small_cfg.replace(num_cues=5, num_vues=2)
     result = run_drop(cfg, 0, methods=("opt",))
@@ -192,7 +194,7 @@ def test_matrix_entries_are_the_capacity_of_their_own_powers(small_cfg, shape):
             m = stats.matrix
             for j in range(cfg.num_cues):
                 for s in range(cfg.num_cues):
-                    if m.is_virtual(s):
+                    if s >= m.num_real:
                         expected = channel.cue_capacity_bps(
                             cfg.p_max_cue_w, 0.0, link.g_c[j], 0.0, sigma2, bw)
                     elif m.capacity[j, s] == 0.0:  # infeasible pair

@@ -140,7 +140,7 @@ def test_build_matrix_fills_virtual_columns(rng):
         for s in (1, 2):
             assert math.isclose(matrix.capacity[j, s], solo, rel_tol=1e-12)
             assert matrix.p_d_w[j, s] == 0.0 and matrix.p_c_w[j, s] == 1.0
-            assert matrix.is_virtual(s)
+            assert s >= matrix.num_real
 
 
 def test_build_matrix_all_virtual_when_no_vues():

@@ -457,9 +457,9 @@ def test_anchor_infeasible_when_uncoverable():
 
 
 def anchors_in_blocks(block, modes, *args, **kwargs):
-    """initial_feasible's anchors with its block size DRAW_CHUNK set to ``block`` floats."""
+    """initial_feasible's anchors with the block size ``channel.DRAW_CHUNK`` set to ``block``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(selflearn, "DRAW_CHUNK", block)
+        mp.setattr(channel, "DRAW_CHUNK", block)
         return initial_feasible(modes, *args, **kwargs)
 
 
