@@ -109,15 +109,17 @@ def reference_drop(cfg, drop_index: int, methods) -> dict[str, dict]:
 
     err_d = rng.standard_exponential((m, num_s))
     err_x = rng.standard_exponential((m, num_j, num_s))
+    # squared as whole arrays: numpy squares a lone float64 by pow(), which
+    # can land one ulp off the array's x * x
+    hd_sq, hx_sq = np.abs(link.h_hat_d) ** 2, np.abs(link.h_hat_cross) ** 2
     out = {}
     for name, (cap, p_c, p_d) in matrices.items():
         rows, cols = linear_sum_assignment(cap, maximize=True)
         outage, mean_sinr = [], []
         for j, s in zip(rows, cols):
             if s < num_s and cap[j, s] > 0.0:
-                g_d = link.omega_d[s] * (lam**2 * np.abs(link.h_hat_d[s]) ** 2
-                                         + (1.0 - lam**2) * err_d[:, s])
-                g_x = link.omega_cross[j, s] * (lam**2 * np.abs(link.h_hat_cross[j, s]) ** 2
+                g_d = link.omega_d[s] * (lam**2 * hd_sq[s] + (1.0 - lam**2) * err_d[:, s])
+                g_x = link.omega_cross[j, s] * (lam**2 * hx_sq[j, s]
                                                 + (1.0 - lam**2) * err_x[:, j, s])
                 sinr = p_d[j, s] * g_d / (sigma2 + p_c[j, s] * g_x)
                 outage.append(np.mean(sinr < gamma_d))
