@@ -2,11 +2,12 @@
 formulas and the per-stage references, one pair at a time.
 
 ``reference_drop`` reads the drop's stream in the order ``run_drop`` does:
-the link state, then the N learning samples by the full-array formula that
-``channel.sample_pair_gains`` documents as its contract (drawn whether or not
-a self-learning method reads them), then the M held-out error powers as one
-(M, S) and one unchunked (M, J, S) draw.  Anchors come from
-``initial_feasible_reference`` per pair and mode, the per-pair solvers from
+the link state (whose cached gains it takes as they are), then the N
+learning samples by the full-array formula that ``channel.sample_pair_gains``
+documents as its contract (drawn whether or not a self-learning method reads
+them), then the M held-out error powers as one (M, S) and one unchunked
+(M, J, S) draw.  Anchors come from ``initial_feasible_reference``
+(``reference_anchor``) per pair and mode, the per-pair solvers from
 ``reference_solvers`` (the scalar ``closed_form_power`` for ``slaa`` and
 ``slwa``, which has no older form), the virtual columns from their own
 padding and the assignment from ``scipy.optimize.linear_sum_assignment``.
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import reference_solvers as ref
-from test_anchor_equivalence import initial_feasible_reference
+from reference_anchor import initial_feasible_reference
 from v2xalloc import bernstein, channel, harness
 from v2xalloc.selflearn import closed_form_power
 
@@ -45,13 +46,10 @@ def reference_drop(cfg, drop_index: int, methods) -> dict[str, dict]:
 
     smp_d = sampled(link.h_hat_d, link.omega_d)            # (N, S)
     smp_x = sampled(link.h_hat_cross, link.omega_cross)    # (N, J, S)
-    # Python floats, as the scalar solvers take them
-    g_c = (np.abs(link.h_c) ** 2 * link.omega_c).tolist()
-    g_b = (np.abs(link.h_b) ** 2 * link.omega_b).tolist()
-    g_bar_d = (link.omega_d * (lam**2 * np.abs(link.h_hat_d) ** 2 + (1.0 - lam**2))).tolist()
-    g_bar_x = (link.omega_cross * (lam**2 * np.abs(link.h_hat_cross) ** 2
-                                   + (1.0 - lam**2))).tolist()
-    om_d, om_x, om_c, om_b = (a.tolist() for a in (
+    # the link state's cached gains, which ``tests/test_channel.py`` checks
+    # against their formulas; Python floats, as the scalar solvers take them
+    g_c, g_b, g_bar_d, g_bar_x, om_d, om_x, om_c, om_b = (a.tolist() for a in (
+        link.g_c, link.g_b, link.g_bar_d, link.g_bar_cross,
         link.omega_d, link.omega_cross, link.omega_c, link.omega_b))
 
     # self-learning calibration: each CUE-VUE pair's anchor, and one radius
@@ -109,9 +107,7 @@ def reference_drop(cfg, drop_index: int, methods) -> dict[str, dict]:
 
     err_d = rng.standard_exponential((m, num_s))
     err_x = rng.standard_exponential((m, num_j, num_s))
-    # squared as whole arrays: numpy squares a lone float64 by pow(), which
-    # can land one ulp off the array's x * x
-    hd_sq, hx_sq = np.abs(link.h_hat_d) ** 2, np.abs(link.h_hat_cross) ** 2
+    hd_sq, hx_sq = link.h_hat_d_sq, link.h_hat_cross_sq
     out = {}
     for name, (cap, p_c, p_d) in matrices.items():
         rows, cols = linear_sum_assignment(cap, maximize=True)

@@ -6,9 +6,9 @@ each (mode, pair)'s effective requirement fits and at which each pair keeps
 k samples (``selflearn.fit_thresholds``, one row search per pair), replays
 the bisection on the smaller one and skips the QoS grid that cannot succeed
 with positive noise.
-``initial_feasible_reference`` below evaluates the definition literally,
-one pair and one mode at a time.  The two must agree bit for bit, not within
-a tolerance.
+``initial_feasible_reference`` (``tests/reference_anchor.py``) evaluates
+the definition literally, one pair and one mode at a time.  The two must
+agree bit for bit, not within a tolerance.
 """
 
 import inspect
@@ -20,78 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reference_anchor import effective_gains, initial_feasible_reference
 from v2xalloc import harness, selflearn
 from v2xalloc.selflearn import AVERAGE, SETTLE_STEPS, WORST, initial_feasible
 
 TIED = (0.0, 0.25, 1.0, 2.5)   # few distinct values: ties, and g_d = 0 hits the 1e-300 floor
 MODES = (WORST, AVERAGE)
-
-
-def initial_feasible_reference(
-    mode: str,
-    sample_g_d: np.ndarray,
-    sample_g_x: np.ndarray,
-    g_c: float,
-    g_b: float,
-    gamma_min_c: float,
-    gamma_min_d: float,
-    sigma2: float,
-    p_max_c: float,
-    p_max_d: float,
-    coverage_count: int,
-    trim_count: int,
-) -> tuple[tuple[float, float] | None, str]:
-    """Self-learning anchor by direct search, plus the branch that chose it.
-
-    The contract of ``selflearn.initial_feasible`` for one mode and pair,
-    evaluated literally: the full sampled requirement is recomputed and
-    partitioned at every one of the 60 bisection midpoints and 64 QoS grid
-    points.  The branch is one of
-    ``"no_gain"``, ``"uncoverable"``, ``"zero_power"``, ``"cap"``,
-    ``"bisection"``, or either of the last two followed by ``"+grid"`` when
-    the QoS grid was searched (with ``"-none"`` appended when it found nothing).
-    """
-    n = sample_g_d.shape[0]
-    g_d_eff, g_x_eff = effective_gains(mode, sample_g_d, sample_g_x, trim_count)
-    if g_d_eff <= 0:
-        return None, "no_gain"
-
-    k = min(max(coverage_count, 1), n)
-    g_d_floor = np.maximum(sample_g_d, 1e-300)
-
-    def required_p_d(p_c: float) -> float:
-        req = gamma_min_d * (sigma2 + p_c * g_x_eff) / g_d_eff
-        sampled = gamma_min_d * (sigma2 + p_c * sample_g_x) / g_d_floor
-        return max(req, float(np.partition(sampled, k - 1)[k - 1]))
-
-    if required_p_d(p_max_c) <= p_max_d:
-        p_c, branch = p_max_c, "cap"
-    elif required_p_d(0.0) > p_max_d:
-        return None, "uncoverable"
-    else:
-        lo, hi = 0.0, p_max_c
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if required_p_d(mid) <= p_max_d:
-                lo = mid
-            else:
-                hi = mid
-        p_c, branch = lo, "bisection"
-
-    def qos_slack(p_c_w: float) -> float:
-        return p_c_w * g_c / gamma_min_c - required_p_d(p_c_w) * g_b - sigma2
-
-    if p_c <= 0:
-        return None, "zero_power"
-    if qos_slack(p_c) < 0:
-        branch += "+grid"
-        grid = np.linspace(0.0, p_c, 65)[1:]
-        feasible = [pc for pc in grid
-                    if required_p_d(pc) <= p_max_d and qos_slack(pc) >= 0]
-        if not feasible:
-            return None, branch + "-none"
-        p_c = max(feasible)
-    return (p_c, min(required_p_d(p_c), p_max_d)), branch
 
 
 def assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
@@ -230,18 +164,6 @@ def drop_cases(draw):
             g_c[j] = at_cap_qos_edge(mode, g_d[:, s], g_x[:, j, s], g_b[s], **kwargs) * (
                 1.0 + draw(offset))
     return *pair_major(g_d, g_x), g_c, g_b, kwargs
-
-
-def effective_gains(mode, sample_g_d, sample_g_x, trim_count):
-    """The (g_d, g_x) an anchor of ``mode`` plans with, as the reference forms them."""
-    n = sample_g_d.shape[0]
-    if mode == "worst":
-        t = min(max(trim_count, 0), n - 1)
-        return (float(np.partition(sample_g_d, t)[t]),
-                float(np.partition(sample_g_x, n - 1 - t)[n - 1 - t]))
-    if mode == "average":
-        return float(np.mean(sample_g_d)), float(np.mean(sample_g_x))
-    raise ValueError(f"unknown anchor mode {mode!r}")
 
 
 def at_cap_qos_edge(mode, sample_g_d, sample_g_x, g_b, gamma_min_c, gamma_min_d, sigma2,

@@ -274,6 +274,32 @@ def test_v2v_true_gain_formula(rng):
     assert math.isclose(g, 2.0 * (0.81 * 0.5 + 0.19 * 1.5), rel_tol=1e-12)
 
 
+def test_link_state_gains_follow_their_formulas(rng):
+    # each cached gain against its formula, one element at a time in Python
+    # floats; within 4 ulp, since the order of the roundings may differ
+    link = channel.build_link_state(ScenarioConfig(num_cues=5, num_vues=3), rng)
+    lam2 = link.lam**2
+
+    def power(h):
+        return h.real**2 + h.imag**2
+
+    expected = {
+        "g_c": [power(h) * om for h, om in zip(link.h_c.tolist(), link.omega_c.tolist())],
+        "g_b": [power(h) * om for h, om in zip(link.h_b.tolist(), link.omega_b.tolist())],
+        "h_hat_d_sq": [power(h) for h in link.h_hat_d.tolist()],
+        "h_hat_cross_sq": [[power(h) for h in row] for row in link.h_hat_cross.tolist()],
+        "g_bar_d": [om * (lam2 * power(h) + 1.0 - lam2)
+                    for h, om in zip(link.h_hat_d.tolist(), link.omega_d.tolist())],
+        "g_bar_cross": [[om * (lam2 * power(h) + 1.0 - lam2) for h, om in zip(hs, oms)]
+                        for hs, oms in zip(link.h_hat_cross.tolist(),
+                                           link.omega_cross.tolist())],
+    }
+    for name, want in expected.items():
+        got = getattr(link, name)
+        assert got.shape == np.shape(want), name
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
+
+
 # ---------------------------------------------------------------------------
 # SINR
 # ---------------------------------------------------------------------------

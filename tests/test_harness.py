@@ -35,8 +35,12 @@ def test_run_drop_streams_independent_of_order(small_cfg):
 def test_run_drop_seed_changes_results(small_cfg):
     a = run_drop(small_cfg, 0)
     b = run_drop(small_cfg.replace(rng_seed=small_cfg.rng_seed + 1), 0)
-    with pytest.raises(AssertionError):
-        assert_same_drop(a, b)
+    # the seed must reach a drop's outputs: some method's capacity, outages
+    # or assignment
+    assert any(sa.sum_capacity_bps != sb.sum_capacity_bps
+               or not np.array_equal(sa.pair_outage, sb.pair_outage)
+               or not np.array_equal(sa.assignment.column_of_row, sb.assignment.column_of_row)
+               for sa, sb in zip(a.methods.values(), b.methods.values()))
 
 
 def test_run_drop_method_isolation(small_cfg):
