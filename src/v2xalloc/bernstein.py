@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import cue_capacity_bps
+from .channel import cue_capacity_bps, cue_power_needed
 
 
 class MomentBounds(NamedTuple):
@@ -115,11 +115,6 @@ def bernstein_margin(p_c_w, p_d_w, params: BernsteinParams):
     return float(margin) if margin.ndim == 0 else margin
 
 
-def cue_power_floor(p_d_w: float, params: BernsteinParams) -> float:
-    """Smallest CUE power meeting the CUE QoS line at a given VUE power."""
-    return params.gamma_min_c * (params.sigma2 + p_d_w * params.g_b) / params.g_c
-
-
 def _inner_terms(params: BernsteinParams) -> tuple[float, ...]:
     """Constants of the inner step for one pair, in the order that
     ``_inner_cue_power`` unpacks them: the VUE gain term g_bar_d + mu-*g_hat_d,
@@ -145,7 +140,7 @@ def _inner_cue_power(p_d_w, terms):
     vue_root = (base - prot * p_d_w * g_hat_d / gd) / slope
     if vue_root < upper:
         upper = vue_root
-    floor = gamma_c * (sigma2 + p_d_w * g_b) / g_c   # cue_power_floor
+    floor = cue_power_needed(p_d_w, g_b, g_c, gamma_c, sigma2)
     if upper < (0.0 if 0.0 > floor else floor):
         return None
     return upper
@@ -175,7 +170,8 @@ class BisectionResult:
 
 def _finalize(p_c_w: float, p_d_w: float, params: BernsteinParams, iterations: int) -> BisectionResult:
     p_c_w = min(p_c_w, params.p_max_c)
-    if p_c_w < cue_power_floor(p_d_w, params) - 1e-15:
+    if p_c_w < cue_power_needed(p_d_w, params.g_b, params.g_c, params.gamma_min_c,
+                                params.sigma2) - 1e-15:
         return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
     cap = cue_capacity_bps(p_c_w, p_d_w, params.g_c, params.g_b, params.sigma2,
                            params.bandwidth_hz)

@@ -414,12 +414,16 @@ def cue_capacity_bps(
     return bandwidth_hz * math.log2(1.0 + p_c_w * g_c / (noise_w + p_d_w * g_b))
 
 
-# The per-pair QoS rules of the corner and the anchor search, on floats or
-# arrays in one operation order, so that both round alike.
+# Per-pair QoS rules of the solvers and the anchor search; floats and arrays round alike.
 def vue_power_needed(p_c, g_x, g_d, gamma_min_d, sigma2):
     """VUE power meeting Gamma_d under CUE power p_c; inf or NaN, which fits
     no cap, where g_d is zero or NaN."""
     return gamma_min_d * (sigma2 + p_c * g_x) / g_d
+
+
+def cue_power_needed(p_d, g_b, g_c, gamma_min_c, sigma2):
+    """CUE power meeting Gamma_c under VUE power p_d."""
+    return gamma_min_c * (sigma2 + p_d * g_b) / g_c
 
 
 def cue_power_at_vue_cap(p_max_d, g_d, g_x, gamma_min_d, sigma2):

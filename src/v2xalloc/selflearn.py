@@ -280,7 +280,7 @@ def initial_feasible(
     cap P allows, else the largest CUE power a 60-step bisection finds
     within P, and none if that corner breaks the CUE QoS slack
     ``cue_qos_margin - sigma^2 >= 0``.  The definition
-    (``initial_feasible_reference`` in ``tests/test_anchor_equivalence.py``)
+    (``initial_feasible_reference`` in ``tests/reference_anchor.py``)
     then tries a 64-point grid below the corner, in vain while sigma^2 > 0:
     each slack is affine in p and at most -sigma^2 at p = 0, which rounding
     could undo only past a CUE SNR of some 130 dB.  So ``sigma2 <= 0`` is

@@ -107,7 +107,7 @@ def check_calibration_coverage(rng: np.random.Generator) -> tuple[bool, str]:
     )
     freq = hits / repeats
     se = np.sqrt((1 - varsigma) * varsigma / repeats)
-    ok = freq >= (1 - varsigma) - 3 * se
+    ok = bool(freq >= (1 - varsigma) - 3 * se)
     return ok, f"coverage confidence {freq:.3f} vs target {1 - varsigma} (-3se)"
 
 

@@ -49,6 +49,14 @@ def test_params_reject_nan_in_every_checked_field(field):
             make_params(**zero)
 
 
+@pytest.mark.parametrize("field", ["g_hat_d", "g_hat_cross"])
+def test_params_reject_a_half_width_above_its_nominal_gain(field):
+    gain = make_params().g_bar_d if field == "g_hat_d" else make_params().g_bar_cross
+    make_params(**{field: gain})
+    with pytest.raises(ValueError, match="g_bar >= g_hat"):
+        make_params(**{field: math.nextafter(gain, math.inf)})
+
+
 # ---------------------------------------------------------------------------
 # margin
 # ---------------------------------------------------------------------------

@@ -164,6 +164,11 @@ def test_doppler_coefficient_rejects_nonpositive_lambda():
         channel.doppler_coefficient(413.9, 2.0e9, 0.5e-3)
 
 
+def test_doppler_coefficient_rejects_a_negative_speed():
+    with pytest.raises(ValueError, match="speed_kmh >= 0"):
+        channel.doppler_coefficient(-1.0, 2.0e9, 0.5e-3)
+
+
 def test_doppler_monotone_decreasing_below_first_zero():
     speeds = np.linspace(1.0, 400.0, 41)  # argument stays below the first zero
     lams = [channel.doppler_coefficient(float(v), 2.0e9, 0.5e-3) for v in speeds]
@@ -349,6 +354,13 @@ def test_link_state_rejects_a_gain_that_is_not_finite_and_positive(rng, omega):
             dataclasses.replace(link, **{name: bad})
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, -0.2, 1.5, math.nan])
+def test_link_state_rejects_lambda_outside_the_open_unit_interval(rng, lam):
+    link = channel.build_link_state(ScenarioConfig(num_cues=2, num_vues=2), rng)
+    with pytest.raises(ValueError, match="lam must lie in"):
+        dataclasses.replace(link, lam=lam)
+
+
 def test_held_out_error_powers_shapes_and_mean(rng):
     cfg = ScenarioConfig()
     link = channel.build_link_state(cfg, rng)
@@ -448,6 +460,7 @@ POWERS = st.floats(0.0, 10.0)
 LEVELS = st.floats(1e-3, 1e2)   # SINR thresholds and noise power
 RULE_ARGS = {
     "vue_power_needed": (POWERS, GAINS, GAINS, LEVELS, LEVELS),
+    "cue_power_needed": (POWERS, GAINS, GAINS, LEVELS, LEVELS),
     "cue_power_at_vue_cap": (POWERS, GAINS, GAINS, LEVELS, LEVELS),
     "cue_qos_margin": (POWERS, POWERS, GAINS, GAINS, LEVELS),
 }

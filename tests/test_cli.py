@@ -1,10 +1,13 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from v2xalloc import harness
 from v2xalloc.cli import MAX_GRID_POINTS, _parse_grid, main
-from v2xalloc.config import MAX_SAMPLE_COUNT, ConfigError
+from v2xalloc.config import MAX_SAMPLE_COUNT, ConfigError, ScenarioConfig
 
 FAST = [
     "--set", "sample_count=300", "--set", "test_count=400",
@@ -21,6 +24,35 @@ def test_validate_prints_one_pass_line_per_check(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
         f"[PASS] {name}" for name, _ in validate.CHECKS]
+
+
+def test_validate_reports_each_kind_of_failure_and_exits_1(monkeypatch, capsys):
+    """A solver that disagrees with its oracle on feasibility, one that beats
+    the optimum and an assignment that misses the brute-force total each
+    fail their check; the run then returns False and the command exits 1."""
+    from v2xalloc import validate
+
+    def infeasible_corner(**inst):
+        return SimpleNamespace(feasible=False, capacity_bps=0.0)
+
+    def inflated_bisection(params, xi_w):
+        return dataclasses.replace(bisection(params, xi_w), feasible=True, capacity_bps=1e300)
+
+    def reversed_assignment(weights):
+        return np.arange(weights.shape[0])[::-1]
+
+    bisection = validate.bernstein.bisection_power_allocation
+    monkeypatch.setattr(validate.baselines, "solve_corner", infeasible_corner)
+    monkeypatch.setattr(validate.bernstein, "bisection_power_allocation", inflated_bisection)
+    monkeypatch.setattr(validate.matching, "hungarian_max_weight", reversed_assignment)
+    assert validate.run_validation(seed=0) is False
+    failed = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")}
+    assert "feasibility disagreement" in failed["[FAIL] corner-vertex"]
+    assert "above the optimum" in failed["[FAIL] bisection-vertex"]
+    assert "!= brute force" in failed["[FAIL] matching-bruteforce"]
+    assert len(failed) == 3
+    assert main(["validate"]) == 1
 
 
 def test_oracle_command_is_gone():
@@ -105,20 +137,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("no_such_key: 1\n")
     unparsable = tmp_path / "unparsable.yaml"
     unparsable.write_text("num_cues: [4\n")
+    flat = tmp_path / "flat.yaml"
+    flat.write_text("- num_cues\n- 4\n")
     sweep_out = ["--out", str(tmp_path / "x.csv")]
     for argv in (
         ["run", "--config", str(bad)],
         ["run", "--set", "outage_prob=2.0"],
         ["sweep", "--param", "speed", "--grid", "nope", *sweep_out],
         ["sweep", "--param", "speed", "--grid", "80,40,60", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "0:-1:10", *sweep_out],
+        ["sweep", "--param", "speed", "--grid", "10:1:0", *sweep_out],
         ["run", "--config", str(tmp_path / "missing.yaml")],
         ["run", "--config", str(unparsable)],
         ["run", "--config", str(tmp_path)],
+        ["run", "--config", str(flat)],   # top level not a mapping
         ["run", "--methods", "opt,bogus", *FAST],
         ["run", "--set", "num_cues=abc"],
         ["run", "--set", "num_cues=4.5"],
         ["run", "--set", "sinr_min_cue=abc"],
         ["run", "--set", "gnb_road_distance_m=a,b"],
+        ["run", "--set", "gnb_road_distance_m=1,2,3"],
         ["run", "--drops", "0"],
         ["run", "--drops", "-3"],
         ["sweep", "--param", "speed", "--grid", "80", "--drops", "0", *sweep_out],
@@ -143,7 +181,18 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv
     # no rejected command wrote a file
-    assert {f.name for f in tmp_path.iterdir()} == {"bad.yaml", "unparsable.yaml"}
+    assert {f.name for f in tmp_path.iterdir()} == {"bad.yaml", "unparsable.yaml", "flat.yaml"}
+
+
+def test_empty_config_file_runs_the_defaults_with_a_bool_override(tmp_path):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(empty), "--set", "vue_pair_jitter=true", "--drops", "1",
+                 "--methods", "opt", "--out", str(out), *FAST]) == 0
+    logged = json.loads(out.with_suffix(out.suffix + ".config.json").read_text())
+    assert logged["vue_pair_jitter"] is True
+    assert logged["vehicle_speed_kmh"] == ScenarioConfig().vehicle_speed_kmh
 
 
 def test_shadowing_spread_beyond_the_bound_exits_2(tmp_path, capsys):

@@ -263,6 +263,20 @@ def test_example_config_is_the_default_scenario():
     assert load_config(path) == ScenarioConfig()
 
 
+def test_empty_file_loads_the_defaults(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("# nothing set\n")
+    assert load_config(path) == ScenarioConfig()
+
+
+@pytest.mark.parametrize("text", ["- num_cues\n- 4\n", "4\n", "num_cues\n"])
+def test_load_rejects_a_top_level_that_is_not_a_mapping(tmp_path, text):
+    path = tmp_path / "flat.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="top level must be a mapping"):
+        load_config(path)
+
+
 def test_load_rejects_unknown_yaml_key(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("speed_kmh: 80\n")
@@ -284,6 +298,21 @@ def test_override_syntax_checked():
         apply_overrides(ScenarioConfig(), ["vehicle_speed_kmh"])
     with pytest.raises(ConfigError):
         apply_overrides(ScenarioConfig(), ["no_such_field=1"])
+
+
+def test_pair_override_needs_exactly_two_numbers():
+    for text in ("1,2,3", "1", "1 2 3"):
+        with pytest.raises(ConfigError, match="gnb_road_distance_m: expects two numbers"):
+            apply_overrides(ScenarioConfig(), [f"gnb_road_distance_m={text}"])
+    assert apply_overrides(ScenarioConfig(), ["gnb_road_distance_m=120 180"]
+                           ).gnb_road_distance_m == (120.0, 180.0)
+
+
+@pytest.mark.parametrize("text,value", [("true", True), ("True", True), ("1", True),
+                                        ("false", False), ("FALSE", False), ("0", False)])
+def test_bool_override_reads_true_and_false_words(text, value):
+    cfg = apply_overrides(ScenarioConfig(vue_pair_jitter=not value), [f"vue_pair_jitter={text}"])
+    assert cfg.vue_pair_jitter is value
 
 
 def test_to_json_contains_all_fields():
