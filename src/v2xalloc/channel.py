@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import PAIR_SPACING_JITTER, ScenarioConfig
 
 SPEED_OF_LIGHT_M_S = 3.0e8
 J0_DOMAIN_MAX = 50.0
@@ -170,7 +170,7 @@ def generate_geometry(cfg: ScenarioConfig, rng: np.random.Generator) -> DropGeom
     tx_x = rng.uniform(-x_span, x_span, size=s)
     spacing = np.full(s, cfg.vue_pair_distance_m)
     if cfg.vue_pair_jitter:
-        spacing = spacing * rng.uniform(0.8, 1.2, size=s)
+        spacing = spacing * rng.uniform(*PAIR_SPACING_JITTER, size=s)
     rx_x = tx_x + spacing * rng.choice([-1.0, 1.0], size=s)
 
     floor = cfg.min_link_distance_m

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from .config import ConfigError, ScenarioConfig, apply_overrides, checked, load_config
 
 MAX_GRID_POINTS = 10_000   # a START:STEP:END grid asking for more is rejected
 
@@ -97,8 +97,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             start, step, end = values
     except ValueError:
         raise ConfigError(f"--grid expects START:STEP:END or V1,V2,..., got {text!r}")
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"--grid values must be finite, got {text!r}")
+    for value in values:
+        checked("float", "--grid value", value)
     if not ranged:
         return values
     if step <= 0 or end < start:

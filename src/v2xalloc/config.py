@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
@@ -37,10 +37,43 @@ MAX_LARGE_SCALE_LOSS_DB = 3000.0
 # bound.  Both are checked when the config is built, before k* is computed, so
 # an oversized count fails at load rather than after a drop's solves.
 MAX_SAMPLE_COUNT = 10**7
+# The bounds of the uniform factor ``vue_pair_jitter`` draws for each pair spacing.
+PAIR_SPACING_JITTER = (0.8, 1.2)
+
+# The field kinds, each a ScenarioConfig field type, and what a value of each must be.
+PAIR = "tuple[float, float]"
+KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "a string",
+         PAIR: "a pair of numbers"}
 
 
 def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0) / 1000.0
+
+
+def checked(kind: str, name: str, value: Any) -> Any:
+    """``value`` as the Python type of field kind ``kind`` (a key of ``KINDS``), or
+    a ConfigError that names the field ``name``.  A bool is no number, a float no
+    integer and a number finite; a numpy scalar comes back as a Python one."""
+    def number(v: Any) -> bool:
+        return isinstance(v, Real) and not isinstance(v, bool)
+
+    if kind == "int" and number(value) and isinstance(value, Integral):
+        return int(value)
+    if kind == "float" and number(value):
+        try:
+            value = float(value)
+        except OverflowError:   # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return value
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind == "str" and isinstance(value, str):
+        return str(value)
+    if kind == PAIR and isinstance(value, tuple) and len(value) == 2 and all(map(number, value)):
+        return tuple(checked("float", name, v) for v in value)
+    raise ConfigError(f"{name} must be {KINDS[kind]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,24 +120,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            # a bool would log as true, and a string, None or a triple crash later
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-            if f.type == "tuple[float, float]" and not (
-                    isinstance(value, tuple) and len(value) == 2
-                    and not any(isinstance(x, bool) or not isinstance(x, Real) for x in value)):
-                raise ConfigError(f"{f.name} must be a pair of numbers, got {value!r}")
-            # a float or bool count would fail mid-run, or index by a float
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a boolean, got {value!r}")
-            # kept as the declared Python type: a numpy scalar would not log as JSON
-            if f.type in ("int", "float", "tuple[float, float]"):
-                object.__setattr__(self, f.name, _coerce_to(f.type, value))
+            object.__setattr__(self, f.name, checked(f.type, f.name, getattr(self, f.name)))
         lo, hi = self.gnb_road_distance_m
         checks = [
             (self.num_cues >= 1, "num_cues must be >= 1"),
@@ -153,7 +169,8 @@ class ScenarioConfig:
         and at a bound on the longest link: every vehicle is within ``reach`` of
         the gNB (the far road edge, the lane offset and the largest jittered
         pair spacing), so no link is longer than twice that."""
-        reach = self.gnb_road_distance_m[1] + self.lane_offset_m + 1.2 * self.vue_pair_distance_m
+        top = PAIR_SPACING_JITTER[1]
+        reach = self.gnb_road_distance_m[1] + self.lane_offset_m + top * self.vue_pair_distance_m
         floor = self.min_link_distance_m
         for dist_m in (floor, max(2.0 * reach, floor)):
             loss_db = (self.pathloss_constant_db
@@ -246,49 +263,33 @@ class ScenarioConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# How text in a file or a ``--set`` override reads as each field kind
+_FROM_TEXT = {"int": lambda t: int(t, 0), "float": float,
+              "bool": lambda t: {"true": True, "1": True, "false": False, "0": False}[t.lower()]}
 
 
 def _coerce(name: str, raw: Any) -> Any:
-    """Coerce a raw YAML / command-line value to the declared field type."""
     if name not in _FIELD_TYPES:
         raise ConfigError(f"unknown configuration key: {name!r}")
+    return _parsed(_FIELD_TYPES[name], raw)
+
+
+def _parsed(kind: str, raw: Any) -> Any:
+    """``raw``, a YAML or ``--set`` value of a ``kind`` field, as a Python value
+    for ScenarioConfig to check: text read as ``kind`` where it reads so, and a
+    list (or a pair's text split at commas or spaces) as a tuple of items read as numbers."""
+    if isinstance(raw, str) and kind == PAIR:
+        raw = raw.replace(",", " ").split()
+    if isinstance(raw, list):
+        return tuple(_parsed("float", x) for x in raw)
     try:
-        return _coerce_to(_FIELD_TYPES[name], raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
-def _coerce_to(ftype: str, raw: Any) -> Any:
-    if ftype == "int":
-        if isinstance(raw, bool) or (isinstance(raw, float) and raw != int(raw)):
-            raise ValueError(f"expects an integer, got {raw!r}")
-        if isinstance(raw, str):
-            raw = int(raw, 0)
-        return int(raw)
-    if ftype == "float":
-        if isinstance(raw, bool):
-            raise ValueError(f"expects a number, got {raw!r}")
-        return float(raw)
-    if ftype == "bool":
-        if isinstance(raw, bool):
-            return raw
-        if isinstance(raw, str) and raw.lower() in ("true", "false", "1", "0"):
-            return raw.lower() in ("true", "1")
-        raise ValueError(f"expects a boolean, got {raw!r}")
-    if ftype == "str":
-        return str(raw)
-    if ftype.startswith("tuple"):
-        if isinstance(raw, str):
-            raw = [p for p in raw.replace(",", " ").split() if p]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ValueError(f"expects two numbers, got {raw!r}")
-        return (_coerce_to("float", raw[0]), _coerce_to("float", raw[1]))
-    raise ValueError(f"unsupported field type {ftype}")
+        return _FROM_TEXT[kind](raw) if isinstance(raw, str) else raw
+    except (KeyError, ValueError):   # a string field, or text that does not read so
+        return raw
 
 
 def config_from_mapping(mapping: dict[str, Any]) -> ScenarioConfig:
-    kwargs = {name: _coerce(name, value) for name, value in mapping.items()}
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{name: _coerce(name, value) for name, value in mapping.items()})
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -297,7 +298,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     try:
         data = yaml.safe_load(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+    # ValueError: PyYAML's int() of a number past Python's 4,300-digit limit
+    except (OSError, UnicodeDecodeError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if data is None:
         data = {}

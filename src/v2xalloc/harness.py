@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import baselines, bernstein, channel, selflearn
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, checked
 from .matching import CapacityMatrix, ReuseAssignment, build_capacity_matrix, hungarian_max_weight
 
 # glibc gives the free top of its heap back to the kernel once it passes a
@@ -327,17 +326,19 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.param not in SWEEP_PARAMS:
             raise ConfigError(f"unknown sweep param {self.param!r}, not in {sorted(SWEEP_PARAMS)}")
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in self.grid):
-            raise ConfigError(f"grid values must be numbers, got {self.grid!r}")
         # Python floats, which the summary CSV writes as it writes the CLI's grid
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        try:
+            grid = tuple(checked("float", "grid value", v) for v in self.grid)
+        except TypeError:   # a single value, not a sequence
+            raise ConfigError(f"grid must be a sequence of numbers, got {self.grid!r}") from None
+        object.__setattr__(self, "grid", grid)
         if len(self.grid) == 0:
             raise ConfigError("grid must be nonempty")
         diffs = np.diff(self.grid)
         if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
             raise ConfigError("grid must be monotone")
-        if isinstance(self.drops, bool) or not isinstance(self.drops, Integral) or self.drops < 1:
-            raise ConfigError(f"drops must be an integer >= 1, got {self.drops!r}")
+        if checked("int", "drops", self.drops) < 1:
+            raise ConfigError(f"drops must be >= 1, got {self.drops!r}")
         check_methods(self.methods)
 
     def point_configs(self, cfg: ScenarioConfig) -> list[ScenarioConfig]:

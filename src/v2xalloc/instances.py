@@ -17,14 +17,10 @@ def _logu(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(10.0 ** rng.uniform(lo, hi))
 
 
-def random_bernstein_params(
-    rng: np.random.Generator,
-    family: str | None = None,
-    beta: float = 0.05,
-) -> BernsteinParams:
+def random_bernstein_params(rng: np.random.Generator, beta: float = 0.05) -> BernsteinParams:
     g_bar_d = _logu(rng, -0.5, 0.5)
     g_bar_x = g_bar_d * _logu(rng, -1.8, -0.4)
-    name = family or tuple(FAMILIES)[rng.integers(0, 3)]
+    name = tuple(FAMILIES)[rng.integers(0, 3)]
     return BernsteinParams(
         g_bar_d=g_bar_d,
         g_bar_cross=g_bar_x,

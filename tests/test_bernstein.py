@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -287,7 +288,7 @@ def test_soundness_violation_rate_within_budget(rng, family, sampler):
     n = 20_000
     checked = 0
     while checked < 5:
-        params = random_bernstein_params(rng, family=family)
+        params = dataclasses.replace(random_bernstein_params(rng), family=FAMILIES[family])
         p_d = float(rng.uniform(0.2, 1.0))
         p_c = solve_inner_cue_power(p_d, params)
         if p_c is None:

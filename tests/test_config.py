@@ -161,10 +161,49 @@ def test_pair_field_rejects_anything_but_a_pair_of_numbers(value):
 
 def test_a_bool_in_a_config_file_pair_is_rejected():
     # [true, 200] used to load as (1.0, 200.0)
-    with pytest.raises(ConfigError, match="gnb_road_distance_m: expects a number, got True"):
+    with pytest.raises(ConfigError,
+                       match=r"gnb_road_distance_m must be a pair of numbers, got \(True, 200\)"):
         config_from_mapping({"gnb_road_distance_m": [True, 200]})
     assert config_from_mapping({"gnb_road_distance_m": [120, "180"]}).gnb_road_distance_m == (
         120.0, 180.0)
+
+
+# Each text as a YAML file value, as a --set override and as the Python value
+# YAML reads from it.  A file used to load sample_count: 300.0 as 300, and the
+# Python API raised OverflowError on 10**400 where a file gave a ConfigError.
+@pytest.mark.parametrize("field,text,message", [
+    ("sample_count", "300.0", "sample_count must be an integer"),
+    ("carrier_frequency_hz", str(10**400), "carrier_frequency_hz must be finite"),
+    ("gnb_road_distance_m", "[100, 150, 200]", "gnb_road_distance_m must be a pair of numbers"),
+], ids=["integral-float", "int-beyond-float", "three-numbers"])
+@pytest.mark.parametrize("source", ["file", "set", "python"])
+def test_every_source_applies_the_same_value_rule(tmp_path, source, field, text, message):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"{field}: {text}\n")
+    build = {
+        "file": lambda: load_config(path),
+        "set": lambda: apply_overrides(ScenarioConfig(), [f"{field}={text}"]),
+        "python": lambda: ScenarioConfig(**{field: yaml.safe_load(text)}),
+    }[source]
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_an_int_beyond_the_float_range_is_not_finite():
+    # both used to raise OverflowError
+    with pytest.raises(ConfigError, match="carrier_frequency_hz must be finite, got inf"):
+        ScenarioConfig(carrier_frequency_hz=10**400)
+    with pytest.raises(ConfigError, match="gnb_road_distance_m must be finite, got inf"):
+        ScenarioConfig(gnb_road_distance_m=(100.0, 10**400))
+
+
+# a list used to raise TypeError (unhashable), and a file value went through str()
+@pytest.mark.parametrize("value", [["bounded"], 3, None])
+def test_a_family_that_is_not_a_string_is_rejected(value):
+    with pytest.raises(ConfigError, match="bernstein_family must be a string"):
+        ScenarioConfig(bernstein_family=value)
+    with pytest.raises(ConfigError, match="bernstein_family must be a string"):
+        config_from_mapping({"bernstein_family": value})
 
 
 def test_ints_and_numpy_floats_stay_accepted_in_float_fields():
@@ -269,6 +308,14 @@ def test_empty_file_loads_the_defaults(tmp_path):
     assert load_config(path) == ScenarioConfig()
 
 
+def test_a_yaml_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    # PyYAML's int() used to raise ValueError out of load_config: exit 1 with a traceback
+    path = tmp_path / "big.yaml"
+    path.write_text("num_cues: " + "1" * 5000 + "\n")
+    with pytest.raises(ConfigError, match="big.yaml"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("text", ["- num_cues\n- 4\n", "4\n", "num_cues\n"])
 def test_load_rejects_a_top_level_that_is_not_a_mapping(tmp_path, text):
     path = tmp_path / "flat.yaml"
@@ -302,7 +349,7 @@ def test_override_syntax_checked():
 
 def test_pair_override_needs_exactly_two_numbers():
     for text in ("1,2,3", "1", "1 2 3"):
-        with pytest.raises(ConfigError, match="gnb_road_distance_m: expects two numbers"):
+        with pytest.raises(ConfigError, match="gnb_road_distance_m must be a pair of numbers"):
             apply_overrides(ScenarioConfig(), [f"gnb_road_distance_m={text}"])
     assert apply_overrides(ScenarioConfig(), ["gnb_road_distance_m=120 180"]
                            ).gnb_road_distance_m == (120.0, 180.0)

@@ -273,6 +273,13 @@ def test_sweep_spec_validation():
     assert spec.grid == (80.0, 100.0) and all(type(v) is float for v in spec.grid)
 
 
+# a single number used to raise TypeError
+@pytest.mark.parametrize("grid", [80.0, 80, None])
+def test_sweep_spec_rejects_a_grid_that_is_not_a_sequence(grid):
+    with pytest.raises(ConfigError, match="grid must be a sequence of numbers"):
+        SweepSpec(param="speed", grid=grid, drops=1)
+
+
 def test_single_point_sweep_equals_standalone_drops(small_cfg):
     methods = ("opt", "nrra")
     spec = SweepSpec(param="speed", grid=(80.0,), drops=3, methods=methods)
