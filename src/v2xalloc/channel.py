@@ -20,17 +20,17 @@ so |e|^2 is a unit-mean exponential draw.  The conditional mean of g given the
 estimate is omega * (lambda^2 * |h_hat|^2 + (1 - lambda^2)), which the robust
 allocators use as the nominal gain.
 
-A drop's random stream is consumed in a fixed order whatever methods run: the
-link state, then the N learning samples (amplitude-composed, read only by the
-self-learning allocators), then the M held-out error powers.  Solving and the
-assignment read no random numbers, so the held-out powers are drawn after
-them.  Draws that no enabled method reads are not formed: ``discard_fading``
-advances the stream past the samples when no self-learning allocator runs, and
-``error_power_columns`` keeps the held-out crosstalk powers of the scored
-pairs only.  Large draws run in ``row_blocks`` of whole rows (samples,
-realizations) of about DRAW_CHUNK floats: the samples go straight into one
-pair-major array (``sample_pair_gains``).  The values that are formed are the
-same bit for bit at any block size.
+A drop's random stream is consumed in a fixed order whatever methods run, one
+function per stage: ``build_link_state`` draws the link state; then
+``learning_samples`` draws the N learning samples (amplitude-composed, read
+only by the self-learning allocators), or ``skip_learning_samples`` moves the
+stream past them when no method reads them; then ``held_out_errors`` draws the
+M held-out error powers and keeps the crosstalk columns of the scored pairs
+only.  Solving and the assignment read no random numbers, so the held-out
+powers are drawn after them.  Large draws run in ``row_blocks`` of whole rows
+(samples, realizations) of about DRAW_CHUNK floats: the samples go straight
+into one pair-major array (``sample_pair_gains``).  The values that are formed
+are the same bit for bit at any block size.
 """
 
 from __future__ import annotations
@@ -230,17 +230,6 @@ def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def discard_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> None:
-    """Advance ``rng`` exactly as ``rayleigh_fading(rng, size)`` would, without
-    keeping the draws.
-
-    ``rayleigh_fading`` scales two blocks of standard normals, so the same
-    count of standard normals is drawn here, in ``row_blocks`` of one float.
-    """
-    for a, b in row_blocks(2 * int(np.prod(size)), 1):
-        rng.standard_normal(b - a)
-
-
 def sample_true_channel(
     h_hat: np.ndarray, lam: float, rng: np.random.Generator, re: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -289,19 +278,6 @@ def sample_pair_gains(
 def error_power(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """|e|^2 draws for e ~ CN(0,1): unit-mean exponential."""
     return rng.standard_exponential(size)
-
-
-def error_power_columns(
-    rng: np.random.Generator, count: int, shape: tuple[int, ...], columns,
-) -> np.ndarray:
-    """The flat ``columns`` of ``error_power(rng, (count,) + shape)`` as a
-    (count, len(columns)) array, drawn in ``row_blocks`` of whole
-    realizations: the same values, leaving the stream in the same state."""
-    width = math.prod(shape)
-    out = np.empty((count, len(columns)))
-    for a, b in row_blocks(count, width):
-        out[a:b] = error_power(rng, (b - a, width))[:, columns]
-    return out
 
 
 def v2v_true_gain(
@@ -387,6 +363,36 @@ def build_link_state(cfg: ScenarioConfig, rng: np.random.Generator) -> LinkState
         h_hat_cross=rayleigh_fading(rng, (j, s)),
         lam=cfg.lam,
     )
+
+
+def learning_samples(link: LinkState, n: int, rng: np.random.Generator):
+    """The (S, N) direct and (J, S, N) crosstalk learning samples of ``link``,
+    each ``sample_pair_gains`` of its estimates, drawn in that order."""
+    sample_d = sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
+    sample_x = sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n, rng)
+    return sample_d, sample_x.reshape(link.h_hat_cross.shape + (n,))
+
+
+def skip_learning_samples(link: LinkState, n: int, rng: np.random.Generator) -> None:
+    """Advance ``rng`` exactly as ``learning_samples(link, n, rng)`` would,
+    forming nothing: two standard normals per sampled coefficient, drawn in
+    ``row_blocks`` of one float."""
+    for a, b in row_blocks(2 * n * (link.h_hat_d.size + link.h_hat_cross.size), 1):
+        rng.standard_normal(b - a)
+
+
+def held_out_errors(link: LinkState, m: int, pairs, rng: np.random.Generator):
+    """The (M, S) direct error powers of M held-out realizations, then the
+    (M, len(pairs)) crosstalk ones of the ``(j, s)`` pairs, in their order.
+    All (M, J, S) crosstalk powers are drawn, in ``row_blocks`` of whole
+    realizations, and only the pairs' columns are kept."""
+    err_d = error_power(rng, (m, link.h_hat_d.size))
+    width = link.h_hat_cross.size
+    columns = [j * link.h_hat_d.size + s for j, s in pairs]
+    err_x = np.empty((m, len(columns)))
+    for a, b in row_blocks(m, width):
+        err_x[a:b] = error_power(rng, (b - a, width))[:, columns]
+    return err_d, err_x
 
 
 def sinr_vue(

@@ -37,6 +37,12 @@ MAX_LARGE_SCALE_LOSS_DB = 3000.0
 # bound.  Both are checked when the config is built, before k* is computed, so
 # an oversized count fails at load rather than after a drop's solves.
 MAX_SAMPLE_COUNT = 10**7
+# A drop draws N*S*(J + 1) learning-sample gains, held at once, and M*S*(J + 1)
+# held-out error powers.  Each count is bounded at the 2*10^8 (1.6 GB of floats)
+# that MAX_SAMPLE_COUNT reaches at the default J = S = 4.  The assignment runs on
+# (J, J) Python lists, 10^6 entries at MAX_NUM_CUES.
+MAX_DRAWS_PER_DROP = 2 * 10**8
+MAX_NUM_CUES = 1000
 # The bounds of the uniform factor ``vue_pair_jitter`` draws for each pair spacing.
 PAIR_SPACING_JITTER = (0.8, 1.2)
 
@@ -48,6 +54,16 @@ KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "
 
 def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0) / 1000.0
+
+
+def shown(value: Any) -> str:
+    """``repr(value)``, or where that raises, as it does for an int past Python's
+    4,300-digit limit, the value's type and, for an int, its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        bits = f" of {value.bit_length()} bits" if isinstance(value, Integral) else ""
+        return f"<{type(value).__name__}{bits}>"
 
 
 def checked(kind: str, name: str, value: Any) -> Any:
@@ -65,7 +81,7 @@ def checked(kind: str, name: str, value: Any) -> Any:
         except OverflowError:   # an int beyond the float range
             value = math.inf
         if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name} must be finite, got {shown(value)}")
         return value
     if kind == "bool" and isinstance(value, bool):
         return value
@@ -73,7 +89,7 @@ def checked(kind: str, name: str, value: Any) -> Any:
         return str(value)
     if kind == PAIR and isinstance(value, tuple) and len(value) == 2 and all(map(number, value)):
         return tuple(checked("float", name, v) for v in value)
-    raise ConfigError(f"{name} must be {KINDS[kind]}, got {value!r}")
+    raise ConfigError(f"{name} must be {KINDS[kind]}, got {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,7 @@ class ScenarioConfig:
             object.__setattr__(self, f.name, checked(f.type, f.name, getattr(self, f.name)))
         lo, hi = self.gnb_road_distance_m
         checks = [
-            (self.num_cues >= 1, "num_cues must be >= 1"),
+            (1 <= self.num_cues <= MAX_NUM_CUES, f"num_cues must lie in [1, {MAX_NUM_CUES:,}]"),
             (1 <= self.num_vues <= self.num_cues, "need 1 <= num_vues <= num_cues"),
             (0.0 < lo <= hi < math.inf, "gnb_road_distance_m must satisfy 0 < min <= max < inf"),
             (self.vehicle_speed_kmh >= 0.0, "vehicle_speed_kmh must be >= 0"),
@@ -142,6 +158,12 @@ class ScenarioConfig:
              f"sample_count must lie in [1, {MAX_SAMPLE_COUNT:,}]"),
             (1 <= self.test_count <= MAX_SAMPLE_COUNT,
              f"test_count must lie in [1, {MAX_SAMPLE_COUNT:,}]"),
+            (self.sample_count * self.num_vues * (self.num_cues + 1) <= MAX_DRAWS_PER_DROP,
+             "sample_count * num_vues * (num_cues + 1), the learning-sample gains of a drop, "
+             f"must be at most {MAX_DRAWS_PER_DROP:,}"),
+            (self.test_count * self.num_vues * (self.num_cues + 1) <= MAX_DRAWS_PER_DROP,
+             "test_count * num_vues * (num_cues + 1), the held-out error powers of a drop, "
+             f"must be at most {MAX_DRAWS_PER_DROP:,}"),
             (0.0 < self.bisection_accuracy < 1.0, "bisection_accuracy must lie in (0,1)"),
             (self.deviation_box_scale > 0.0, "deviation_box_scale must be > 0"),
             (self.lane_offset_m >= 0.0, "lane_offset_m must be >= 0"),

@@ -3,10 +3,12 @@
 One drop = one geometry + shadowing + fading realization.  Every enabled
 allocator produces a spectrum-reuse assignment with powers; each matched pair
 is then scored on a shared set of M fresh vehicle-side channel realizations
-(outage = fraction of realizations whose VUE SINR falls below the threshold),
-drawn after the assignment.
+(outage = fraction of realizations whose VUE SINR falls below the threshold).
 Drops use RNG streams derived from (seed, drop_index), so results do not
-depend on execution order.
+depend on execution order.  A drop reads its stream only through ``channel``'s
+stage functions, ``build_link_state``, ``learning_samples`` (or
+``skip_learning_samples``) and ``held_out_errors``, whose order ``channel``
+states.
 
 Per method, ``run_drop`` solves every candidate (CUE j, VUE s) pair once with
 that method's per-pair solver, each rating its powers with
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, bernstein, channel, selflearn
-from .config import ConfigError, ScenarioConfig, checked
+from .config import ConfigError, ScenarioConfig, checked, shown
 from .matching import CapacityMatrix, ReuseAssignment, build_capacity_matrix, hungarian_max_weight
 
 # glibc gives the free top of its heap back to the kernel once it passes a
@@ -209,19 +211,15 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
 
 def _evaluate(cfg, link, solved, rng) -> dict[str, MethodDropStats]:
     """Score the transmitting matched pairs of every method in ``solved``
-    (name -> matrix, assignment) on M held-out draws from ``rng``: the (M, S)
-    direct error powers, then the (M, J, S) crosstalk ones in row blocks over M,
-    of which only the scored pairs' columns are kept.  Each pair's gains are
-    formed once, for all methods that score it, and dropped before the next
-    pair's."""
+    (name -> matrix, assignment) on the M ``channel.held_out_errors`` of
+    ``rng``.  Each pair's gains are formed once, for all methods that score
+    it, and dropped before the next pair's."""
     scorers = {}
     for name, (matrix, assignment) in solved.items():
         for j, s in assignment.real_pairs():
             if matrix.capacity[j, s] > 0.0:
                 scorers.setdefault((j, s), []).append(name)
-    err_d = channel.error_power(rng, (cfg.test_count, cfg.num_vues))
-    err_x = channel.error_power_columns(rng, cfg.test_count, link.omega_cross.shape,
-                                        [j * cfg.num_vues + s for j, s in scorers])
+    err_d, err_x = channel.held_out_errors(link, cfg.test_count, list(scorers), rng)
     scored = {name: {} for name in solved}   # row -> (outage, mean SINR)
     m = cfg.test_count
     for col, ((j, s), names) in enumerate(scorers.items()):
@@ -272,20 +270,13 @@ def run_drop(
     check_methods(methods)
     rng = drop_rng(cfg.rng_seed, drop_index)
     link = channel.build_link_state(cfg, rng)
-    j, s = cfg.num_cues, cfg.num_vues
-    n = cfg.sample_count
-
     modes = tuple(mode for name, mode in SELF_LEARNING_MODES.items() if name in methods)
     if modes:
-        # learning samples: amplitude-composed around the block estimate, so
-        # the sampled gains carry the full estimate-error interaction; pair-major
-        sample_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
-        sample_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n,
-                                             rng)
-        learned = selflearn_calibration(cfg, link, modes, sample_d, sample_x.reshape(j, s, n))
+        samples = channel.learning_samples(link, cfg.sample_count, rng)
+        learned = selflearn_calibration(cfg, link, modes, *samples)
     else:
         # no method reads the samples: skip their draws, keeping the stream
-        channel.discard_fading(rng, (n, link.h_hat_d.size + link.h_hat_cross.size))
+        channel.skip_learning_samples(link, cfg.sample_count, rng)
         learned = None
 
     solved = {}
@@ -295,7 +286,6 @@ def run_drop(
                                        cfg.bandwidth_hz)
         solved[name] = matrix, ReuseAssignment(hungarian_max_weight(matrix.capacity),
                                                matrix.num_real)
-    # solving and assigning read no random numbers: the held-out draws follow
     return DropResult(drop_index=drop_index, lam=link.lam,
                       methods=_evaluate(cfg, link, solved, rng))
 
@@ -325,12 +315,14 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.param not in SWEEP_PARAMS:
-            raise ConfigError(f"unknown sweep param {self.param!r}, not in {sorted(SWEEP_PARAMS)}")
+            raise ConfigError(
+                f"unknown sweep param {shown(self.param)}, not in {sorted(SWEEP_PARAMS)}")
         # Python floats, which the summary CSV writes as it writes the CLI's grid
         try:
             grid = tuple(checked("float", "grid value", v) for v in self.grid)
         except TypeError:   # a single value, not a sequence
-            raise ConfigError(f"grid must be a sequence of numbers, got {self.grid!r}") from None
+            raise ConfigError(
+                f"grid must be a sequence of numbers, got {shown(self.grid)}") from None
         object.__setattr__(self, "grid", grid)
         if len(self.grid) == 0:
             raise ConfigError("grid must be nonempty")
@@ -338,7 +330,7 @@ class SweepSpec:
         if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
             raise ConfigError("grid must be monotone")
         if checked("int", "drops", self.drops) < 1:
-            raise ConfigError(f"drops must be >= 1, got {self.drops!r}")
+            raise ConfigError(f"drops must be >= 1, got {shown(self.drops)}")
         check_methods(self.methods)
 
     def point_configs(self, cfg: ScenarioConfig) -> list[ScenarioConfig]:

@@ -83,7 +83,8 @@ def build_capacity_matrix(
 
 
 def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
-    """Column of each row in a minimum-cost assignment of a square cost matrix."""
+    """Column of each row in a minimum-cost assignment of a finite square cost
+    matrix, which ``hungarian_max_weight`` checks it is."""
     n = len(cost)
     u = [0.0] * n               # row duals
     v = [0.0] * n               # column duals
@@ -113,8 +114,6 @@ def _shortest_augmenting_path(cost: list[list[float]]) -> list[int]:
                 if dist < lowest or (dist == lowest and row4col[j] == -1):
                     lowest = dist
                     best = j
-            if lowest == math.inf:
-                raise ValueError("cost matrix is infeasible")
             min_val = lowest
             j = best
             if row4col[j] == -1:

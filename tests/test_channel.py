@@ -364,11 +364,11 @@ def test_link_state_rejects_lambda_outside_the_open_unit_interval(rng, lam):
 def test_held_out_error_powers_shapes_and_mean(rng):
     cfg = ScenarioConfig()
     link = channel.build_link_state(cfg, rng)
-    count, pairs = 20000, cfg.num_cues * cfg.num_vues
-    err_d = channel.error_power(rng, (count, cfg.num_vues))
-    err_x = channel.error_power_columns(rng, count, link.omega_cross.shape, list(range(pairs)))
+    count = 20000
+    pairs = [(j, s) for j in range(cfg.num_cues) for s in range(cfg.num_vues)]
+    err_d, err_x = channel.held_out_errors(link, count, pairs, rng)
     assert err_d.shape == (count, cfg.num_vues)
-    assert err_x.shape == (count, pairs)
+    assert err_x.shape == (count, len(pairs))
     assert np.all(err_d >= 0) and np.all(err_x >= 0)
     # unit-mean error powers; the gains formed from them match the conditional
     # mean within Monte Carlo noise
@@ -385,19 +385,34 @@ CHUNKED_SHAPES = [
     (1, (1,)), (1, (3, 5)), (100, (16, 16)), (256, (16, 16)), (257, (16, 16)),
     (3000, (4,)), (3000, (4, 4)), (3000, (16, 16)), (6000, (4, 4)), (5000, (16, 16)),
 ]
+# (M, (J, S)) of the held-out draws: M * J * S below, at and past DRAW_CHUNK
+# (100, 256 and 257 realizations of J = S = 16), and those of real drops
+HELD_OUT_SHAPES = [
+    (1, (1, 1)), (1, (5, 3)), (100, (16, 16)), (256, (16, 16)), (257, (16, 16)),
+    (3000, (4, 1)), (3000, (4, 4)), (3000, (16, 16)), (6000, (4, 4)), (5000, (16, 16)),
+]
 
 
-@pytest.mark.parametrize("count, shape", CHUNKED_SHAPES)
+def link_state(j: int, s: int) -> channel.LinkState:
+    return channel.build_link_state(ScenarioConfig(num_cues=j, num_vues=s),
+                                    np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("count, shape", HELD_OUT_SHAPES)
 def test_chunked_held_out_columns_equal_the_full_block(count, shape):
-    """error_power_columns gives the columns of one full standard_exponential
-    block, exactly, and leaves the generator where that block does."""
+    """held_out_errors gives one full (M, S) standard_exponential block and the
+    pairs' columns, in their order, of one full (M, J, S) block, exactly, and
+    leaves the generator where those two blocks do."""
+    link = link_state(*shape)
+    j, s = shape
+    pairs = sorted({(0, 0), (j - 1, s - 1), (j // 2, s // 3), (j // 3, s - 1)})[::-1]
+    rows, cols = zip(*pairs)
     full, chunked = np.random.default_rng(11), np.random.default_rng(11)
-    width = math.prod(shape)
-    columns = sorted({0, width - 1, width // 2, width // 3})[::-1]   # any order
-    expected = full.standard_exponential((count,) + shape).reshape(count, width)[:, columns]
-    got = channel.error_power_columns(chunked, count, shape, columns)
-    assert got.shape == (count, len(columns))
-    assert (got == expected).all()
+    expected_d = full.standard_exponential((count, s))
+    expected_x = full.standard_exponential((count, j, s))[:, rows, cols]
+    err_d, err_x = channel.held_out_errors(link, count, pairs, chunked)
+    assert err_x.shape == (count, len(pairs))
+    assert (err_d == expected_d).all() and (err_x == expected_x).all()
     assert chunked.bit_generator.state == full.bit_generator.state
 
 
@@ -424,15 +439,24 @@ def test_pair_gain_samples_reject_bad_lambda(rng):
         channel.sample_pair_gains(np.ones(2, complex), np.ones(2), 1.0, 5, rng)
 
 
-@pytest.mark.parametrize("size", [
-    0, 1, channel.DRAW_CHUNK - 1, channel.DRAW_CHUNK, channel.DRAW_CHUNK + 1,
-    (3000, 16, 16),  # N * J * S of a J = S = 16 drop
+# (N, J, S) of the learning samples: N * S * (J + 1) below, at and past
+# DRAW_CHUNK, the skip's 2 * N * S * (J + 1) normals at it, and a J = S = 16 drop
+@pytest.mark.parametrize("n, j, s", [
+    (1, 1, 1), (4095, 7, 2), (4096, 7, 2), (4097, 7, 2), (2048, 7, 2), (3000, 16, 16),
 ])
-def test_discard_fading_leaves_the_stream_where_sampling_does(size):
-    drawn = np.random.default_rng(99)
-    skipped = np.random.default_rng(99)
-    channel.sample_true_channel(np.zeros(size, dtype=complex), 0.9, drawn)
-    assert channel.discard_fading(skipped, size) is None
+def test_skipped_learning_samples_leave_the_stream_where_sampling_does(n, j, s):
+    """learning_samples gives the direct, then the crosstalk sample_pair_gains
+    of the link's estimates, and skip_learning_samples leaves the generator
+    where learning_samples does."""
+    link = link_state(j, s)
+    drawn, pairwise, skipped = (np.random.default_rng(99) for _ in range(3))
+    sample_d, sample_x = channel.learning_samples(link, n, drawn)
+    assert (sample_d == channel.sample_pair_gains(
+        link.h_hat_d, link.omega_d, link.lam, n, pairwise)).all()
+    assert (sample_x == channel.sample_pair_gains(
+        link.h_hat_cross, link.omega_cross, link.lam, n, pairwise).reshape(j, s, n)).all()
+    assert drawn.bit_generator.state == pairwise.bit_generator.state
+    assert channel.skip_learning_samples(link, n, skipped) is None
     assert skipped.bit_generator.state == drawn.bit_generator.state
     assert np.array_equal(skipped.normal(size=5), drawn.normal(size=5))
 

@@ -177,6 +177,9 @@ def test_config_error_exit_code(tmp_path, capsys):
         ["run", "--set", "p_max_vue_dbm=-5000", *FAST],
         ["run", "--set", "gnb_road_distance_m=100,inf", *FAST],
         ["run", "--set", "gnb_road_distance_m=nan,200", *FAST],
+        ["run", "--set", "num_cues=1001", "--set", "num_vues=1"],
+        ["run", "--set", "num_cues=300", "--set", "num_vues=300"],   # 2.2 GB of samples
+        ["run", "--set", "test_count=10000000", "--set", "num_cues=5"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv

@@ -9,6 +9,8 @@ import yaml
 
 from v2xalloc import selflearn
 from v2xalloc.config import (
+    MAX_DRAWS_PER_DROP,
+    MAX_NUM_CUES,
     MAX_SAMPLE_COUNT,
     ConfigError,
     ScenarioConfig,
@@ -88,6 +90,35 @@ def test_test_count_bound_is_checked_at_load():
             ScenarioConfig(test_count=count)
         with pytest.raises(ConfigError, match="test_count must lie in"):
             apply_overrides(ScenarioConfig(), [f"test_count={count}"])
+
+
+def test_draw_counts_and_cue_count_are_bounded_at_load():
+    """A drop's learning gains N*S*(J+1) and held-out error powers M*S*(J+1),
+    and J itself, are bounded when the config is built; the largest counts
+    that the sample and test count bounds allow at J = S = 4, and J = S = 64
+    at the default N and M, stay accepted."""
+    ScenarioConfig(sample_count=MAX_SAMPLE_COUNT, test_count=MAX_SAMPLE_COUNT)
+    assert MAX_SAMPLE_COUNT * 4 * (4 + 1) == MAX_DRAWS_PER_DROP
+    ScenarioConfig(num_cues=64, num_vues=64)
+    cases = [
+        ({"num_cues": MAX_NUM_CUES + 1}, "num_cues must lie in"),
+        ({"num_cues": 10**5000}, "num_cues must lie in"),
+        ({"num_cues": 300, "num_vues": 300}, r"sample_count \* num_vues \* \(num_cues \+ 1\)"),
+        ({"sample_count": MAX_SAMPLE_COUNT, "num_cues": 5},
+         r"sample_count \* num_vues \* \(num_cues \+ 1\)"),
+        ({"test_count": MAX_SAMPLE_COUNT, "num_cues": 5},
+         r"test_count \* num_vues \* \(num_cues \+ 1\)"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig(**changes)
+
+
+@pytest.mark.parametrize("field", ["vue_pair_jitter", "bernstein_family"])
+def test_an_int_past_the_digit_limit_is_shown_by_its_size(field):
+    """repr of such an int raises ValueError; the ConfigError gives its bit length."""
+    with pytest.raises(ConfigError, match=f"^{field} must be a .*, got <int of 16610 bits>$"):
+        ScenarioConfig(**{field: 10**5000})
 
 
 def test_vue_pair_distance_tracks_speed():

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from reference_drop import assert_same_drop
-from v2xalloc import channel, cli, harness
+from v2xalloc import bernstein, channel, cli, harness
 from v2xalloc.config import ConfigError, ScenarioConfig
 from v2xalloc.harness import SweepSpec, empirical_cdf, run_drop, run_sweep
 
@@ -172,6 +173,41 @@ def test_drop_is_the_same_at_any_block_size(small_cfg, monkeypatch, shape, metho
             assert_same_drop(run_drop(cfg, d, methods), drop, (block, d))
 
 
+EDGE_CONFIGS = [
+    *({field: dbm} for field in ("p_max_cue_dbm", "p_max_vue_dbm") for dbm in (-300.0, 300.0)),
+    *({field: ratio} for field in ("sinr_min_cue", "sinr_min_vue") for ratio in (1e-12, 1e12)),
+    *({"shadowing_sigma_cue_db": db, "shadowing_sigma_vue_db": db} for db in (0.0, 60.0)),
+    {"bisection_accuracy": 1e-15},
+    {"vehicle_speed_kmh": 0.0},
+    {"vue_pair_jitter": True},
+    *({"bernstein_family": family} for family in bernstein.FAMILIES),
+]
+
+
+@pytest.mark.parametrize("changes", EDGE_CONFIGS,
+                         ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_a_config_that_loads_also_runs(changes):
+    """An edge config is either rejected when it is built or runs a drop of
+    every method, with no numpy warning, to finite, nonnegative capacities,
+    matched powers within the caps and outages in [0, 1]."""
+    try:
+        cfg = ScenarioConfig(num_cues=3, num_vues=2, sample_count=300, test_count=400, **changes)
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_drop(cfg, 0)
+    for stats in result.methods.values():
+        matrix, rows = stats.matrix, np.arange(cfg.num_cues)
+        assert np.isfinite(matrix.capacity).all() and (matrix.capacity >= 0.0).all()
+        assert math.isfinite(stats.sum_capacity_bps) and stats.sum_capacity_bps >= 0.0
+        p_c = matrix.p_c_w[rows, stats.assignment.column_of_row]
+        p_d = matrix.p_d_w[rows, stats.assignment.column_of_row]
+        assert ((0.0 <= p_c) & (p_c <= cfg.p_max_cue_w)).all()
+        assert ((0.0 <= p_d) & (p_d <= cfg.p_max_vue_w)).all()
+        assert ((0.0 <= stats.pair_outage) & (stats.pair_outage <= 1.0)).all()
+
+
 def test_virtual_columns_used_when_more_cues(small_cfg):
     cfg = small_cfg.replace(num_cues=5, num_vues=2)
     result = run_drop(cfg, 0, methods=("opt",))
@@ -278,6 +314,15 @@ def test_sweep_spec_validation():
 def test_sweep_spec_rejects_a_grid_that_is_not_a_sequence(grid):
     with pytest.raises(ConfigError, match="grid must be a sequence of numbers"):
         SweepSpec(param="speed", grid=grid, drops=1)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("param", "unknown sweep param"), ("grid", "grid must be"), ("drops", "drops must be"),
+])
+def test_sweep_spec_shows_an_int_past_the_digit_limit_by_its_size(field, message):
+    spec = {"param": "speed", "grid": (80.0,), "drops": 1, field: -10**5000}
+    with pytest.raises(ConfigError, match=f"^{message}.*<int of 16610 bits>"):
+        SweepSpec(**spec)
 
 
 def test_single_point_sweep_equals_standalone_drops(small_cfg):
