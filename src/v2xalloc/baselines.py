@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin, vue_power_needed
+from .channel import (PairLimits, cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin,
+                      vue_power_needed)
 
 
 @dataclass(frozen=True)
@@ -34,18 +35,8 @@ class CornerSolution:
 _INFEASIBLE = CornerSolution(False, 0.0, 0.0, 0.0)
 
 
-def solve_corner(
-    g_d: float,
-    g_x: float,
-    g_c: float,
-    g_b: float,
-    gamma_min_c: float,
-    gamma_min_d: float,
-    sigma2: float,
-    p_max_c: float,
-    p_max_d: float,
-    bandwidth_hz: float,
-) -> CornerSolution:
+def solve_corner(g_d: float, g_x: float, g_c: float, g_b: float,
+                 limits: PairLimits) -> CornerSolution:
     """Maximize the CUE rate subject to both QoS lines and the power box.
 
     Candidate corners, with the ``channel`` rules the anchor search shares:
@@ -55,10 +46,10 @@ def solve_corner(
     every other feasible point has smaller p_c and/or larger p_d, so a failing
     corner means an empty feasible set.
     """
-    # "not (x > 0 ...)": a NaN argument makes the pair infeasible
-    if not (g_d > 0 and g_c > 0 and gamma_min_c > 0 and gamma_min_d > 0 and sigma2 > 0
-            and p_max_c > 0 and p_max_d > 0 and g_x >= 0 and g_b >= 0 and bandwidth_hz > 0):
+    # "not (x > 0 ...)": a NaN gain makes the pair infeasible
+    if not (g_d > 0 and g_c > 0 and g_x >= 0 and g_b >= 0):
         return _INFEASIBLE
+    gamma_min_c, gamma_min_d, sigma2, p_max_c, p_max_d, bandwidth_hz = limits
 
     # corner 1: CUE at full power, VUE just meeting its QoS line
     p_d = vue_power_needed(p_max_c, g_x, g_d, gamma_min_d, sigma2)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import cue_capacity_bps, cue_power_needed
+from .channel import PairLimits, cue_capacity_bps, cue_power_needed
 
 
 class MomentBounds(NamedTuple):
@@ -49,6 +49,7 @@ class BernsteinParams:
 
     ``g_bar_*``/``g_hat_*`` are the nominal gains and deviation half-widths of
     the two uncertain vehicle-side links; the CUE-side gains are exact.
+    ``limits`` holds the scenario's constants, checked when it was built.
     """
 
     g_bar_d: float
@@ -57,24 +58,17 @@ class BernsteinParams:
     g_hat_cross: float
     family: MomentBounds
     beta: float
-    gamma_min_d: float
-    sigma2: float
     g_c: float
     g_b: float
-    gamma_min_c: float
-    p_max_c: float
-    p_max_d: float
-    bandwidth_hz: float
+    limits: PairLimits
 
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0,1)")
         # written as "not (x > 0 ...)" so that a NaN fails every check
-        if not (self.g_bar_d > 0.0 and self.g_bar_cross > 0.0 and self.gamma_min_d > 0.0
-                and self.gamma_min_c > 0.0 and self.sigma2 > 0.0 and self.g_c > 0.0
-                and self.g_b > 0.0 and self.p_max_c > 0.0 and self.p_max_d > 0.0
-                and self.bandwidth_hz > 0.0):
-            raise ValueError("gains, thresholds, noise, caps and bandwidth must be positive")
+        if not (self.g_bar_d > 0.0 and self.g_bar_cross > 0.0 and self.g_c > 0.0
+                and self.g_b > 0.0):
+            raise ValueError("gains must be positive")
         if not (self.g_hat_d >= 0.0 and self.g_hat_cross >= 0.0):
             raise ValueError("deviation half-widths must be >= 0")
         if not (self.g_bar_d >= self.g_hat_d and self.g_bar_cross >= self.g_hat_cross):
@@ -98,7 +92,7 @@ def bernstein_margin(p_c_w, p_d_w, params: BernsteinParams):
     declared family, so a single sigma_F weights both deviation products.
     """
     fam = params.family
-    gd = params.gamma_min_d
+    gd = params.limits.gamma_min_d
     p_c = np.asarray(p_c_w, dtype=float)
     p_d = np.asarray(p_d_w, dtype=float)
     w = protection_weight(params.beta)
@@ -110,7 +104,7 @@ def bernstein_margin(p_c_w, p_d_w, params: BernsteinParams):
         + fam.mu_minus * vue_term
         - fam.mu_plus * cue_term
         + w * np.minimum(-fam.sigma * cue_term, -fam.sigma * vue_term)
-        - params.sigma2
+        - params.limits.sigma2
     )
     return float(margin) if margin.ndim == 0 else margin
 
@@ -121,12 +115,12 @@ def _inner_terms(params: BernsteinParams) -> tuple[float, ...]:
     the protection weight times sigma_F, the slope g_bar_x + mu+*g_hat_x of
     the VUE-branch root, the CUE-branch denominator, then the pair's own
     g_hat_d, Gamma_d, sigma^2, Gamma_c, g_b and g_c."""
-    fam = params.family
+    fam, lim = params.family, params.limits
     prot = protection_weight(params.beta) * fam.sigma
     slope = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
     return (params.g_bar_d + fam.mu_minus * params.g_hat_d, prot, slope,
-            slope + prot * params.g_hat_cross, params.g_hat_d, params.gamma_min_d,
-            params.sigma2, params.gamma_min_c, params.g_b, params.g_c)
+            slope + prot * params.g_hat_cross, params.g_hat_d, lim.gamma_min_d,
+            lim.sigma2, lim.gamma_min_c, params.g_b, params.g_c)
 
 
 def _inner_cue_power(p_d_w, terms):
@@ -169,12 +163,12 @@ class BisectionResult:
 
 
 def _finalize(p_c_w: float, p_d_w: float, params: BernsteinParams, iterations: int) -> BisectionResult:
-    p_c_w = min(p_c_w, params.p_max_c)
-    if p_c_w < cue_power_needed(p_d_w, params.g_b, params.g_c, params.gamma_min_c,
-                                params.sigma2) - 1e-15:
+    lim = params.limits
+    p_c_w = min(p_c_w, lim.p_max_c)
+    if p_c_w < cue_power_needed(p_d_w, params.g_b, params.g_c, lim.gamma_min_c,
+                                lim.sigma2) - 1e-15:
         return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
-    cap = cue_capacity_bps(p_c_w, p_d_w, params.g_c, params.g_b, params.sigma2,
-                           params.bandwidth_hz)
+    cap = cue_capacity_bps(p_c_w, p_d_w, params.g_c, params.g_b, lim.sigma2, lim.bandwidth_hz)
     return BisectionResult(True, p_c_w, p_d_w, cap, iterations)
 
 
@@ -191,7 +185,7 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float) -> Bisectio
     The pair's constants are read from ``params`` once per call, and each
     step runs on plain floats.
     """
-    p_max_c, p_max_d = params.p_max_c, params.p_max_d
+    p_max_c, p_max_d = params.limits.p_max_c, params.limits.p_max_d
     if not 0.0 < xi_w < p_max_d:
         raise ValueError("termination threshold must lie in (0, p_max_d)")
     max_iter = math.ceil(math.log2(p_max_d / xi_w)) + 1

@@ -36,6 +36,7 @@ are the same bit for bit at any block size.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -203,23 +204,13 @@ def large_scale_gain(
     return 10.0 ** (-loss_db / 10.0)
 
 
-def rayleigh_fading(
-    rng: np.random.Generator, size: int | tuple[int, ...], re: np.ndarray | None = None,
-) -> np.ndarray:
+def rayleigh_fading(rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """Circular complex normal CN(0,1) draws (unit-mean power Rayleigh envelope).
 
-    The real parts are drawn first, then the imaginary parts.  ``re``, if
-    given, holds real parts drawn earlier, ``rng.standard_normal(size) *
-    np.sqrt(0.5)``, and only the imaginary parts are drawn here.
+    The real parts are drawn first, then the imaginary parts.
     """
-    if re is None:
-        re = rng.standard_normal(size) * np.sqrt(0.5)
-    # in place: the values of re + 1j * im, with fewer temporaries
-    im = rng.standard_normal(size)
-    im *= np.sqrt(0.5)
-    e = 1j * im
-    e += re
-    return e
+    re = rng.standard_normal(size) * np.sqrt(0.5)
+    return re + 1j * (rng.standard_normal(size) * np.sqrt(0.5))
 
 
 def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
@@ -231,15 +222,20 @@ def row_blocks(count: int, width: int) -> list[tuple[int, int]]:
 
 
 def sample_true_channel(
-    h_hat: np.ndarray, lam: float, rng: np.random.Generator, re: np.ndarray | None = None,
+    h_hat: np.ndarray, lam: float, rng: np.random.Generator, re: np.ndarray,
 ) -> np.ndarray:
-    """Draw true small-scale coefficients h = lam*h_hat + sqrt(1-lam^2)*e, one
-    fresh e ~ CN(0, 1) per entry of ``h_hat``.  Given ``re``, the real parts of
-    e drawn earlier as in ``rayleigh_fading``, one e per entry of ``re``, and
-    ``h_hat`` broadcasts against it."""
+    """True small-scale coefficients h = lam*h_hat + sqrt(1-lam^2)*e, one
+    fresh e ~ CN(0, 1) per entry of ``re``, which holds the real parts of e
+    drawn earlier, ``rng.standard_normal(re.shape) * np.sqrt(0.5)``; the
+    imaginary parts are drawn here, as in ``rayleigh_fading``, and ``h_hat``
+    broadcasts against ``re``."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0,1)")
-    h = rayleigh_fading(rng, h_hat.shape if re is None else re.shape, re)
+    # in place: the values of re + 1j * im, with fewer temporaries
+    im = rng.standard_normal(re.shape)
+    im *= np.sqrt(0.5)
+    h = 1j * im
+    h += re
     h *= np.sqrt(1.0 - lam**2)
     h += lam * h_hat
     return h
@@ -252,13 +248,15 @@ def sample_pair_gains(
     entry of ``h_hat``, pair-major: a (h_hat.size, count) array whose row p
     holds the samples of flat entry p.
 
-    The values and the stream are those of ``np.abs(sample_true_channel(
-    np.broadcast_to(h_hat, (count,) + h_hat.shape), lam, rng)) ** 2 * omega``,
-    transposed: all real parts are drawn, then all imaginary parts, each in
-    ``row_blocks`` of whole samples.  The real blocks are written into the
-    output; the imaginary pass forms each block's coefficients with
-    ``sample_true_channel`` from those real parts and overwrites the block
-    with its gains, so only one (h_hat.size, count) array is formed.
+    The values and the stream are those of the full-array formula
+    ``np.abs(lam * h_hat + np.sqrt(1 - lam**2) * (re + 1j * im)) ** 2 * omega``
+    with ``re`` and ``im`` each ``rng.standard_normal((count,) + h_hat.shape)
+    * np.sqrt(0.5)``, drawn in that order, transposed: all real parts are
+    drawn, then all imaginary parts, each in ``row_blocks`` of whole samples.
+    The real blocks are written into the output; the imaginary pass forms
+    each block's coefficients with ``sample_true_channel`` from those real
+    parts and overwrites the block with its gains, so only one (h_hat.size,
+    count) array is formed.
     """
     h_hat, omega = h_hat.ravel(), np.ravel(omega)
     out = np.empty((h_hat.size, count))
@@ -266,7 +264,7 @@ def sample_pair_gains(
     for a, b in blocks:
         np.multiply(rng.standard_normal((b - a, h_hat.size)), np.sqrt(0.5), out=out[:, a:b].T)
     for a, b in blocks:
-        h = sample_true_channel(h_hat, lam, rng, re=out[:, a:b].T)
+        h = sample_true_channel(h_hat, lam, rng, out[:, a:b].T)
         # np.abs of the complex block, as the full-array formula takes it:
         # np.hypot of the parts rounds differently
         g = np.abs(h)
@@ -418,6 +416,28 @@ def cue_capacity_bps(
     """CUE rate B*log2(1 + SINR) of one (CUE, VUE) power pair: the objective of
     every per-pair solver and of the virtual (no-VUE) matrix columns."""
     return bandwidth_hz * math.log2(1.0 + p_c_w * g_c / (noise_w + p_d_w * g_b))
+
+
+class PairLimits(namedtuple("PairLimits", "gamma_min_c gamma_min_d sigma2 p_max_c p_max_d "
+                                          "bandwidth_hz")):
+    """The constants that bound every per-pair problem: the SINR floors
+    Gamma_c and Gamma_d, the noise power sigma^2 and the power caps P_c and
+    P_d (watts), and the bandwidth B (Hz).  Building one, ``_replace``
+    included, raises ValueError unless each is finite and > 0, so the
+    solvers that take one check only their per-pair inputs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *limits, **named):
+        self = super().__new__(cls, *limits, **named)
+        for name, value in zip(self._fields, self):
+            if not 0.0 < value < math.inf:   # a NaN fails too
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):   # the namedtuple's own, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 # Per-pair QoS rules of the solvers and the anchor search; floats and arrays round alike.

@@ -206,15 +206,23 @@ class ScenarioConfig:
 
     def _check_model_applies(self) -> None:
         """Reject scenarios the drop pipeline cannot run: an unknown Bernstein
-        family, a Doppler coefficient outside (0, 1) and a sample count with no
+        family, an ``apra`` VUE SINR floor that leaves ``PairLimits``' range, a
+        Doppler coefficient outside (0, 1) and a sample count with no
         calibration index k*.  Reading ``lam`` and ``k_star`` here also keeps
         them for every drop of the instance."""
         # imported here: these modules build on this one
+        from .baselines import apra_threshold
         from .bernstein import FAMILIES
         from .selflearn import NoValidIndexError
 
         if self.bernstein_family not in FAMILIES:
             raise ConfigError(f"bernstein_family must be one of {tuple(FAMILIES)}")
+        try:   # the limits that ``harness`` builds for apra
+            self.pair_limits._replace(
+                gamma_min_d=apra_threshold(self.sinr_min_vue, self.outage_prob))
+        except ValueError as exc:
+            raise ConfigError(f"sinr_min_vue={self.sinr_min_vue:g}, outage_prob="
+                              f"{self.outage_prob:g}: apra's {exc}") from None
         try:
             self.lam
         except ValueError as exc:
@@ -257,6 +265,13 @@ class ScenarioConfig:
     @cached_property
     def bisection_xi_w(self) -> float:
         return self.bisection_accuracy * self.p_max_vue_w
+
+    @cached_property
+    def pair_limits(self):
+        """The per-pair problem's constants, a ``channel.PairLimits``."""
+        from .channel import PairLimits
+        return PairLimits(self.sinr_min_cue, self.sinr_min_vue, self.noise_power_w,
+                          self.p_max_cue_w, self.p_max_vue_w, self.bandwidth_hz)
 
     # The scenario's model constants, derived once per instance and read by
     # every drop: the Doppler coefficient lambda = J0(2 pi f_D T) and the

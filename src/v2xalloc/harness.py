@@ -128,10 +128,8 @@ def bernstein_pair_params(cfg: ScenarioConfig, link: channel.LinkState, j: int, 
     g_hat_x = min((1.0 - lam2) * link.omega_cross.item(j, s) * q, g_bar_x)
     return bernstein.BernsteinParams(
         g_bar_d=g_bar_d, g_bar_cross=g_bar_x, g_hat_d=g_hat_d, g_hat_cross=g_hat_x,
-        family=bernstein.FAMILIES[cfg.bernstein_family],
-        beta=cfg.outage_prob, gamma_min_d=cfg.sinr_min_vue, sigma2=cfg.noise_power_w,
-        g_c=link.g_c.item(j), g_b=link.g_b.item(s), gamma_min_c=cfg.sinr_min_cue,
-        p_max_c=cfg.p_max_cue_w, p_max_d=cfg.p_max_vue_w, bandwidth_hz=cfg.bandwidth_hz,
+        family=bernstein.FAMILIES[cfg.bernstein_family], beta=cfg.outage_prob,
+        g_c=link.g_c.item(j), g_b=link.g_b.item(s), limits=cfg.pair_limits,
     )
 
 
@@ -153,8 +151,7 @@ def selflearn_calibration(cfg, link, modes, sample_d, sample_x):
     n, k_star = sample_d.shape[1], cfg.k_star
     budget = max(1, (n - k_star) // cfg.num_vues)
     anchors = selflearn.initial_feasible(
-        modes, sample_d, sample_x, link.g_c, link.g_b, cfg.sinr_min_cue, cfg.sinr_min_vue,
-        cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w,
+        modes, sample_d, sample_x, link.g_c, link.g_b, cfg.pair_limits,
         coverage_count=n - budget, trim_count=2 * budget)
     ident = np.arange(cfg.num_vues)
     learned = {}
@@ -171,12 +168,12 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
 
     ``opt``, ``nrra`` and ``apra`` solve the known-gain corner, ``brra`` the
     moment-based bisection and ``slaa``/``slwa`` the learned closed form from
-    their entry of ``learned`` (``selflearn_calibration``).  Infeasible pairs
-    carry zeros.
+    their entry of ``learned`` (``selflearn_calibration``), all under
+    ``cfg.pair_limits``; ``apra`` raises its VUE SINR floor to
+    ``baselines.apra_threshold``.  Infeasible pairs carry zeros.
     """
     out = np.zeros((3, cfg.num_cues, cfg.num_vues))
-    sigma2, gamma_c, bw = cfg.noise_power_w, cfg.sinr_min_cue, cfg.bandwidth_hz
-    p_max_c, p_max_d = cfg.p_max_cue_w, cfg.p_max_vue_w
+    limits = cfg.pair_limits
     # Python floats: solve_corner and closed_form_power run faster on them
     # than on numpy scalars
     if method in SELF_LEARNING_MODES:
@@ -187,8 +184,9 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
         g_d, g_x, g_c, g_b = (a.tolist() for a in (
             (link.g_bar_d, link.g_bar_cross, link.g_c, link.g_b) if method == "opt"
             else (link.omega_d, link.omega_cross, link.omega_c, link.omega_b)))
-        gamma_d = (baselines.apra_threshold(cfg.sinr_min_vue, cfg.outage_prob)
-                   if method == "apra" else cfg.sinr_min_vue)
+        if method == "apra":
+            limits = limits._replace(gamma_min_d=baselines.apra_threshold(
+                limits.gamma_min_d, cfg.outage_prob))
     for j in range(cfg.num_cues):
         for s in range(cfg.num_vues):
             if method == "brra":
@@ -196,10 +194,9 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
                     bernstein_pair_params(cfg, link, j, s), cfg.bisection_xi_w)
             elif method in SELF_LEARNING_MODES:
                 sol = selflearn.closed_form_power(anchor_c[j][s], anchor_d[j][s], r_d, g_c[j],
-                                                  g_b[s], gamma_c, sigma2, p_max_c, p_max_d, bw)
+                                                  g_b[s], limits)
             else:
-                sol = baselines.solve_corner(g_d[s], g_x[j][s], g_c[j], g_b[s], gamma_c,
-                                             gamma_d, sigma2, p_max_c, p_max_d, bw)
+                sol = baselines.solve_corner(g_d[s], g_x[j][s], g_c[j], g_b[s], limits)
             if sol.feasible:
                 out[:, j, s] = sol.capacity_bps, sol.p_c_w, sol.p_d_w
     return out
@@ -250,14 +247,19 @@ def _evaluate(cfg, link, solved, rng) -> dict[str, MethodDropStats]:
 
 
 def check_methods(methods: tuple[str, ...]) -> tuple[str, ...]:
-    """``methods``, or ConfigError unless it names known methods, each once."""
-    if not methods:
+    """``methods``, or ConfigError unless it is a sequence of known method
+    names, each once."""
+    # a string would read as one method per letter
+    if isinstance(methods, str) or not hasattr(methods, "__iter__"):
+        raise ConfigError(f"the method list must be a sequence of names, got {shown(methods)}")
+    names = [checked("str", "method", name) for name in methods]
+    if not names:
         raise ConfigError("the method list names no method")
-    if len(set(methods)) < len(methods):
-        raise ConfigError(f"the method list names a method twice: {methods}")
-    unknown = set(methods) - set(ALL_METHODS)
+    if len(set(names)) < len(names):
+        raise ConfigError(f"the method list names a method twice: {names}")
+    unknown = sorted(set(names) - set(ALL_METHODS))
     if unknown:
-        raise ConfigError(f"unknown methods: {sorted(unknown)}")
+        raise ConfigError(f"unknown methods: {', '.join(map(shown, unknown))}")
     return methods
 
 
@@ -268,6 +270,9 @@ def run_drop(
 ) -> DropResult:
     """Generate one drop, run the enabled allocators, score on held-out draws."""
     check_methods(methods)
+    drop_index = checked("int", "drop_index", drop_index)
+    if drop_index < 0:
+        raise ConfigError(f"drop_index must be >= 0, got {shown(drop_index)}")
     rng = drop_rng(cfg.rng_seed, drop_index)
     link = channel.build_link_state(cfg, rng)
     modes = tuple(mode for name, mode in SELF_LEARNING_MODES.items() if name in methods)
@@ -282,8 +287,7 @@ def run_drop(
     solved = {}
     for name in methods:
         pairs = _solve_pairs(cfg, link, name, learned)
-        matrix = build_capacity_matrix(*pairs, link.g_c, cfg.p_max_cue_w, cfg.noise_power_w,
-                                       cfg.bandwidth_hz)
+        matrix = build_capacity_matrix(*pairs, link.g_c, cfg.pair_limits)
         solved[name] = matrix, ReuseAssignment(hungarian_max_weight(matrix.capacity),
                                                matrix.num_real)
     return DropResult(drop_index=drop_index, lam=link.lam,
@@ -314,7 +318,7 @@ class SweepSpec:
     methods: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self) -> None:
-        if self.param not in SWEEP_PARAMS:
+        if checked("str", "param", self.param) not in SWEEP_PARAMS:
             raise ConfigError(
                 f"unknown sweep param {shown(self.param)}, not in {sorted(SWEEP_PARAMS)}")
         # Python floats, which the summary CSV writes as it writes the CLI's grid

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bernstein import FAMILIES, BernsteinParams
+from .channel import PairLimits
 
 
 def _logu(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -21,21 +22,15 @@ def random_bernstein_params(rng: np.random.Generator, beta: float = 0.05) -> Ber
     g_bar_d = _logu(rng, -0.5, 0.5)
     g_bar_x = g_bar_d * _logu(rng, -1.8, -0.4)
     name = tuple(FAMILIES)[rng.integers(0, 3)]
+    g_hat_d = g_bar_d * float(rng.uniform(0.02, 0.4))
+    g_hat_x = g_bar_x * float(rng.uniform(0.02, 0.4))
+    # drawn in this order, the gains between the limits
+    gamma_min_d, sigma2 = _logu(rng, -0.3, 0.3), _logu(rng, -2.0, -0.7)
+    g_c, g_b = _logu(rng, -0.5, 0.5), _logu(rng, -2.0, -0.7)
     return BernsteinParams(
-        g_bar_d=g_bar_d,
-        g_bar_cross=g_bar_x,
-        g_hat_d=g_bar_d * float(rng.uniform(0.02, 0.4)),
-        g_hat_cross=g_bar_x * float(rng.uniform(0.02, 0.4)),
-        family=FAMILIES[name],
-        beta=beta,
-        gamma_min_d=_logu(rng, -0.3, 0.3),
-        sigma2=_logu(rng, -2.0, -0.7),
-        g_c=_logu(rng, -0.5, 0.5),
-        g_b=_logu(rng, -2.0, -0.7),
-        gamma_min_c=_logu(rng, 0.0, 0.5),
-        p_max_c=1.0,
-        p_max_d=1.0,
-        bandwidth_hz=1.0,
+        g_bar_d=g_bar_d, g_bar_cross=g_bar_x, g_hat_d=g_hat_d, g_hat_cross=g_hat_x,
+        family=FAMILIES[name], beta=beta, g_c=g_c, g_b=g_b,
+        limits=PairLimits(_logu(rng, 0.0, 0.5), gamma_min_d, sigma2, 1.0, 1.0, 1.0),
     )
 
 
@@ -46,12 +41,9 @@ def random_corner_instance(rng: np.random.Generator) -> dict:
         g_x=g_d * _logu(rng, -2.0, -0.3),
         g_c=_logu(rng, -0.5, 0.5),
         g_b=_logu(rng, -2.0, -0.7),
-        gamma_min_c=_logu(rng, 0.0, 0.5),
-        gamma_min_d=_logu(rng, -0.3, 0.3),
-        sigma2=_logu(rng, -2.0, -0.7),
-        p_max_c=1.0,
-        p_max_d=1.0,
-        bandwidth_hz=1.0,
+        limits=PairLimits(gamma_min_c=_logu(rng, 0.0, 0.5), gamma_min_d=_logu(rng, -0.3, 0.3),
+                          sigma2=_logu(rng, -2.0, -0.7), p_max_c=1.0, p_max_d=1.0,
+                          bandwidth_hz=1.0),
     )
 
 
@@ -63,9 +55,7 @@ def random_selflearn_instance(rng: np.random.Generator) -> dict:
         r_d=sigma2 * _logu(rng, -0.6, 0.8),
         g_c=_logu(rng, -0.5, 0.5),
         g_b=_logu(rng, -2.0, -0.7),
-        gamma_min_c=_logu(rng, 0.0, 0.5),
-        sigma2=sigma2,
-        p_max_c=1.0,
-        p_max_d=1.0,
-        bandwidth_hz=1.0,
+        # the closed form reads no VUE SINR floor
+        limits=PairLimits(gamma_min_c=_logu(rng, 0.0, 0.5), gamma_min_d=1.0, sigma2=sigma2,
+                          p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0),
     )

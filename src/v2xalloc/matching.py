@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cue_capacity_bps
+from .channel import PairLimits, cue_capacity_bps
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,10 @@ class ReuseAssignment:
         return [(j, int(s)) for j, s in enumerate(self.column_of_row) if s < self.num_real]
 
 
-def build_capacity_matrix(
-    capacity: np.ndarray,
-    p_c_w: np.ndarray,
-    p_d_w: np.ndarray,
-    g_c: np.ndarray,
-    p_max_c_w: float,
-    noise_w: float,
-    bandwidth_hz: float,
-) -> CapacityMatrix:
-    """Square (J, J) matrix: the (J, S) pair solutions, then virtual columns."""
+def build_capacity_matrix(capacity: np.ndarray, p_c_w: np.ndarray, p_d_w: np.ndarray,
+                          g_c: np.ndarray, limits: PairLimits) -> CapacityMatrix:
+    """Square (J, J) matrix: the (J, S) pair solutions, then virtual columns
+    at the CUE cap, noise and bandwidth of ``limits``."""
     j, num_vues = capacity.shape
     if num_vues > j:
         raise ValueError("need num_vues <= num_cues")
@@ -76,9 +70,9 @@ def build_capacity_matrix(
     if num_vues < j:
         # virtual columns: exclusive spectrum use at full power
         for jj in range(j):
-            cap[jj, num_vues:] = cue_capacity_bps(p_max_c_w, 0.0, g_c[jj], 0.0, noise_w,
-                                                  bandwidth_hz)
-        p_c[:, num_vues:] = p_max_c_w
+            cap[jj, num_vues:] = cue_capacity_bps(limits.p_max_c, 0.0, g_c[jj], 0.0,
+                                                  limits.sigma2, limits.bandwidth_hz)
+        p_c[:, num_vues:] = limits.p_max_c
     return CapacityMatrix(capacity=cap, p_c_w=p_c, p_d_w=p_d, num_real=num_vues)
 
 

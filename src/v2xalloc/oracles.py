@@ -100,10 +100,11 @@ def vertex_oracle(half_planes, holds, g_c, g_b, gamma_min_c, sigma2,
     return best
 
 
-def corner_vertex_oracle(g_d, g_x, g_c, g_b, gamma_min_c, gamma_min_d, sigma2,
-                         p_max_c, p_max_d, bandwidth_hz):
-    """Exact optimum of the known-gain problem: the VUE QoS line
-    p_d g_d / Gamma_d - p_c g_x >= sigma^2 is its one more half-plane."""
+def corner_vertex_oracle(g_d, g_x, g_c, g_b, limits):
+    """Exact optimum of the known-gain problem under ``limits``: the VUE QoS
+    line p_d g_d / Gamma_d - p_c g_x >= sigma^2 is its one more half-plane."""
+    gamma_min_c, gamma_min_d, sigma2, p_max_c, p_max_d, bandwidth_hz = limits
+
     def holds(p_c, p_d):
         return p_d * g_d / gamma_min_d - p_c * g_x >= sigma2 * (1.0 - TOL)
 
@@ -117,13 +118,14 @@ def bernstein_vertex_oracle(params, p_d_fixed: float | None = None):
     gives two half-planes.  With ``p_d_fixed`` it is the bisection's inner
     step: p_d is held there and the CUE power is uncapped, so the rate rises
     with p_c alone and the result's p_c is the largest feasible CUE power."""
-    fam, gd, s2 = params.family, params.gamma_min_d, params.sigma2
+    lim, fam = params.limits, params.family
+    gd, s2 = lim.gamma_min_d, lim.sigma2
     prot = protection_weight(params.beta) * fam.sigma
     vue = (params.g_bar_d + fam.mu_minus * params.g_hat_d) / gd
     cue = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
     half_planes = [(-cue - prot * params.g_hat_cross, vue, -s2),
                    (-cue, vue - prot * params.g_hat_d / gd, -s2)]
-    p_max_c, p_max_d, p_d_min = params.p_max_c, params.p_max_d, 0.0
+    p_max_c, p_max_d, p_d_min = lim.p_max_c, lim.p_max_d, 0.0
     if p_d_fixed is not None:
         p_max_c, p_max_d, p_d_min = math.inf, p_d_fixed, p_d_fixed
         half_planes.append((0.0, 1.0, -p_d_fixed))
@@ -131,16 +133,18 @@ def bernstein_vertex_oracle(params, p_d_fixed: float | None = None):
     def holds(p_c, p_d):
         return p_d >= p_d_min * (1.0 - TOL) and bernstein_margin(p_c, p_d, params) >= -TOL * s2
 
-    return vertex_oracle(half_planes, holds, params.g_c, params.g_b, params.gamma_min_c, s2,
-                         p_max_c, p_max_d, params.bandwidth_hz)
+    return vertex_oracle(half_planes, holds, params.g_c, params.g_b, lim.gamma_min_c, s2,
+                         p_max_c, p_max_d, lim.bandwidth_hz)
 
 
-def selflearn_vertex_oracle(anchor_c_w, anchor_d_w, r_d, g_c, g_b, gamma_min_c, sigma2,
-                            p_max_c, p_max_d, bandwidth_hz):
-    """Exact optimum over the learned set, the powers a dual scale certifies
-    (``dual_feasibility_check``): a z >= sigma^2 / r_d with p_c / anchor_c <=
-    z <= p_d / anchor_d exists iff p_d anchor_c >= p_c anchor_d and p_d >=
-    anchor_d sigma^2 / r_d, and z = p_d / anchor_d is then one."""
+def selflearn_vertex_oracle(anchor_c_w, anchor_d_w, r_d, g_c, g_b, limits):
+    """Exact optimum over the learned set under ``limits``, the powers a dual
+    scale certifies (``dual_feasibility_check``): a z >= sigma^2 / r_d with
+    p_c / anchor_c <= z <= p_d / anchor_d exists iff p_d anchor_c >= p_c
+    anchor_d and p_d >= anchor_d sigma^2 / r_d, and z = p_d / anchor_d is
+    then one."""
+    gamma_min_c, _, sigma2, p_max_c, p_max_d, bandwidth_hz = limits
+
     def holds(p_c, p_d):
         return dual_feasibility_check(p_c, p_d, p_d / anchor_d_w, anchor_c_w, anchor_d_w,
                                       r_d, sigma2, TOL)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin, row_blocks,
-                      vue_power_needed)
+from .channel import (PairLimits, cue_capacity_bps, cue_power_at_vue_cap, cue_qos_margin,
+                      row_blocks, vue_power_needed)
 
 
 class NoValidIndexError(ValueError):
@@ -188,19 +188,12 @@ RULE_OUT = 1e-12         # relative margin of the CUE QoS bound that rules an an
 
 
 @np.errstate(all="ignore")   # NaN and inf requirements fit under no cap
-def fit_thresholds(
-    gx: np.ndarray,
-    gd: np.ndarray,
-    need: int,
-    gamma_min_d: float,
-    sigma2: float,
-    p_max_c: float,
-    p_max_d: float,
-) -> np.ndarray:
+def fit_thresholds(gx: np.ndarray, gd: np.ndarray, need: int, limits: PairLimits) -> np.ndarray:
     """Per row of the (m, w) gains, the largest double p in [0, p_max_c] at
     which at least ``need`` (1..w) of the row's requirements
-    ``vue_power_needed(p, gx, gd)`` are within p_max_d; -inf where fewer
-    than ``need`` fit at p = 0.  A NaN gain never fits.
+    ``vue_power_needed(p, gx, gd)`` are within p_max_d, with the constants
+    of ``limits``; -inf where fewer than ``need`` fit at p = 0.  A NaN gain
+    never fits.
 
     Each requirement is nondecreasing in p under IEEE rounding (see
     ``initial_feasible``), so the row's count of fitting samples is
@@ -216,6 +209,7 @@ def fit_thresholds(
     m, w = gx.shape
     if not 1 <= need <= w:
         raise ValueError(f"need must lie in 1..{w}")
+    _, gamma_min_d, sigma2, p_max_c, p_max_d, _ = limits
 
     def reaches(bits, rows):
         req = vue_power_needed(bits.view(np.float64)[:, None], gx[rows], gd[rows],
@@ -253,11 +247,7 @@ def initial_feasible(
     sample_g_x: np.ndarray,
     g_c: np.ndarray,
     g_b: np.ndarray,
-    gamma_min_c: float,
-    gamma_min_d: float,
-    sigma2: float,
-    p_max_c: float,
-    p_max_d: float,
+    limits: PairLimits,
     coverage_count: int,
     trim_count: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -283,8 +273,8 @@ def initial_feasible(
     (``initial_feasible_reference`` in ``tests/reference_anchor.py``)
     then tries a 64-point grid below the corner, in vain while sigma^2 > 0:
     each slack is affine in p and at most -sigma^2 at p = 0, which rounding
-    could undo only past a CUE SNR of some 130 dB.  So ``sigma2 <= 0`` is
-    rejected.
+    could undo only past a CUE SNR of some 130 dB, and ``PairLimits`` keeps
+    sigma^2 > 0.
 
     The same argument rules a (mode, pair) out before any pass over its
     samples.  Let h(p) be the slack with eff(p) alone.  In exact arithmetic
@@ -317,8 +307,7 @@ def initial_feasible(
     ``channel.row_blocks`` of pairs, so no (pairs, N) temporary is formed
     beside the inputs.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
+    gamma_min_c, gamma_min_d, sigma2, p_max_c, p_max_d, _ = limits
     num_j, num_s, n = sample_g_x.shape
     rows = num_j * num_s                       # one row per pair, j-major
     vue = np.tile(np.arange(num_s), num_j)
@@ -328,7 +317,6 @@ def initial_feasible(
     g_x = np.ascontiguousarray(sample_g_x.reshape(rows, n))
     g_d_floor = np.maximum(g_d, 1e-300)
     k = min(max(coverage_count, 1), n)
-    limits = gamma_min_d, sigma2, p_max_c, p_max_d
 
     def sampled_req(p, gx, gd):
         return vue_power_needed(p, gx, gd, gamma_min_d, sigma2)
@@ -369,13 +357,13 @@ def initial_feasible(
     short = live[~fits_cap[live]]
     for a, b in row_blocks(short.size, n):
         i = short[a:b]
-        tau_smp[i] = fit_thresholds(g_x[i], g_d_floor[vue[i]], k, *limits)
+        tau_smp[i] = fit_thresholds(g_x[i], g_d_floor[vue[i]], k, limits)
     # tau = min(tau_eff, tau_smp), with tau_eff searched only where eff
     # does not fit at tau_smp
     tau = np.where(ruled_out, -np.inf, tau_smp)
     redo = (tau >= 0) & ~(sampled_req(tau, g_x_eff, g_d_eff) <= p_max_d)
     if redo.any():
-        tau[redo] = fit_thresholds(g_x_eff[redo, None], g_d_eff[redo, None], 1, *limits)
+        tau[redo] = fit_thresholds(g_x_eff[redo, None], g_d_eff[redo, None], 1, limits)
     at_cap = tau >= p_max_c
     search = np.flatnonzero(~at_cap & (tau >= 0))
 
@@ -412,18 +400,8 @@ def initial_feasible(
 _INFEASIBLE = SelfLearnSolution(False, 0.0, 0.0, 0.0, 0, 0.0)
 
 
-def closed_form_power(
-    anchor_c_w: float,
-    anchor_d_w: float,
-    r_d: float,
-    g_c: float,
-    g_b: float,
-    gamma_min_c: float,
-    sigma2: float,
-    p_max_c: float,
-    p_max_d: float,
-    bandwidth_hz: float,
-) -> SelfLearnSolution:
+def closed_form_power(anchor_c_w: float, anchor_d_w: float, r_d: float, g_c: float, g_b: float,
+                      limits: PairLimits) -> SelfLearnSolution:
     """Best of the three admissible corner branches of the scale variable.
 
     The learned half-space is given by its anchor powers (watts) and radius
@@ -434,10 +412,9 @@ def closed_form_power(
     cap-side bound cannot certify a point that sits below the CUE cap.)
     """
     # "not (x > 0 ...)": a NaN argument makes the pair infeasible
-    if not (r_d > 0 and anchor_c_w > 0 and anchor_d_w > 0 and g_c > 0 and g_b >= 0
-            and gamma_min_c > 0 and sigma2 > 0 and p_max_c > 0 and p_max_d > 0
-            and bandwidth_hz > 0):
+    if not (r_d > 0 and anchor_c_w > 0 and anchor_d_w > 0 and g_c > 0 and g_b >= 0):
         return _INFEASIBLE
+    gamma_min_c, _, sigma2, p_max_c, p_max_d, bandwidth_hz = limits
     ac, ad = anchor_c_w, anchor_d_w
     # bounds of the scale z: the CUE QoS floor along the anchor ray (+inf when
     # a nonpositive denominator means the ray never meets the CUE QoS line),

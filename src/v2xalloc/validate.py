@@ -58,7 +58,8 @@ def check_inner_solver(rng: np.random.Generator) -> tuple[bool, str]:
 def check_bisection(rng: np.random.Generator) -> tuple[bool, str]:
     def capacities():
         params = instances.random_bernstein_params(rng)
-        return _capacities(bernstein.bisection_power_allocation(params, 1e-4 * params.p_max_d),
+        xi_w = 1e-4 * params.limits.p_max_d
+        return _capacities(bernstein.bisection_power_allocation(params, xi_w),
                            oracles.bernstein_vertex_oracle(params))
     return _solver_vs_oracle(40, capacities)
 

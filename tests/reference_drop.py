@@ -4,8 +4,9 @@ formulas and the per-stage references, one pair at a time.
 ``reference_drop`` reads the drop's stream in the order ``run_drop`` does:
 the link state (whose cached gains it takes as they are), then the N
 learning samples by the full-array formula that ``channel.sample_pair_gains``
-documents as its contract (drawn whether or not a self-learning method reads
-them), then the M held-out error powers as one (M, S) and one unchunked
+documents as its contract, from two full-array normal draws of its own
+(drawn whether or not a self-learning method reads them), then the M
+held-out error powers as one (M, S) and one unchunked
 (M, J, S) draw.  Anchors come from ``initial_feasible_reference``
 (``reference_anchor``) per pair and mode, the per-pair solvers from
 ``reference_solvers`` (the scalar ``closed_form_power`` for ``slaa`` and
@@ -41,8 +42,9 @@ def reference_drop(cfg, drop_index: int, methods) -> dict[str, dict]:
     p_max_c, p_max_d, bw = cfg.p_max_cue_w, cfg.p_max_vue_w, cfg.bandwidth_hz
 
     def sampled(h_hat, omega):
-        h = channel.sample_true_channel(np.broadcast_to(h_hat, (n,) + h_hat.shape), lam, rng)
-        return np.abs(h) ** 2 * omega
+        re = rng.standard_normal((n,) + h_hat.shape) * np.sqrt(0.5)
+        im = rng.standard_normal((n,) + h_hat.shape) * np.sqrt(0.5)
+        return np.abs(lam * h_hat + np.sqrt(1 - lam**2) * (re + 1j * im)) ** 2 * omega
 
     smp_d = sampled(link.h_hat_d, link.omega_d)            # (N, S)
     smp_x = sampled(link.h_hat_cross, link.omega_cross)    # (N, J, S)
@@ -72,8 +74,7 @@ def reference_drop(cfg, drop_index: int, methods) -> dict[str, dict]:
         if name in MODES:
             anchors, r_d = learned[MODES[name]]
             a_c, a_d = anchors[j, s] or (math.nan, math.nan)
-            return closed_form_power(a_c, a_d, r_d, g_c[j], g_b[s], gamma_c, sigma2, p_max_c,
-                                     p_max_d, bw)
+            return closed_form_power(a_c, a_d, r_d, g_c[j], g_b[s], cfg.pair_limits)
         if name == "brra":
             q = cfg.deviation_box_scale
             params = bernstein.BernsteinParams(
@@ -81,8 +82,7 @@ def reference_drop(cfg, drop_index: int, methods) -> dict[str, dict]:
                 g_hat_d=min((1.0 - lam**2) * om_d[s] * q, g_bar_d[s]),
                 g_hat_cross=min((1.0 - lam**2) * om_x[j][s] * q, g_bar_x[j][s]),
                 family=bernstein.FAMILIES[cfg.bernstein_family], beta=cfg.outage_prob,
-                gamma_min_d=gamma_d, sigma2=sigma2, g_c=g_c[j], g_b=g_b[s],
-                gamma_min_c=gamma_c, p_max_c=p_max_c, p_max_d=p_max_d, bandwidth_hz=bw)
+                g_c=g_c[j], g_b=g_b[s], limits=cfg.pair_limits)
             return ref.bisection_power_allocation(params, cfg.bisection_xi_w)
         if name == "opt":
             gains = g_bar_d[s], g_bar_x[j][s], g_c[j], g_b[s]

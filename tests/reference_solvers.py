@@ -1,5 +1,7 @@
 """Test-only references: the per-pair solvers as they were written before
-their per-call overhead was cut, kept verbatim, and the capacity-gap measure.
+their per-call overhead was cut, kept verbatim but for reading the
+scenario's constants from ``BernsteinParams.limits``, and the capacity-gap
+measure.
 
 ``bisection_power_allocation`` reads each constant from ``params`` on every
 step and ``solve_corner`` defines its QoS check and result builder per call.
@@ -20,7 +22,8 @@ from v2xalloc.channel import cue_capacity_bps
 
 def cue_power_floor(p_d_w: float, params: BernsteinParams) -> float:
     """Smallest CUE power meeting the CUE QoS line at a given VUE power."""
-    return params.gamma_min_c * (params.sigma2 + p_d_w * params.g_b) / params.g_c
+    lim = params.limits
+    return lim.gamma_min_c * (lim.sigma2 + p_d_w * params.g_b) / params.g_c
 
 
 def _inner_terms(params: BernsteinParams) -> tuple[float, float, float, float]:
@@ -36,8 +39,8 @@ def _inner_terms(params: BernsteinParams) -> tuple[float, float, float, float]:
 
 def _inner_cue_power(p_d_w: float, params: BernsteinParams, terms) -> float | None:
     gain_d, prot, slope, cue_den = terms
-    gd = params.gamma_min_d
-    base = p_d_w * gain_d / gd - params.sigma2
+    gd = params.limits.gamma_min_d
+    base = p_d_w * gain_d / gd - params.limits.sigma2
     # roots of the branches binding on the CUE and on the VUE deviation product
     upper = min(base / cue_den, (base - prot * p_d_w * params.g_hat_d / gd) / slope)
     if upper < max(cue_power_floor(p_d_w, params), 0.0):
@@ -58,11 +61,11 @@ def solve_inner_cue_power(p_d_w: float, params: BernsteinParams) -> float | None
 
 
 def _finalize(p_c_w: float, p_d_w: float, params: BernsteinParams, iterations: int) -> BisectionResult:
-    p_c_w = min(p_c_w, params.p_max_c)
+    p_c_w = min(p_c_w, params.limits.p_max_c)
     if p_c_w < cue_power_floor(p_d_w, params) - 1e-15:
         return BisectionResult(False, 0.0, 0.0, 0.0, iterations)
-    cap = cue_capacity_bps(p_c_w, p_d_w, params.g_c, params.g_b, params.sigma2,
-                           params.bandwidth_hz)
+    cap = cue_capacity_bps(p_c_w, p_d_w, params.g_c, params.g_b, params.limits.sigma2,
+                           params.limits.bandwidth_hz)
     return BisectionResult(True, p_c_w, p_d_w, cap, iterations)
 
 
@@ -76,11 +79,11 @@ def bisection_power_allocation(params: BernsteinParams, xi_w: float) -> Bisectio
     runs out of room, on p_d = p_max_d.  Infeasible instances report zero
     capacity.  Iterations never exceed ceil(log2(p_max_d/xi)) + 1.
     """
-    if not 0.0 < xi_w < params.p_max_d:
+    if not 0.0 < xi_w < params.limits.p_max_d:
         raise ValueError("termination threshold must lie in (0, p_max_d)")
-    max_iter = math.ceil(math.log2(params.p_max_d / xi_w)) + 1
+    max_iter = math.ceil(math.log2(params.limits.p_max_d / xi_w)) + 1
     terms = _inner_terms(params)
-    p_max_c, p_max_d = params.p_max_c, params.p_max_d
+    p_max_c, p_max_d = params.limits.p_max_c, params.limits.p_max_d
 
     lo, hi = 0.0, p_max_d
     iterations = 0

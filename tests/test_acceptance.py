@@ -387,15 +387,15 @@ def bisection_gap_bound(params, xi, ref) -> float:
     p_max_d), and its capacity is at least C at that corner.
     """
     p_c, p_d, cap = ref
-    fam = params.family
+    fam, lim = params.family, params.limits
     prot = math.sqrt(4.0 * math.log(1.0 / params.beta)) * fam.sigma
     gain_d = params.g_bar_d + fam.mu_minus * params.g_hat_d
     slope_x = params.g_bar_cross + fam.mu_plus * params.g_hat_cross
     s = min(gain_d / (slope_x + prot * params.g_hat_cross),
-            (gain_d - prot * params.g_hat_d) / slope_x) / params.gamma_min_d
+            (gain_d - prot * params.g_hat_d) / slope_x) / lim.gamma_min_d
     reach = max(xi, xi / s) if s > 0 else math.inf
-    low = channel.cue_capacity_bps(max(p_c - xi, 0.0), min(p_d + reach, params.p_max_d),
-                                   params.g_c, params.g_b, params.sigma2, params.bandwidth_hz)
+    low = channel.cue_capacity_bps(max(p_c - xi, 0.0), min(p_d + reach, lim.p_max_d),
+                                   params.g_c, params.g_b, lim.sigma2, lim.bandwidth_hz)
     return (cap - low) / cap
 
 
@@ -406,9 +406,9 @@ def test_criterion_7_bisection_vs_oracle():
     iter_bound_ok = within_xi = True
     while compared < 1000:
         params = random_bernstein_params(rng)
-        xi = 1e-4 * params.p_max_d
+        xi = 1e-4 * params.limits.p_max_d
         res = bisection_power_allocation(params, xi)
-        bound = math.ceil(math.log2(params.p_max_d / xi)) + 1
+        bound = math.ceil(math.log2(params.limits.p_max_d / xi)) + 1
         iter_bound_ok &= res.iterations <= bound
         ref = oracles.bernstein_vertex_oracle(params)
         draws += 1

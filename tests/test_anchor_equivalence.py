@@ -22,21 +22,31 @@ from hypothesis.extra.numpy import arrays
 
 from reference_anchor import effective_gains, initial_feasible_reference
 from v2xalloc import harness, selflearn
+from v2xalloc.channel import PairLimits
 from v2xalloc.selflearn import AVERAGE, SETTLE_STEPS, WORST, initial_feasible
 
 TIED = (0.0, 0.25, 1.0, 2.5)   # few distinct values: ties, and g_d = 0 hits the 1e-300 floor
 MODES = (WORST, AVERAGE)
 
 
-def assert_matches_reference(modes, g_d, g_x, g_c, g_b, *args, **kwargs):
+def fast_anchors(modes, sample_g_d, sample_g_x, g_c, g_b, gamma_min_c, gamma_min_d, sigma2,
+                 p_max_c, p_max_d, coverage_count, trim_count):
+    """``initial_feasible`` with the loose constants that the reference takes;
+    the anchors read no bandwidth."""
+    limits = PairLimits(gamma_min_c, gamma_min_d, sigma2, p_max_c, p_max_d, 1.0)
+    return initial_feasible(modes, sample_g_d, sample_g_x, g_c, g_b, limits, coverage_count,
+                            trim_count)
+
+
+def assert_matches_reference(modes, sample_g_d, sample_g_x, g_c, g_b, **kwargs):
     """Compare every (mode, j, s) anchor with the reference; return its branches."""
-    got = initial_feasible(modes, g_d, g_x, g_c, g_b, *args, **kwargs)
+    got = fast_anchors(modes, sample_g_d, sample_g_x, g_c, g_b, **kwargs)
     branches = Counter()
     for mode in modes:
         p_c, p_d = got[mode]
         for j, s in np.ndindex(p_c.shape):
             expected, branch = initial_feasible_reference(
-                mode, g_d[s], g_x[j, s], g_c[j], g_b[s], *args, **kwargs)
+                mode, sample_g_d[s], sample_g_x[j, s], g_c[j], g_b[s], **kwargs)
             anchor = None if np.isnan(p_c[j, s]) else (p_c[j, s], p_d[j, s])
             assert anchor == expected, (mode, j, s, kwargs)
             branches[branch] += 1
@@ -215,8 +225,8 @@ def test_every_branch_reached_and_matched():
     With positive noise the QoS grid can never find a feasible point: each
     sample's slack is affine in the CUE power and negative at zero, so a
     point below the failing corner cannot gain samples.  The fast search
-    therefore skips the grid and rejects a nonpositive noise term, the only
-    case in which the grid can succeed.
+    therefore skips the grid, and its PairLimits rejects a nonpositive noise
+    term, the only case in which the grid can succeed.
     """
     rng = np.random.default_rng(20260810)
     branches = Counter()
@@ -225,7 +235,7 @@ def test_every_branch_reached_and_matched():
         g_d, g_x, g_c, g_b, kwargs = random_case(rng, sigma_sign=-1.0 if i % 5 == 0 else 1.0)
         if kwargs["sigma2"] < 0:
             with pytest.raises(ValueError):
-                initial_feasible(MODES, g_d, g_x, g_c, g_b, **kwargs)
+                fast_anchors(MODES, g_d, g_x, g_c, g_b, **kwargs)
             continue
         branches += assert_matches_reference(MODES, g_d, g_x, g_c, g_b, **kwargs)
         bisected += count_bisects(g_d, g_x, **kwargs)
@@ -250,7 +260,7 @@ def test_sample_fitting_at_every_power_anchors_at_a_two_watt_cap():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         initial_feasible(("best",), np.ones((1, 3)), np.ones((1, 1, 3)), np.ones(1),
-                         np.ones(1), 1.0, 1.0, 0.1, 1.0, 1.0, 3, 0)
+                         np.ones(1), PairLimits(1.0, 1.0, 0.1, 1.0, 1.0, 1.0), 3, 0)
 
 
 @pytest.mark.parametrize("overrides, min_bisected, row_check", [
@@ -280,7 +290,10 @@ def test_anchor_matches_reference_on_real_drops(small_cfg, overrides, min_bisect
     def checked(*args, **kwargs):
         nonlocal bisected
         call = inspect.signature(fast).bind(*args, **kwargs).arguments
-        branches.update(assert_matches_reference(*args, **kwargs))
+        # the limits as the reference takes them, with no bandwidth
+        call.update(call.pop("limits")._asdict())
+        del call["bandwidth_hz"]
+        branches.update(assert_matches_reference(**call))
         bisected += count_bisects(**call)
         searched.clear()
         anchors = fast(*args, **kwargs)

@@ -7,14 +7,19 @@ import pytest
 from reference_solvers import measure_gaps
 from v2xalloc import channel, harness, oracles
 from v2xalloc.baselines import apra_threshold, solve_corner
+from v2xalloc.channel import PairLimits
 from v2xalloc.instances import random_corner_instance
+
+
+def limits(gamma_min_c=2.0, gamma_min_d=1.0, sigma2=0.1):
+    """The PairLimits of these tests: unit caps and bandwidth."""
+    return PairLimits(gamma_min_c, gamma_min_d, sigma2, p_max_c=1.0, p_max_d=1.0,
+                      bandwidth_hz=1.0)
 
 
 def test_interference_free_corner():
     # no crosstalk: CUE at full power, VUE just meeting its own QoS
-    sol = solve_corner(
-        g_d=2.0, g_x=0.0, g_c=1.0, g_b=0.0, gamma_min_c=2.0, gamma_min_d=1.0,
-        sigma2=0.1, p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0)
+    sol = solve_corner(g_d=2.0, g_x=0.0, g_c=1.0, g_b=0.0, limits=limits())
     assert sol.feasible
     assert math.isclose(sol.p_c_w, 1.0)
     assert math.isclose(sol.p_d_w, 0.1 * 1.0 / 2.0)
@@ -46,9 +51,8 @@ def test_capacity_increases_along_vue_boundary():
 
 def test_corner_vue_cap_branch():
     # strong crosstalk pushes the solution to the VUE power cap
-    sol = solve_corner(g_d=0.4, g_x=0.5, g_c=1.0, g_b=0.001, gamma_min_c=1.5,
-                       gamma_min_d=1.0, sigma2=0.01, p_max_c=1.0, p_max_d=1.0,
-                       bandwidth_hz=1.0)
+    sol = solve_corner(g_d=0.4, g_x=0.5, g_c=1.0, g_b=0.001,
+                       limits=limits(gamma_min_c=1.5, sigma2=0.01))
     assert sol.feasible
     assert math.isclose(sol.p_d_w, 1.0)
     assert sol.p_c_w < 1.0
@@ -56,13 +60,19 @@ def test_corner_vue_cap_branch():
     assert math.isclose(sol.p_d_w * 0.4 / 1.0 - sol.p_c_w * 0.5, 0.01, abs_tol=1e-12)
 
 
-CORNER_ARGS = dict(g_d=2.0, g_x=0.1, g_c=1.0, g_b=0.01, gamma_min_c=2.0, gamma_min_d=1.0,
-                   sigma2=0.1, p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0)
+CORNER_ARGS = dict(g_d=2.0, g_x=0.1, g_c=1.0, g_b=0.01, limits=limits())
 
 
-@pytest.mark.parametrize("field", list(CORNER_ARGS))
+@pytest.mark.parametrize("field", ["g_d", "g_x", "g_c", "g_b", *PairLimits._fields])
 def test_corner_nan_argument_is_infeasible(field):
     assert solve_corner(**CORNER_ARGS).feasible
+    if field in PairLimits._fields:
+        # a limit reaches solve_corner only in a PairLimits, which rejects a
+        # NaN or a zero when it is built
+        for bad in (math.nan, 0.0):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+                CORNER_ARGS["limits"]._replace(**{field: bad})
+        return
     sol = solve_corner(**{**CORNER_ARGS, field: math.nan})
     assert not sol.feasible and sol.capacity_bps == 0.0
     # a zero is a valid crosstalk or interference gain, and infeasible elsewhere
@@ -75,14 +85,10 @@ def test_corner_nan_argument_is_infeasible(field):
 
 def test_corner_infeasible_cases():
     # VUE cannot reach its threshold even at full power and zero crosstalk
-    sol = solve_corner(g_d=1e-6, g_x=0.0, g_c=1.0, g_b=0.0, gamma_min_c=2.0,
-                       gamma_min_d=1.0, sigma2=1.0, p_max_c=1.0, p_max_d=1.0,
-                       bandwidth_hz=1.0)
+    sol = solve_corner(g_d=1e-6, g_x=0.0, g_c=1.0, g_b=0.0, limits=limits(sigma2=1.0))
     assert not sol.feasible and sol.capacity_bps == 0.0
     # CUE QoS impossible under the VUE interference it would need
-    sol = solve_corner(g_d=1.0, g_x=0.1, g_c=1e-6, g_b=5.0, gamma_min_c=10.0,
-                       gamma_min_d=1.0, sigma2=0.1, p_max_c=1.0, p_max_d=1.0,
-                       bandwidth_hz=1.0)
+    sol = solve_corner(g_d=1.0, g_x=0.1, g_c=1e-6, g_b=5.0, limits=limits(gamma_min_c=10.0))
     assert not sol.feasible
 
 
@@ -117,8 +123,9 @@ def test_apra_with_unit_transform_recovers_nrra(rng):
     for _ in range(20):
         inst = random_corner_instance(rng)
         nr = solve_corner(**inst)
-        ap = solve_corner(**{**inst, "gamma_min_d": apra_threshold(
-            inst["gamma_min_d"], -math.expm1(-1.0))})
+        lim = inst["limits"]
+        ap = solve_corner(**{**inst, "limits": lim._replace(gamma_min_d=apra_threshold(
+            lim.gamma_min_d, -math.expm1(-1.0)))})
         assert ap.feasible == nr.feasible
         compared += nr.feasible
         assert math.isclose(ap.capacity_bps, nr.capacity_bps, rel_tol=1e-12)
@@ -131,7 +138,9 @@ def test_apra_is_harder_to_satisfy(rng):
     for _ in range(200):
         inst = random_corner_instance(rng)
         nr = solve_corner(**inst)
-        ap = solve_corner(**{**inst, "gamma_min_d": apra_threshold(inst["gamma_min_d"], 0.05)})
+        lim = inst["limits"]
+        ap = solve_corner(**{**inst, "limits": lim._replace(
+            gamma_min_d=apra_threshold(lim.gamma_min_d, 0.05))})
         nr_feasible += nr.feasible
         ap_feasible += ap.feasible
         assert nr.feasible or not ap.feasible
@@ -164,11 +173,9 @@ def test_zero_uncertainty_gap_vanishes(rng):
             continue
         params = BernsteinParams(
             g_bar_d=inst["g_d"], g_bar_cross=inst["g_x"], g_hat_d=0.0, g_hat_cross=0.0,
-            family=FAMILIES["unimodal_symmetric"], beta=0.05,
-            gamma_min_d=inst["gamma_min_d"], sigma2=inst["sigma2"], g_c=inst["g_c"],
-            g_b=inst["g_b"], gamma_min_c=inst["gamma_min_c"],
-            p_max_c=inst["p_max_c"], p_max_d=inst["p_max_d"], bandwidth_hz=1.0)
-        res = bisection_power_allocation(params, 1e-4 * params.p_max_d)
+            family=FAMILIES["unimodal_symmetric"], beta=0.05, g_c=inst["g_c"],
+            g_b=inst["g_b"], limits=inst["limits"])
+        res = bisection_power_allocation(params, 1e-4 * params.limits.p_max_d)
         if inst["g_x"] <= 0 and not res.feasible:
             continue
         checked += 1

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from v2xalloc import oracles
+from v2xalloc.channel import PairLimits
 from v2xalloc.bernstein import (
     FAMILIES,
     BernsteinParams,
@@ -19,22 +20,28 @@ from v2xalloc.bernstein import (
 from v2xalloc.instances import random_bernstein_params
 
 
+LIMITS = dict(gamma_min_c=2.0, gamma_min_d=1.0, sigma2=0.1, p_max_c=1.0, p_max_d=1.0,
+              bandwidth_hz=1.0)
+
+
 def make_params(**kw):
+    """A reference pair's BernsteinParams; a ``PairLimits`` field in ``kw``
+    sets that limit."""
+    limits = PairLimits(**{name: kw.pop(name, value) for name, value in LIMITS.items()})
     base = dict(
         g_bar_d=1.0, g_bar_cross=0.1, g_hat_d=0.1, g_hat_cross=0.01,
-        family=FAMILIES["unimodal_symmetric"],
-        beta=0.05, gamma_min_d=1.0, sigma2=0.1,
-        g_c=1.0, g_b=0.05, gamma_min_c=2.0, p_max_c=1.0, p_max_d=1.0,
-        bandwidth_hz=1.0,
+        family=FAMILIES["unimodal_symmetric"], beta=0.05, g_c=1.0, g_b=0.05, limits=limits,
     )
     base.update(kw)
     return BernsteinParams(**base)
 
 
 @pytest.mark.parametrize("field", [
-    "g_bar_d", "g_bar_cross", "g_hat_d", "g_hat_cross", "beta", "gamma_min_d", "sigma2",
-    "g_c", "g_b", "gamma_min_c", "p_max_c", "p_max_d", "bandwidth_hz"])
+    "g_bar_d", "g_bar_cross", "g_hat_d", "g_hat_cross", "beta", "g_c", "g_b",
+    *PairLimits._fields])
 def test_params_reject_nan_in_every_checked_field(field):
+    """Each per-pair field, and each limit, which ``make_params`` passes on
+    in the PairLimits that rejects it."""
     make_params()
     with pytest.raises(ValueError):
         make_params(**{field: math.nan})
@@ -97,7 +104,7 @@ def test_margin_zero_deviation_collapses_to_deterministic():
     for family in ("bounded", "unimodal_bounded", "unimodal_symmetric"):
         pf = make_params(g_hat_d=0.0, g_hat_cross=0.0, family=FAMILIES[family])
         got = bernstein_margin(0.7, 0.9, pf)
-        det = 0.9 * p.g_bar_d / p.gamma_min_d - 0.7 * p.g_bar_cross - p.sigma2
+        det = 0.9 * p.g_bar_d / p.limits.gamma_min_d - 0.7 * p.g_bar_cross - p.limits.sigma2
         assert math.isclose(got, det, rel_tol=1e-12)
 
 
@@ -137,7 +144,7 @@ def _family_margins(pc, pd, params, beta):
         bernstein_margin(pc, pd, make_params(
             g_bar_d=params.g_bar_d, g_bar_cross=params.g_bar_cross,
             g_hat_d=params.g_hat_d, g_hat_cross=params.g_hat_cross,
-            beta=beta, gamma_min_d=params.gamma_min_d, sigma2=params.sigma2,
+            beta=beta, gamma_min_d=params.limits.gamma_min_d, sigma2=params.limits.sigma2,
             family=FAMILIES[name]))
         for name in ("bounded", "unimodal_bounded", "unimodal_symmetric")
     ]
@@ -156,7 +163,7 @@ def test_family_ordering_in_comparable_regime(seed, pc, pd, beta):
     beta).
     """
     params = random_bernstein_params(np.random.default_rng(seed), beta=beta)
-    a = pd * params.g_hat_d / params.gamma_min_d
+    a = pd * params.g_hat_d / params.limits.gamma_min_d
     b = pc * params.g_hat_cross
     assume((a + b) / 2 >= protection_weight(beta) * max(a, b) / math.sqrt(12.0))
     margins = _family_margins(pc, pd, params, beta)
@@ -168,7 +175,7 @@ def test_family_ordering_at_small_beta_with_balanced_products(rng):
     for _ in range(30):
         params = random_bernstein_params(rng)
         pd = float(rng.uniform(0.05, 1.0))
-        a = pd * params.g_hat_d / params.gamma_min_d
+        a = pd * params.g_hat_d / params.limits.gamma_min_d
         pc = a / params.g_hat_cross  # makes b == a exactly
         margins = _family_margins(pc, pd, params, 0.05)
         assert margins[0] <= margins[1] + 1e-12 <= margins[2] + 2e-12
@@ -182,7 +189,7 @@ def test_inner_solver_zero_deviation_closed_form():
     p = make_params(g_hat_d=0.0, g_hat_cross=0.0)
     p_d = 0.8
     got = solve_inner_cue_power(p_d, p)
-    expected = (p_d * p.g_bar_d / p.gamma_min_d - p.sigma2) / p.g_bar_cross
+    expected = (p_d * p.g_bar_d / p.limits.gamma_min_d - p.limits.sigma2) / p.g_bar_cross
     assert math.isclose(got, expected, rel_tol=1e-12)
 
 
@@ -228,13 +235,13 @@ def test_bisection_lands_on_a_power_cap(rng):
     hits = 0
     for _ in range(40):
         params = random_bernstein_params(rng)
-        xi = 1e-4 * params.p_max_d
+        xi = 1e-4 * params.limits.p_max_d
         res = bisection_power_allocation(params, xi)
         if not res.feasible:
             continue
         hits += 1
-        at_cue_cap = res.p_c_w >= params.p_max_c - 2 * xi
-        at_vue_cap = res.p_d_w >= params.p_max_d - 2 * xi
+        at_cue_cap = res.p_c_w >= params.limits.p_max_c - 2 * xi
+        at_vue_cap = res.p_d_w >= params.limits.p_max_d - 2 * xi
         assert at_cue_cap or at_vue_cap
     assert hits > 10
 
@@ -242,13 +249,13 @@ def test_bisection_lands_on_a_power_cap(rng):
 def test_bisection_feasible_output_satisfies_both_constraints(rng):
     for _ in range(60):
         params = random_bernstein_params(rng)
-        res = bisection_power_allocation(params, 1e-4 * params.p_max_d)
+        res = bisection_power_allocation(params, 1e-4 * params.limits.p_max_d)
         if not res.feasible:
             continue
-        p_c, p_d = res.p_c_w, res.p_d_w
+        p_c, p_d, lim = res.p_c_w, res.p_d_w, params.limits
         assert bernstein_margin(p_c, p_d, params) >= -1e-9
-        assert p_c * params.g_c / params.gamma_min_c - p_d * params.g_b >= params.sigma2 * (1 - 1e-9)
-        assert 0 <= p_c <= params.p_max_c + 1e-12 and 0 <= p_d <= params.p_max_d + 1e-12
+        assert p_c * params.g_c / lim.gamma_min_c - p_d * params.g_b >= lim.sigma2 * (1 - 1e-9)
+        assert 0 <= p_c <= lim.p_max_c + 1e-12 and 0 <= p_d <= lim.p_max_d + 1e-12
 
 
 def test_bisection_iteration_budget():
@@ -265,7 +272,7 @@ def test_bisection_against_grid_oracle(rng):
     compared = 0
     for _ in range(40):
         params = random_bernstein_params(rng)
-        res = bisection_power_allocation(params, 1e-4 * params.p_max_d)
+        res = bisection_power_allocation(params, 1e-4 * params.limits.p_max_d)
         ref = oracles.bernstein_vertex_oracle(params)
         assert res.feasible == (ref is not None)
         if res.feasible:
@@ -298,7 +305,7 @@ def test_soundness_violation_rate_within_budget(rng, family, sampler):
         xi2 = sampler(rng, n)
         g_d = params.g_bar_d + xi1 * params.g_hat_d
         g_x = params.g_bar_cross + xi2 * params.g_hat_cross
-        violated = p_d * g_d / params.gamma_min_d - p_c * g_x < params.sigma2
+        violated = p_d * g_d / params.limits.gamma_min_d - p_c * g_x < params.limits.sigma2
         rate = float(np.mean(violated))
         se = math.sqrt(params.beta * (1 - params.beta) / n)
         assert rate <= params.beta + 3 * se

@@ -243,15 +243,20 @@ def test_large_scale_gain_rejects_nonpositive(rng):
 # fading model
 # ---------------------------------------------------------------------------
 
+def real_parts(rng, size):
+    """The real parts of CN(0, 1) draws, as ``sample_true_channel`` takes them."""
+    return rng.standard_normal(size) * np.sqrt(0.5)
+
+
 def test_sample_true_channel_perfect_estimation_limit(rng):
     h_hat = np.array([0.3 + 0.4j])
-    h = channel.sample_true_channel(h_hat, 1 - 1e-12, rng)
+    h = channel.sample_true_channel(h_hat, 1 - 1e-12, rng, real_parts(rng, 1))
     assert h.shape == (1,) and abs(h[0] - h_hat[0]) < 1e-5
 
 
 def test_sample_true_channel_decorrelation_limit(rng):
     h_hat = np.full(20000, 1.0 + 0.0j)
-    h = channel.sample_true_channel(h_hat, 1e-9, rng)
+    h = channel.sample_true_channel(h_hat, 1e-9, rng, real_parts(rng, h_hat.size))
     corr = np.corrcoef(h.real, np.full_like(h.real, 1.0) + rng.normal(0, 1e-12, h.size))[0, 1]
     # with lam ~ 0 the draws carry no information about h_hat
     assert abs(np.mean(h)) < 0.02 and abs(corr) < 0.05
@@ -261,7 +266,7 @@ def test_sample_true_channel_second_moment(rng):
     # E|h|^2 = lam^2 |h_hat|^2 + (1 - lam^2), checked within 3 standard errors
     lam = 0.9466
     h_hat = np.full(100_000, 1.0 + 0.0j)
-    h = channel.sample_true_channel(h_hat, lam, rng)
+    h = channel.sample_true_channel(h_hat, lam, rng, real_parts(rng, h_hat.size))
     power = np.abs(h) ** 2
     expected = lam**2 * 1.0 + (1 - lam**2)
     se = np.std(power) / np.sqrt(power.size)
@@ -270,7 +275,7 @@ def test_sample_true_channel_second_moment(rng):
 
 def test_sample_true_channel_rejects_bad_lambda(rng):
     with pytest.raises(ValueError):
-        channel.sample_true_channel(np.array([1.0 + 0j]), 1.0, rng)
+        channel.sample_true_channel(np.array([1.0 + 0j]), 1.0, rng, real_parts(rng, 1))
 
 
 def test_v2v_true_gain_formula(rng):
@@ -426,8 +431,8 @@ def test_pair_gain_samples_equal_the_broadcast_sampling(count, shape):
     omega = setup.uniform(1e-12, 1e-6, shape)
     lam = 0.9466
     full, fused = np.random.default_rng(12), np.random.default_rng(12)
-    expected = np.abs(channel.sample_true_channel(
-        np.broadcast_to(h_hat, (count,) + shape), lam, full)) ** 2 * omega
+    re, im = (real_parts(full, (count,) + shape) for _ in range(2))
+    expected = np.abs(lam * h_hat + np.sqrt(1 - lam**2) * (re + 1j * im)) ** 2 * omega
     got = channel.sample_pair_gains(h_hat, omega, lam, count, fused)
     assert got.shape == (math.prod(shape), count)
     assert (got == expected.reshape(count, -1).T).all()
@@ -513,3 +518,28 @@ def test_qos_rules_agree_on_floats_and_arrays(name, data):
             continue
         assert type(scalar) is float
         assert scalar == value or (math.isnan(scalar) and math.isnan(value))
+
+
+LIMITS = dict(gamma_min_c=2.0, gamma_min_d=1.0, sigma2=0.1, p_max_c=1.0, p_max_d=1.0,
+              bandwidth_hz=1.0)
+
+
+@pytest.mark.parametrize("field", channel.PairLimits._fields)
+def test_pair_limits_reject_a_nonpositive_nan_or_infinite_field(field):
+    """The one check of each per-pair constant: the solvers that take a
+    PairLimits check only their per-pair inputs.  ``_replace`` checks too."""
+    limits = channel.PairLimits(**LIMITS)
+    assert limits == tuple(LIMITS.values()) and limits._asdict() == LIMITS
+    assert limits._replace(**{field: 1e-300}) == tuple((LIMITS | {field: 1e-300}).values())
+    for bad in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            channel.PairLimits(**LIMITS | {field: bad})
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            limits._replace(**{field: bad})
+
+
+def test_config_builds_its_pair_limits_once():
+    cfg = ScenarioConfig()
+    assert cfg.pair_limits == (cfg.sinr_min_cue, cfg.sinr_min_vue, cfg.noise_power_w,
+                               cfg.p_max_cue_w, cfg.p_max_vue_w, cfg.bandwidth_hz)
+    assert cfg.pair_limits is cfg.pair_limits

@@ -155,6 +155,7 @@ def test_vue_pair_distance_tracks_speed():
     ("gnb_road_distance_m", (100.0, 1e308)),   # the farthest link is inf m
     ("sample_count", MAX_SAMPLE_COUNT + 1),    # k* would cost O(sqrt(N)) at load
     ("rng_seed", -1),                          # numpy's SeedSequence would raise mid-run
+    ("sinr_min_vue", 1e308),   # apra's inflated VUE floor, 1.95e309, overflows to inf
 ])
 def test_invariants_rejected(field, value):
     with pytest.raises(ConfigError):

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from v2xalloc.channel import PairLimits
 from v2xalloc.selflearn import SETTLE_STEPS, fit_thresholds
 
 SCAN = 12   # bit patterns checked on each side of a threshold
@@ -22,6 +23,12 @@ TIED = (0.0, 0.25, 1.0, 2.5)
 
 def bits(x: float) -> int:
     return int(np.float64(x).view(np.int64))
+
+
+def pair_limits(gamma_min_d, sigma2, p_max_c, p_max_d):
+    """The ``PairLimits`` of these tests' four limits; fit_thresholds reads no
+    Gamma_c and no bandwidth."""
+    return PairLimits(1.0, gamma_min_d, sigma2, p_max_c, p_max_d, 1.0)
 
 
 def double(b: int) -> float:
@@ -95,13 +102,14 @@ def test_thresholds_match_the_bit_pattern_scan_and_reach_every_case():
         gx, gd, need, limits = random_rows(rng)
         p_max_c = limits[2]
         # every sample alone (need 1), then every row
-        own = fit_thresholds(gx.reshape(-1, 1), gd.reshape(-1, 1), 1, *limits).reshape(gx.shape)
+        own = fit_thresholds(gx.reshape(-1, 1), gd.reshape(-1, 1), 1,
+                             pair_limits(*limits)).reshape(gx.shape)
         for idx in np.ndindex(gx.shape):
             assert_threshold(own[idx], gx[idx], gd[idx], 1, limits)
             cases["zero_cross"] += gx[idx] == 0.0
             cases["floor"] += gd[idx] == 1e-300
             cases["nan"] += bool(np.isnan(gx[idx]))
-        got = fit_thresholds(gx, gd, need, *limits)
+        got = fit_thresholds(gx, gd, need, pair_limits(*limits))
         start = start_bits(gx, gd, need, *limits)
         for i, tau in enumerate(got):
             assert_threshold(tau, gx[i], gd[i], need, limits)
@@ -122,11 +130,12 @@ def test_bisection_reaches_a_cap_of_two_or_more(p_max_c):
     them must not be added to form their midpoint.  Here P g_d / Gamma_d is
     sigma^2 and g_x = 0: the root is NaN, the requirement fits at every
     power, and the search climbs from 0 to the cap by bisection."""
-    tau = fit_thresholds(np.zeros((1, 1)), np.full((1, 1), 0.25), 1, 1.0, 0.25, p_max_c, 1.0)
+    tau = fit_thresholds(np.zeros((1, 1)), np.full((1, 1), 0.25), 1,
+                         pair_limits(1.0, 0.25, p_max_c, 1.0))
     assert tau[0] == p_max_c
 
 
 @pytest.mark.parametrize("need", [0, 4])
 def test_need_outside_the_row_rejected(need):
     with pytest.raises(ValueError):
-        fit_thresholds(np.ones((2, 3)), np.ones((2, 3)), need, 1.0, 0.1, 1.0, 1.0)
+        fit_thresholds(np.ones((2, 3)), np.ones((2, 3)), need, pair_limits(1.0, 0.1, 1.0, 1.0))

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_drop import assert_same_drop
 from v2xalloc import bernstein, channel, cli, harness
@@ -111,6 +113,43 @@ def test_empty_repeated_or_unknown_method_lists_rejected(small_cfg, methods):
         SweepSpec(param="speed", grid=(80.0,), drops=1, methods=methods)
 
 
+# a list entry was unhashable (TypeError), an over-long int failed to format
+# (ValueError), and a bare string read as the methods "o", "p", "t"
+@pytest.mark.parametrize("methods, message", [
+    ((["opt"],), "method must be a string, got \\['opt'\\]"),
+    (("opt", 10**5000), "method must be a string, got <int of 16610 bits>"),
+    ("opt", "the method list must be a sequence of names, got 'opt'"),
+], ids=["list_entry", "long_int_entry", "bare_string"])
+def test_method_lists_from_the_python_api_rejected(small_cfg, methods, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_drop(small_cfg, 0, methods)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        SweepSpec(param="speed", grid=(80.0,), drops=1, methods=methods)
+
+
+def test_unknown_methods_shown_as_their_repr(small_cfg):
+    with pytest.raises(ConfigError, match="^unknown methods: 'magic', 'trick'$"):
+        run_drop(small_cfg, 0, ("trick", "opt", "magic"))
+
+
+# -1 raised numpy's ValueError, 1.5 a TypeError, and True ran as drop 1
+@pytest.mark.parametrize("drop_index, message", [
+    (-1, "drop_index must be >= 0, got -1"),
+    (1.5, "drop_index must be an integer, got 1.5"),
+    (True, "drop_index must be an integer, got True"),
+])
+def test_run_drop_rejects_a_drop_index_that_is_no_nonnegative_int(small_cfg, drop_index,
+                                                                  message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_drop(small_cfg, drop_index, ("opt",))
+
+
+def test_sweep_spec_rejects_a_param_that_is_no_string():
+    # a list raised TypeError in the membership test
+    with pytest.raises(ConfigError, match="^param must be a string"):
+        SweepSpec(param=["speed"], grid=(80.0,), drops=1)
+
+
 def test_outage_is_exact_violation_fraction(small_cfg):
     result = run_drop(small_cfg, 1)
     m = small_cfg.test_count
@@ -184,18 +223,16 @@ EDGE_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("changes", EDGE_CONFIGS,
-                         ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
-def test_a_config_that_loads_also_runs(changes):
-    """An edge config is either rejected when it is built or runs a drop of
-    every method, with no numpy warning, to finite, nonnegative capacities,
-    matched powers within the caps and outages in [0, 1]."""
-    try:
-        cfg = ScenarioConfig(num_cues=3, num_vues=2, sample_count=300, test_count=400, **changes)
-    except ConfigError:
-        return
+def assert_rejected_or_runs(**fields):
+    """The config of ``fields`` is either rejected when it is built or runs a
+    drop of every method, with no warning, to finite, nonnegative
+    capacities, matched powers within the caps and outages in [0, 1]."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        try:
+            cfg = ScenarioConfig(**fields)
+        except ConfigError:
+            return
         result = run_drop(cfg, 0)
     for stats in result.methods.values():
         matrix, rows = stats.matrix, np.arange(cfg.num_cues)
@@ -206,6 +243,50 @@ def test_a_config_that_loads_also_runs(changes):
         assert ((0.0 <= p_c) & (p_c <= cfg.p_max_cue_w)).all()
         assert ((0.0 <= p_d) & (p_d <= cfg.p_max_vue_w)).all()
         assert ((0.0 <= stats.pair_outage) & (stats.pair_outage <= 1.0)).all()
+
+
+@pytest.mark.parametrize("changes", EDGE_CONFIGS,
+                         ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_a_config_that_loads_also_runs(changes):
+    assert_rejected_or_runs(num_cues=3, num_vues=2, sample_count=300, test_count=400, **changes)
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def scenario_fields(draw):
+    """Small configs over the whole accepted domain of the fields that shape
+    a drop's numbers, and past its edges where the domain has one: sample
+    counts too small for k*, speeds beyond J0's first zero, and path loss
+    terms near and far beyond the +-600 dB a config may ask for (the 3 m
+    floor scales the exponent by -2.5), where the gains under- or overflow."""
+    num_cues = draw(st.integers(1, 3))
+    return dict(
+        num_cues=num_cues, num_vues=draw(st.integers(1, num_cues)),
+        sample_count=draw(st.integers(50, 300)), test_count=draw(st.integers(1, 300)),
+        p_max_cue_dbm=draw(st.floats(-300.0, 300.0)),
+        p_max_vue_dbm=draw(st.floats(-300.0, 300.0)),
+        sinr_min_cue=draw(log_uniform(-12.0, 12.0)),
+        sinr_min_vue=draw(log_uniform(-12.0, 12.0)),
+        shadowing_sigma_cue_db=draw(st.floats(0.0, 60.0)),
+        shadowing_sigma_vue_db=draw(st.floats(0.0, 60.0)),
+        pathloss_constant_db=draw(st.one_of(st.floats(-700.0, 700.0),
+                                            st.floats(-4000.0, 4000.0))),
+        pathloss_exponent_db=draw(st.floats(-300.0, 300.0)),
+        bisection_accuracy=draw(log_uniform(-15.0, -0.5)),
+        deviation_box_scale=draw(log_uniform(-6.0, 6.0)),
+        vehicle_speed_kmh=draw(st.floats(0.0, 500.0)),
+        vue_pair_jitter=draw(st.booleans()),
+        bernstein_family=draw(st.sampled_from(tuple(bernstein.FAMILIES))),
+    )
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(scenario_fields())
+def test_a_drawn_config_that_loads_also_runs(fields):
+    assert_rejected_or_runs(**fields)
 
 
 def test_virtual_columns_used_when_more_cues(small_cfg):
@@ -317,7 +398,7 @@ def test_sweep_spec_rejects_a_grid_that_is_not_a_sequence(grid):
 
 
 @pytest.mark.parametrize("field, message", [
-    ("param", "unknown sweep param"), ("grid", "grid must be"), ("drops", "drops must be"),
+    ("param", "param must be a string"), ("grid", "grid must be"), ("drops", "drops must be"),
 ])
 def test_sweep_spec_shows_an_int_past_the_digit_limit_by_its_size(field, message):
     spec = {"param": "speed", "grid": (80.0,), "drops": 1, field: -10**5000}

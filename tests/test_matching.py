@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
+from v2xalloc.channel import PairLimits
 from v2xalloc.matching import build_capacity_matrix, hungarian_max_weight
 from v2xalloc.oracles import assignment_bruteforce
 
@@ -119,6 +120,11 @@ def test_equal_weights_give_the_identity():
         assert list(hungarian_max_weight(np.full((n, n), 3.0))) == list(range(n))
 
 
+def limits(noise, bandwidth_hz):
+    """``PairLimits`` with a 1 W CUE cap; the matrix reads no SINR floor and no VUE cap."""
+    return PairLimits(1.0, 1.0, noise, 1.0, 1.0, bandwidth_hz)
+
+
 def pair_arrays(j, s, cap=0.0, p_c=0.0, p_d=0.0):
     return np.full((j, s), cap), np.full((j, s), p_c), np.full((j, s), p_d)
 
@@ -130,7 +136,7 @@ def test_build_matrix_fills_virtual_columns(rng):
     cap = np.array([[1.0], [11.0], [21.0]])
 
     matrix = build_capacity_matrix(cap, np.full((3, 1), 0.5), np.full((3, 1), 0.25),
-                                   g_c, 1.0, noise, bw)
+                                   g_c, limits(noise, bw))
     assert matrix.capacity.shape == (3, 3)
     # real column from the pair solves
     assert matrix.capacity[2, 0] == 21.0 and matrix.p_d_w[2, 0] == 0.25
@@ -145,7 +151,7 @@ def test_build_matrix_fills_virtual_columns(rng):
 
 def test_build_matrix_all_virtual_when_no_vues():
     g_c = np.array([1e-10, 1e-10])
-    matrix = build_capacity_matrix(*pair_arrays(2, 0), g_c, 1.0, 4e-14, 1.0)
+    matrix = build_capacity_matrix(*pair_arrays(2, 0), g_c, limits(4e-14, 1.0))
     assert matrix.num_real == 0
     assert np.all(matrix.p_d_w == 0.0)
     _, total = assign(matrix.capacity)
@@ -154,7 +160,7 @@ def test_build_matrix_all_virtual_when_no_vues():
 
 def test_build_matrix_infeasible_pairs_carry_zero():
     g_c = np.array([1e-10, 1e-10])
-    matrix = build_capacity_matrix(*pair_arrays(2, 2), g_c, 1.0, 4e-14, 1.0)
+    matrix = build_capacity_matrix(*pair_arrays(2, 2), g_c, limits(4e-14, 1.0))
     assert np.all(matrix.capacity == 0.0)
 
 
@@ -162,8 +168,8 @@ def test_matrix_entries_match_standalone_solver(rng):
     # real entries must be exactly the per-pair solutions handed in
     cap, p_c, p_d = (rng.uniform(0, 5, (3, 2)), rng.uniform(0, 1, (3, 2)),
                      rng.uniform(0, 1, (3, 2)))
-    matrix = build_capacity_matrix(cap, p_c, p_d, np.full(3, 1e-10), 1.0, 4e-14, 1.0)
+    matrix = build_capacity_matrix(cap, p_c, p_d, np.full(3, 1e-10), limits(4e-14, 1.0))
     assert np.array_equal(matrix.capacity[:, :2], cap)
     assert np.array_equal(matrix.p_c_w[:, :2], p_c) and np.array_equal(matrix.p_d_w[:, :2], p_d)
     with pytest.raises(ValueError):
-        build_capacity_matrix(*pair_arrays(2, 3), np.full(2, 1e-10), 1.0, 4e-14, 1.0)
+        build_capacity_matrix(*pair_arrays(2, 3), np.full(2, 1e-10), limits(4e-14, 1.0))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from v2xalloc import channel, oracles, selflearn
+from v2xalloc.channel import PairLimits
 from v2xalloc.config import ScenarioConfig
 from v2xalloc.selflearn import (
     AVERAGE,
@@ -388,8 +389,9 @@ def test_coverage_guarantee_on_synthetic_distribution(rng):
 # anchors
 # ---------------------------------------------------------------------------
 
-ANCHOR_ARGS = dict(g_c=1.0, g_b=0.02, gamma_min_c=2.0, gamma_min_d=1.0,
-                   sigma2=0.05, p_max_c=1.0, p_max_d=1.0)
+LIMITS = PairLimits(gamma_min_c=2.0, gamma_min_d=1.0, sigma2=0.05, p_max_c=1.0, p_max_d=1.0,
+                    bandwidth_hz=1.0)
+ANCHOR_ARGS = dict(g_c=1.0, g_b=0.02, limits=LIMITS)
 
 
 def anchor_of(mode, g_d, g_x, coverage_count, trim_count=0):
@@ -415,7 +417,7 @@ def test_anchor_single_sample_equals_deterministic_solution():
 
     g_d = np.array([1.1])
     g_x = np.array([0.07])
-    ref = solve_corner(1.1, 0.07, **ANCHOR_ARGS, bandwidth_hz=1.0)
+    ref = solve_corner(1.1, 0.07, **ANCHOR_ARGS)
     for mode in (WORST, AVERAGE):
         anc = anchor_of(mode, g_d, g_x, coverage_count=1)
         assert anc is not None
@@ -445,7 +447,7 @@ def test_anchor_covers_requested_sample_count(rng):
     anc = anchor_of(AVERAGE, g_d, g_x, coverage_count=cover)
     assert anc is not None
     p_c, p_d = anc
-    ok = p_d * g_d / ANCHOR_ARGS["gamma_min_d"] - p_c * g_x >= ANCHOR_ARGS["sigma2"] * (1 - 1e-9)
+    ok = p_d * g_d / LIMITS.gamma_min_d - p_c * g_x >= LIMITS.sigma2 * (1 - 1e-9)
     assert int(np.sum(ok)) >= cover
 
 
@@ -484,9 +486,11 @@ def drop_cases(draw):
     g_c = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=num_j, max_size=num_j)))
     g_b = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=num_s, max_size=num_s)))
     kwargs = dict(
-        gamma_min_c=draw(st.floats(0.5, 3.0)), gamma_min_d=draw(st.floats(0.5, 3.0)),
-        sigma2=draw(st.floats(0.01, 0.3)),
-        p_max_c=draw(st.floats(0.2, 2.0)), p_max_d=draw(st.floats(0.2, 2.0)),
+        limits=PairLimits(
+            gamma_min_c=draw(st.floats(0.5, 3.0)), gamma_min_d=draw(st.floats(0.5, 3.0)),
+            sigma2=draw(st.floats(0.01, 0.3)),
+            p_max_c=draw(st.floats(0.2, 2.0)), p_max_d=draw(st.floats(0.2, 2.0)),
+            bandwidth_hz=1.0),
         coverage_count=draw(st.one_of(st.just(n), st.integers(-2, n + 2))),
         trim_count=draw(st.integers(0, n + 1)),
     )
@@ -516,8 +520,7 @@ def test_anchor_search_blocks_on_a_dense_drop(speed):
     n = cfg.sample_count
     g_d = channel.sample_pair_gains(link.h_hat_d, link.omega_d, link.lam, n, rng)
     g_x = channel.sample_pair_gains(link.h_hat_cross, link.omega_cross, link.lam, n, rng)
-    args = (g_d, g_x.reshape(16, 16, n), link.g_c, link.g_b, cfg.sinr_min_cue,
-            cfg.sinr_min_vue, cfg.noise_power_w, cfg.p_max_cue_w, cfg.p_max_vue_w)
+    args = (g_d, g_x.reshape(16, 16, n), link.g_c, link.g_b, cfg.pair_limits)
     budget = max(1, (n - calibration_index(n, cfg.outage_prob, cfg.varsigma)) // 16)
     kwargs = dict(coverage_count=n - budget, trim_count=2 * budget)
     modes = (WORST, AVERAGE)
@@ -532,8 +535,7 @@ def test_anchor_search_blocks_on_a_dense_drop(speed):
 # closed-form power
 # ---------------------------------------------------------------------------
 
-CF_ARGS = dict(g_c=1.0, g_b=0.02, gamma_min_c=2.0, sigma2=0.05, p_max_c=1.0, p_max_d=1.0,
-               bandwidth_hz=1.0)
+CF_ARGS = dict(g_c=1.0, g_b=0.02, limits=LIMITS)
 
 
 def test_closed_form_vanishing_radius_is_infeasible():
@@ -546,7 +548,7 @@ def test_closed_form_scales_anchor_to_cue_cap():
     anchor_c, anchor_d = 0.5, 0.1
     sol = closed_form_power(anchor_c, anchor_d, 0.2, **CF_ARGS)
     assert sol.feasible and sol.branch == 1
-    z = CF_ARGS["p_max_c"] / anchor_c
+    z = LIMITS.p_max_c / anchor_c
     assert math.isclose(sol.p_c_w, z * anchor_c, rel_tol=1e-12)
     assert math.isclose(sol.p_d_w, z * anchor_d, rel_tol=1e-12)
 
@@ -564,7 +566,7 @@ def test_closed_form_dual_floor_branch():
     sol = closed_form_power(1.0, 0.05, 0.01, **CF_ARGS)
     assert sol.feasible and sol.branch == 3
     assert math.isclose(sol.p_c_w, 1.0, rel_tol=1e-12)
-    assert math.isclose(sol.p_d_w, CF_ARGS["sigma2"] * 0.05 / 0.01, rel_tol=1e-12)
+    assert math.isclose(sol.p_d_w, LIMITS.sigma2 * 0.05 / 0.01, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -576,9 +578,16 @@ def test_closed_form_nan_anchor_or_radius_is_infeasible(position):
     assert not sol.feasible and sol.capacity_bps == 0.0
 
 
-@pytest.mark.parametrize("field", list(CF_ARGS))
+@pytest.mark.parametrize("field", [
+    "g_c", "g_b", "gamma_min_c", "sigma2", "p_max_c", "p_max_d", "bandwidth_hz"])
 def test_closed_form_nan_argument_is_infeasible(field):
-    # both instances: a NaN cap or bandwidth once passed on either branch
+    if field in PairLimits._fields:
+        # a limit reaches closed_form_power only in a PairLimits, which
+        # rejects a NaN when it is built
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            LIMITS._replace(**{field: math.nan})
+        return
+    # both instances, one per branch
     for anchor in ([1.0, 0.05, 0.01], [0.2, 0.8, 0.2]):
         assert closed_form_power(*anchor, **CF_ARGS).feasible
         sol = closed_form_power(*anchor, **{**CF_ARGS, field: math.nan})
@@ -620,7 +629,7 @@ def test_closed_form_solutions_pass_dual_check(rng):
         if sol.feasible:
             assert oracles.dual_feasibility_check(
                 sol.p_c_w, sol.p_d_w, sol.z_star, inst["anchor_c_w"], inst["anchor_d_w"],
-                inst["r_d"], inst["sigma2"])
+                inst["r_d"], inst["limits"].sigma2)
 
 
 def test_dual_check_boundary_and_degenerate_cases():
@@ -637,6 +646,5 @@ def test_closed_form_guard_nonpositive_denominator():
     # meets the CUE QoS line, so its floor is +inf and no branch is admitted.
     # A finite floor would admit branch 2 at z = p_max_d/anchor_d = 2, powers
     # (0.2, 1.0) and a CUE SINR of 0.2 / 10.05 ~ 0.02 < Gamma_c = 2.
-    sol = closed_form_power(0.1, 0.5, 0.05, g_c=1.0, g_b=10.0, gamma_min_c=2.0, sigma2=0.05,
-                            p_max_c=1.0, p_max_d=1.0, bandwidth_hz=1.0)
+    sol = closed_form_power(0.1, 0.5, 0.05, g_c=1.0, g_b=10.0, limits=LIMITS)
     assert not sol.feasible and sol.branch == 0 and sol.capacity_bps == 0.0

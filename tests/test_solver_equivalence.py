@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import reference_solvers as ref
 from v2xalloc import baselines, bernstein, channel, harness
+from v2xalloc.channel import PairLimits
 from v2xalloc.config import ScenarioConfig
 from v2xalloc.instances import random_bernstein_params, random_corner_instance
 
@@ -40,8 +41,22 @@ def assert_inner_matches(p_d_w, params):
         p_d_w, params)
 
 
-def assert_corner_matches(*args):
-    assert_same(baselines.solve_corner(*args), ref.solve_corner(*args))
+def assert_corner_matches(g_d, g_x, g_c, g_b, *limits):
+    """The reference on the loose ``limits``, and the fast solver on their
+    PairLimits where one builds; the reference's result."""
+    expected = ref.solve_corner(g_d, g_x, g_c, g_b, *limits)
+    try:
+        pair_limits = PairLimits(*limits)
+    except ValueError:   # a constant <= 0, which the reference turns down too
+        assert not expected.feasible
+        return expected
+    assert_same(baselines.solve_corner(g_d, g_x, g_c, g_b, pair_limits), expected)
+    return expected
+
+
+def loose(inst):
+    """A corner instance's arguments, its limits loose as the reference takes them."""
+    return {**{k: v for k, v in inst.items() if k != "limits"}, **inst["limits"]._asdict()}
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +71,8 @@ def test_bisection_matches_reference_on_random_instances(seed):
     for _ in range(20):
         params = random_bernstein_params(rng)
         for fraction in XI_FRACTIONS:
-            assert_bisection_matches(params, fraction * params.p_max_d)
-        assert_inner_matches(float(rng.uniform(0.0, params.p_max_d)), params)
+            assert_bisection_matches(params, fraction * params.limits.p_max_d)
+        assert_inner_matches(float(rng.uniform(0.0, params.limits.p_max_d)), params)
 
 
 @settings(deadline=None, max_examples=200)
@@ -66,7 +81,7 @@ def test_corner_matches_reference_on_random_instances(seed):
     # 200 seeds x 100 instances: 20,000 corner solves
     rng = np.random.default_rng(seed)
     for _ in range(100):
-        assert_corner_matches(*random_corner_instance(rng).values())
+        assert_corner_matches(*loose(random_corner_instance(rng)).values())
 
 
 positive = st.floats(1e-6, 1e3)
@@ -85,8 +100,7 @@ def test_bisection_and_inner_step_match_reference(g_bar_d, g_bar_x, hat_d, hat_x
     params = bernstein.BernsteinParams(
         g_bar_d=g_bar_d, g_bar_cross=g_bar_x, g_hat_d=hat_d * g_bar_d,
         g_hat_cross=hat_x * g_bar_x, family=bernstein.FAMILIES[family], beta=beta,
-        gamma_min_d=gamma_d, sigma2=sigma2, g_c=g_c, g_b=g_b, gamma_min_c=gamma_c,
-        p_max_c=p_max_c, p_max_d=p_max_d, bandwidth_hz=1.0)
+        g_c=g_c, g_b=g_b, limits=PairLimits(gamma_c, gamma_d, sigma2, p_max_c, p_max_d, 1.0))
     xi_w = xi_fraction * p_max_d
     if 0.0 < xi_w < p_max_d:
         assert_bisection_matches(params, xi_w)
@@ -154,23 +168,23 @@ def test_bisection_edge_cases_match_reference():
             # infeasible: the CUE QoS floor exceeds every robust ceiling
             dataclasses.replace(params, g_b=1e6),
             # caps far apart
-            dataclasses.replace(params, p_max_c=1e-6),
-            dataclasses.replace(params, p_max_d=1e-6),
+            dataclasses.replace(params, limits=params.limits._replace(p_max_c=1e-6)),
+            dataclasses.replace(params, limits=params.limits._replace(p_max_d=1e-6)),
         ]
         for case in (params, *edge_cases):
             # xi just below p_max_d: the loop runs its minimum number of steps
-            for xi_w in (math.nextafter(case.p_max_d, 0.0), 1e-4 * case.p_max_d,
-                         math.ulp(case.p_max_d)):
+            for xi_w in (math.nextafter(case.limits.p_max_d, 0.0), 1e-4 * case.limits.p_max_d,
+                         math.ulp(case.limits.p_max_d)):
                 assert_bisection_matches(case, xi_w)
                 outcomes.add(bernstein.bisection_power_allocation(case, xi_w).feasible)
-            for p_d in (0.0, case.p_max_d, 0.5 * case.p_max_d):
+            for p_d in (0.0, case.limits.p_max_d, 0.5 * case.limits.p_max_d):
                 assert_inner_matches(p_d, case)
     assert outcomes == {True, False}
 
 
 def test_bisection_rejects_the_same_thresholds():
     params = random_bernstein_params(np.random.default_rng(3))
-    for xi_w in (0.0, -1.0, params.p_max_d, 2.0 * params.p_max_d, math.nan):
+    for xi_w in (0.0, -1.0, params.limits.p_max_d, 2.0 * params.limits.p_max_d, math.nan):
         with pytest.raises(ValueError, match="termination threshold"):
             ref.bisection_power_allocation(params, xi_w)
         with pytest.raises(ValueError, match="termination threshold"):
@@ -181,7 +195,7 @@ def test_corner_edge_cases_match_reference():
     rng = np.random.default_rng(8)
     infeasible = 0
     for _ in range(200):
-        inst = random_corner_instance(rng)
+        inst = loose(random_corner_instance(rng))
         g_d, g_x, g_b = inst["g_d"], inst["g_x"], inst["g_b"]
         gamma_c, gamma_d, sigma2 = inst["gamma_min_c"], inst["gamma_min_d"], inst["sigma2"]
         p_max_c = inst["p_max_c"]
@@ -208,6 +222,5 @@ def test_corner_edge_cases_match_reference():
             {**inst, "p_max_d": 1e-12},                 # corner-2 CUE power <= 0
         ]
         for case in (inst, *edge_cases):
-            assert_corner_matches(*case.values())
-            infeasible += not baselines.solve_corner(**case).feasible
+            infeasible += not assert_corner_matches(*case.values()).feasible
     assert infeasible > 0

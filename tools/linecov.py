@@ -9,7 +9,9 @@ A ``sys.settrace`` tracer records every line that runs in a file of
 code object's line table names) that ran in no test is printed as
 ``path:line`` and the run fails.  Tests that start a subprocess are not traced
 there, so a line only such a run reaches is allowed in ALLOWED, by its text,
-with its reason.
+with its reason.  An allowance whose text is on no unreached executable line
+of its file, because the line is gone, changed or now runs, fails the run too,
+so no allowance outlives its line.
 """
 
 from __future__ import annotations
@@ -56,16 +58,21 @@ def executable_lines(code) -> set[int]:
 
 
 def missed_lines() -> list[str]:
-    """``path:line`` of every executable package line that did not run and is not allowed."""
-    out = []
+    """``path:line`` of every executable package line that did not run and is
+    not allowed, then every allowance that no such line uses."""
+    out, used = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         source = text.splitlines()
         ran = _hits.get(str(path), set())
         for ln in sorted(executable_lines(compile(text, str(path), "exec")) - ran):
             code = source[ln - 1].strip()
-            if (path.name, code) not in ALLOWED:
+            if (path.name, code) in ALLOWED:
+                used.add((path.name, code))
+            else:
                 out.append(f"src/v2xalloc/{path.name}:{ln}: {code}")
+    for name, code in sorted(ALLOWED.keys() - used):
+        out.append(f"src/v2xalloc/{name}: allowance on no unreached line: {code}")
     return out
 
 
@@ -86,6 +93,7 @@ def pytest_sessionfinish(session, exitstatus):
 
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep(
-        "-", f"linecov: {len(_missed)} executable line(s) of src/v2xalloc ran in no test")
+        "-", f"linecov: {len(_missed)} executable line(s) of src/v2xalloc ran in no test, "
+             "or allowance(s) used by none")
     for entry in _missed:
         terminalreporter.write_line(f"  {entry}")
