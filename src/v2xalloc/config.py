@@ -53,7 +53,11 @@ KINDS = {"int": "an integer", "float": "a number", "bool": "a boolean", "str": "
 
 
 def dbm_to_watt(x_dbm: float) -> float:
-    return 10.0 ** (x_dbm / 10.0) / 1000.0
+    """Watts of ``x_dbm``; inf past the float range, so ``PairLimits`` rejects it."""
+    try:
+        return 10.0 ** (x_dbm / 10.0) / 1000.0
+    except OverflowError:
+        return math.inf
 
 
 def shown(value: Any) -> str:
@@ -142,14 +146,8 @@ class ScenarioConfig:
             (1 <= self.num_cues <= MAX_NUM_CUES, f"num_cues must lie in [1, {MAX_NUM_CUES:,}]"),
             (1 <= self.num_vues <= self.num_cues, "need 1 <= num_vues <= num_cues"),
             (0.0 < lo <= hi < math.inf, "gnb_road_distance_m must satisfy 0 < min <= max < inf"),
-            (self.vehicle_speed_kmh >= 0.0, "vehicle_speed_kmh must be >= 0"),
-            (self.carrier_frequency_hz > 0.0, "carrier_frequency_hz must be > 0"),
-            (self.feedback_delay_s > 0.0, "feedback_delay_s must be > 0"),
+            # noise_power_w takes its log10
             (self.bandwidth_hz > 0.0, "bandwidth_hz must be > 0"),
-            (self.sinr_min_cue > 0.0, "sinr_min_cue must be > 0 (linear)"),
-            (self.sinr_min_vue > 0.0, "sinr_min_vue must be > 0 (linear)"),
-            (0.0 < self.outage_prob < 1.0, "outage_prob must lie in (0,1)"),
-            (0.0 < self.confidence < 1.0, "confidence must lie in (0,1)"),
             (0.0 <= self.shadowing_sigma_cue_db <= MAX_SHADOWING_SIGMA_DB,
              f"shadowing_sigma_cue_db must lie in [0, {MAX_SHADOWING_SIGMA_DB:g}] dB"),
             (0.0 <= self.shadowing_sigma_vue_db <= MAX_SHADOWING_SIGMA_DB,
@@ -174,13 +172,6 @@ class ScenarioConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
-        for name in ("p_max_cue_w", "p_max_vue_w", "noise_power_w"):
-            try:
-                watts = getattr(self, name)
-            except OverflowError:
-                watts = math.inf
-            if not 0.0 < watts < math.inf:   # a dBm value under- or overflows
-                raise ConfigError(f"{name} must be finite and > 0, got {watts!r}")
         self._check_pathloss_range()
         self._check_model_applies()
 
@@ -199,41 +190,40 @@ class ScenarioConfig:
                        + self.pathloss_exponent_db * math.log10(dist_m / 1000.0))
             if not abs(loss_db) + 40.0 * MAX_SHADOWING_SIGMA_DB <= MAX_LARGE_SCALE_LOSS_DB:
                 raise ConfigError(
-                    f"pathloss_constant_db={self.pathloss_constant_db:g}, pathloss_exponent_db="
-                    f"{self.pathloss_exponent_db:g}: the path loss at {dist_m:g} m is "
-                    f"{loss_db:g} dB; it must lie within "
+                    f"{self._named('pathloss_constant_db', 'pathloss_exponent_db')}: the path "
+                    f"loss at {dist_m:g} m is {loss_db:g} dB; it must lie within "
                     f"+-{MAX_LARGE_SCALE_LOSS_DB - 40.0 * MAX_SHADOWING_SIGMA_DB:g} dB")
 
     def _check_model_applies(self) -> None:
-        """Reject scenarios the drop pipeline cannot run: an unknown Bernstein
-        family, an ``apra`` VUE SINR floor that leaves ``PairLimits``' range, a
-        Doppler coefficient outside (0, 1) and a sample count with no
-        calibration index k*.  Reading ``lam`` and ``k_star`` here also keeps
-        them for every drop of the instance."""
-        # imported here: these modules build on this one
-        from .baselines import apra_threshold
-        from .bernstein import FAMILIES
-        from .selflearn import NoValidIndexError
+        """Reject scenarios the drop pipeline cannot run, each by the model
+        function that states the rule: an unknown Bernstein family, then
+        ``PairLimits`` for the per-pair constants, ``apra_threshold`` for
+        apra's beta, ``doppler_coefficient`` for lambda and
+        ``calibration_index`` for k*.  Reading them here also keeps them for
+        every drop of the instance."""
+        from .bernstein import FAMILIES   # imported here: it builds on this module
 
         if self.bernstein_family not in FAMILIES:
             raise ConfigError(f"bernstein_family must be one of {tuple(FAMILIES)}")
-        try:   # the limits that ``harness`` builds for apra
-            self.pair_limits._replace(
-                gamma_min_d=apra_threshold(self.sinr_min_vue, self.outage_prob))
-        except ValueError as exc:
-            raise ConfigError(f"sinr_min_vue={self.sinr_min_vue:g}, outage_prob="
-                              f"{self.outage_prob:g}: apra's {exc}") from None
-        try:
-            self.lam
-        except ValueError as exc:
-            raise ConfigError(
-                f"vehicle_speed_kmh={self.vehicle_speed_kmh:g}, carrier_frequency_hz="
-                f"{self.carrier_frequency_hz:g}, feedback_delay_s={self.feedback_delay_s:g}: "
-                f"{exc}") from None
-        try:
-            self.k_star
-        except NoValidIndexError as exc:
-            raise ConfigError(f"sample_count={self.sample_count}: {exc}") from None
+        rules = (   # a derived value, the fields it reads and the head of its reason
+            ("pair_limits", ("sinr_min_cue", "sinr_min_vue", "noise_psd_dbm_hz",
+                             "p_max_cue_dbm", "p_max_vue_dbm"), ""),
+            ("apra_limits", ("sinr_min_vue", "outage_prob"), "apra's "),
+            ("lam", ("vehicle_speed_kmh", "carrier_frequency_hz", "feedback_delay_s"), ""),
+            ("k_star", ("sample_count", "outage_prob", "confidence"), ""),
+        )
+        for derived, names, head in rules:
+            try:
+                getattr(self, derived)
+            except ValueError as exc:   # NoValidIndexError is one
+                raise ConfigError(f"{self._named(*names)}: {head}{exc}") from None
+
+    def _named(self, *names: str) -> str:
+        """``name=value, ...`` of the fields ``names``, a float in ``:g`` form:
+        the head of a ConfigError whose rule reads them."""
+        values = (getattr(self, name) for name in names)
+        return ", ".join(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}"
+                         for name, value in zip(names, values))
 
     # ---- derived linear-scale quantities -------------------------------------
 
@@ -272,6 +262,13 @@ class ScenarioConfig:
         from .channel import PairLimits
         return PairLimits(self.sinr_min_cue, self.sinr_min_vue, self.noise_power_w,
                           self.p_max_cue_w, self.p_max_vue_w, self.bandwidth_hz)
+
+    @cached_property
+    def apra_limits(self):
+        """``pair_limits`` with apra's VUE SINR floor, ``baselines.apra_threshold``."""
+        from .baselines import apra_threshold
+        return self.pair_limits._replace(
+            gamma_min_d=apra_threshold(self.sinr_min_vue, self.outage_prob))
 
     # The scenario's model constants, derived once per instance and read by
     # every drop: the Doppler coefficient lambda = J0(2 pi f_D T) and the

@@ -169,8 +169,8 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
     ``opt``, ``nrra`` and ``apra`` solve the known-gain corner, ``brra`` the
     moment-based bisection and ``slaa``/``slwa`` the learned closed form from
     their entry of ``learned`` (``selflearn_calibration``), all under
-    ``cfg.pair_limits``; ``apra`` raises its VUE SINR floor to
-    ``baselines.apra_threshold``.  Infeasible pairs carry zeros.
+    ``cfg.pair_limits``; ``apra`` solves under ``cfg.apra_limits``, its VUE
+    SINR floor raised by ``baselines.apra_threshold``.  Infeasible pairs carry zeros.
     """
     out = np.zeros((3, cfg.num_cues, cfg.num_vues))
     limits = cfg.pair_limits
@@ -185,8 +185,7 @@ def _solve_pairs(cfg, link, method, learned) -> np.ndarray:
             (link.g_bar_d, link.g_bar_cross, link.g_c, link.g_b) if method == "opt"
             else (link.omega_d, link.omega_cross, link.omega_c, link.omega_b)))
         if method == "apra":
-            limits = limits._replace(gamma_min_d=baselines.apra_threshold(
-                limits.gamma_min_d, cfg.outage_prob))
+            limits = cfg.apra_limits
     for j in range(cfg.num_cues):
         for s in range(cfg.num_vues):
             if method == "brra":
@@ -300,7 +299,7 @@ def run_drop(
 
 def empirical_cdf(values) -> np.ndarray:
     """Right-continuous empirical CDF as a (value, cumulative fraction) table."""
-    arr = np.sort(np.asarray(values, dtype=float))
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empirical_cdf needs at least one value")
     uniq, counts = np.unique(arr, return_counts=True)

@@ -180,6 +180,9 @@ def test_config_error_exit_code(tmp_path, capsys):
         ["run", "--set", "num_cues=1001", "--set", "num_vues=1"],
         ["run", "--set", "num_cues=300", "--set", "num_vues=300"],   # 2.2 GB of samples
         ["run", "--set", "test_count=10000000", "--set", "num_cues=5"],
+        ["run", "--set", "sinr_min_cue=0"],   # PairLimits' rule
+        ["run", "--set", "confidence=1"],   # calibration_index's rule
+        ["run", "--set", "feedback_delay_s=0"],   # doppler_coefficient's rule
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error: "), argv

@@ -162,6 +162,25 @@ def test_invariants_rejected(field, value):
         ScenarioConfig(**{field: value})
 
 
+# Each rule a model function states is checked there when the config is built,
+# and the ConfigError names the config field, not the model's symbol for it.
+@pytest.mark.parametrize("field,value", [
+    ("sinr_min_cue", 0.0),             # PairLimits
+    ("sinr_min_vue", -1.0),
+    ("p_max_cue_dbm", 4000.0),         # overflows to inf W
+    ("p_max_vue_dbm", -5000.0),        # underflows to 0 W
+    ("noise_psd_dbm_hz", -5000.0),
+    ("vehicle_speed_kmh", -1.0),       # doppler_coefficient
+    ("carrier_frequency_hz", 0.0),
+    ("feedback_delay_s", 0.0),
+    ("outage_prob", 1.0),              # apra_threshold
+    ("confidence", 0.0),               # calibration_index
+])
+def test_a_model_rule_names_the_config_field(field, value):
+    with pytest.raises(ConfigError, match=rf"(^|, ){field}={value:g}(, |: )"):
+        ScenarioConfig(**{field: value})
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
 
 
